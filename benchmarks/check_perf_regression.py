@@ -1,9 +1,11 @@
 """Gate CI on engine-throughput drift against the committed baseline.
 
-Compares the freshly written ``BENCH_runner.json`` (produced by
-``benchmarks/perf_smoke.py`` earlier in the same job, overwriting the
-working-tree copy) against the committed baseline read via
-``git show HEAD:BENCH_runner.json``. The ratchet is two-sided:
+Compares a freshly written report (produced by
+``benchmarks/perf_smoke.py`` earlier in the same job; ``--fresh``,
+default the working-tree ``BENCH_runner.json``) against the committed
+baseline, always read via ``git show HEAD:BENCH_runner.json`` whatever
+``--fresh`` points to. A missing baseline is an error (exit 2), never
+a silent pass. The ratchet is two-sided:
 
 * fail when fresh engine events/second drop more than ``--threshold``
   (default 20%) below the committed figure — a real regression;
@@ -28,8 +30,10 @@ jitter).
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
-    python benchmarks/check_perf_regression.py [--threshold 0.2] \
-        [--threshold-up 0.2]
+    python benchmarks/check_perf_regression.py [--fresh PATH] \
+        [--threshold 0.2] [--threshold-up 0.2]
+
+Exit status: 0 pass, 1 a ratchet failed, 2 no committed baseline.
 """
 
 from __future__ import annotations
@@ -40,8 +44,13 @@ import subprocess
 import sys
 
 
-def committed_baseline(path: str) -> dict | None:
-    """The committed copy of ``path``, or None outside a git checkout."""
+#: The committed report every fresh report is compared against.
+BASELINE_PATH = "BENCH_runner.json"
+
+
+def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
+    """The committed copy of ``path``, or None when git cannot show it
+    (not a git checkout, or the file is not in ``HEAD``)."""
     try:
         blob = subprocess.run(
             ["git", "show", f"HEAD:{path}"],
@@ -64,11 +73,12 @@ def main(argv=None) -> int:
 
     with open(args.fresh, encoding="utf-8") as fh:
         fresh = json.load(fh)
-    baseline = committed_baseline(args.fresh)
+    baseline = committed_baseline()
     if baseline is None:
-        print(f"no committed {args.fresh} baseline (not a git checkout?); "
-              "skipping regression gate")
-        return 0
+        print(f"ERROR: no committed baseline: `git show HEAD:"
+              f"{BASELINE_PATH}` failed (not a git checkout, or the file "
+              "is not committed); cannot run the regression gate")
+        return 2
 
     failed = ratchet(
         "engine events/s",

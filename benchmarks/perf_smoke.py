@@ -32,10 +32,11 @@ Times six things and writes ``BENCH_runner.json`` plus
   ``speedup_skip_reason`` recording why it was skipped (single-core
   box, serial fallback) so CI can treat the skip as neutral;
 * **observability overhead** — one multiprogrammed run with the
-  :class:`~repro.obs.Observatory` disabled vs enabled (best of N),
-  asserting the metrics stay bit-identical and gating the events/sec
-  regression at 10%, plus an :class:`~repro.obs.EngineProfiler`
-  breakdown of where engine time goes (``BENCH_obs.json``).
+  :class:`~repro.obs.Observatory` disabled vs enabled (interleaved
+  pairs), asserting the metrics stay bit-identical and gating the
+  median per-pair events/sec regression at 10%, plus an
+  :class:`~repro.obs.EngineProfiler` breakdown of where engine time
+  goes (``BENCH_obs.json``).
 
 Run it from the repo root::
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -487,17 +489,21 @@ def _obs_run(obs_interval=None, profile=False):
     return metrics, machine.engine.events_executed, wall, profiler
 
 
-def bench_obs(repeats: int = 3) -> dict:
-    """Observability overhead: disabled vs enabled, best of ``repeats``.
+def bench_obs(repeats: int = 9) -> dict:
+    """Observability overhead: disabled vs enabled, interleaved pairs.
 
     The enabled run samples the timeline every 100k cycles and keeps
-    every live histogram hook hot. The gate fails (``gate_ok`` False)
-    if enabled throughput regresses more than ``OBS_OVERHEAD_LIMIT``
-    against the disabled baseline from the *same* invocation, or if
-    observation perturbs the run metrics at all.
+    every live histogram hook hot. Runs alternate disabled, enabled,
+    disabled, ... so host drift hits both sides alike; each pair gives
+    one enabled/disabled throughput ratio, and the overhead is one
+    minus the *median* ratio. The gate fails (``gate_ok`` False) if
+    that overhead exceeds ``OBS_OVERHEAD_LIMIT``, or if observation
+    perturbs the run metrics at all.
     """
-    disabled = [_obs_run() for _ in range(repeats)]
-    enabled = [_obs_run(obs_interval=100_000) for _ in range(repeats)]
+    disabled, enabled = [], []
+    for _ in range(repeats):
+        disabled.append(_obs_run())
+        enabled.append(_obs_run(obs_interval=100_000))
 
     base_metrics = asdict(disabled[0][0])
     metrics_identical = all(
@@ -505,18 +511,22 @@ def bench_obs(repeats: int = 3) -> dict:
         for m, _e, _w, _p in disabled[1:] + enabled
     )
 
-    def best_eps(runs):
-        return max(events / wall for _m, events, wall, _p in runs)
+    def eps(run):
+        _m, events, wall, _p = run
+        return events / wall
 
-    disabled_eps = best_eps(disabled)
-    enabled_eps = best_eps(enabled)
-    overhead = 1.0 - enabled_eps / disabled_eps
+    ratios = sorted(eps(on) / eps(off)
+                    for off, on in zip(disabled, enabled))
+    overhead = 1.0 - statistics.median(ratios)
 
     _m, events, wall, profiler = _obs_run(profile=True)
     return {
         "repeats": repeats,
-        "disabled_events_per_second": disabled_eps,
-        "enabled_events_per_second": enabled_eps,
+        "disabled_events_per_second": statistics.median(
+            eps(run) for run in disabled),
+        "enabled_events_per_second": statistics.median(
+            eps(run) for run in enabled),
+        "pair_ratios": ratios,
         "overhead_fraction": overhead,
         "overhead_limit": OBS_OVERHEAD_LIMIT,
         "metrics_identical": metrics_identical,

@@ -61,6 +61,15 @@ class FrameState(enum.Enum):
     DONE = "done"
 
 
+# Module-level aliases: the processor's hot paths compare states by
+# identity, and a global load is cheaper than an enum attribute lookup.
+_READY = FrameState.READY
+_RUNNING = FrameState.RUNNING
+_DELAY = FrameState.DELAY
+_DELAY_SUSPENDED = FrameState.DELAY_SUSPENDED
+_WAITING = FrameState.WAITING
+_DONE = FrameState.DONE
+
 FrameGen = Generator[Any, Any, Any]
 
 
@@ -79,7 +88,7 @@ class Frame:
         self.gen = gen
         self.name = name
         self.kernel = kernel
-        self.state = FrameState.READY
+        self.state = _READY
         self.on_done = on_done
         self.job_gid = job_gid
         self._delay_end = 0
@@ -92,7 +101,7 @@ class Frame:
 
     @property
     def finished(self) -> bool:
-        return self.state is FrameState.DONE
+        return self.state is _DONE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "K" if self.kernel else "U"
@@ -115,6 +124,8 @@ class Processor:
         self.user_cycles = 0
         self.kernel_cycles = 0
         self._busy_since: Optional[int] = None
+        # Bound once: every compute wake schedules it.
+        self._bound_delay_done = self._delay_done
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,37 +259,48 @@ class Processor:
         self._advance_if_top(frame, None)
 
     def _advance_if_top(self, frame: Frame, value: Any) -> None:
-        if frame is not self.current or frame.state is FrameState.DONE:
+        if frame is not self.current or frame.state is _DONE:
             return  # stale kick (frame was preempted or switched out)
-        if frame.state not in (FrameState.READY, FrameState.RUNNING):
+        if frame.state not in (_READY, _RUNNING):
             return
         self._advance(frame, value)
 
     def _advance(self, frame: Frame, value: Any) -> None:
-        engine = self.engine
+        """Step ``frame`` until it computes, blocks or finishes.
+
+        The compute wake is the simulator's hottest shape, so this is
+        written lean: ``Compute`` is matched by exact type first (the
+        isinstance fallback keeps subclasses working) and the cycle
+        charge is inlined.
+        """
+        send = frame.gen.send
         while True:
-            frame.state = FrameState.RUNNING
+            frame.state = _RUNNING
             try:
-                op = frame.gen.send(value)
+                op = send(value)
             except StopIteration as stop:
                 self._finish(frame, stop.value)
                 return
-            if isinstance(op, Compute):
-                if op.cycles == 0:
+            if op.__class__ is Compute or isinstance(op, Compute):
+                cycles = op.cycles
+                if cycles == 0:
                     value = None
                     continue
-                frame.state = FrameState.DELAY
-                frame._delay_end = engine.now + op.cycles
-                frame._wake = engine.call_at(
-                    frame._delay_end, self._delay_done, frame
-                )
-                self._charge(frame, op.cycles)
+                engine = self.engine
+                frame.state = _DELAY
+                end = frame._delay_end = engine.now + cycles
+                frame._wake = engine.call_at(end, self._bound_delay_done,
+                                             frame)
+                if frame.kernel:
+                    self.kernel_cycles += cycles
+                else:
+                    self.user_cycles += cycles
                 return
             if isinstance(op, Event):
                 if op.triggered:
                     value = op.value
                     continue
-                frame.state = FrameState.WAITING
+                frame.state = _WAITING
                 frame._wait_event = op
                 op.subscribe(lambda v, f=frame: self._event_fired(f, v))
                 return
@@ -290,7 +312,8 @@ class Processor:
         # The wake is cancelled on suspend, so arriving here means the
         # frame is on top and its compute interval completed.
         frame._wake = None
-        if frame is not self.current:
+        stack = self._stack
+        if not stack or stack[-1] is not frame:
             raise SimulationError(
                 f"delay completed for non-top frame {frame.name}"
             )
@@ -298,17 +321,17 @@ class Processor:
 
     def _event_fired(self, frame: Frame, value: Any) -> None:
         frame._wait_event = None
-        if frame.state is FrameState.DONE:
+        if frame.state is _DONE:
             return
-        if frame is self.current and frame.state is FrameState.WAITING:
-            frame.state = FrameState.READY
+        if frame is self.current and frame.state is _WAITING:
+            frame.state = _READY
             # Serialize through the engine to avoid re-entrant advance
             # from inside another frame's step.
             self.engine.call_soon(self._advance_ready_boxed, (frame, value))
         else:
             frame._ready_value = value
             frame._has_ready_value = True
-            frame.state = FrameState.READY
+            frame.state = _READY
 
     def _advance_ready_boxed(self, pair) -> None:
         """Single-argument adapter so ready advances can be scheduled
@@ -316,23 +339,23 @@ class Processor:
         self._advance_if_ready(pair[0], pair[1])
 
     def _advance_if_ready(self, frame: Frame, value: Any) -> None:
-        if frame is not self.current or frame.state is not FrameState.READY:
+        if frame is not self.current or frame.state is not _READY:
             # Preempted between trigger and advance; value saved below.
-            if frame.state is FrameState.READY:
+            if frame.state is _READY:
                 frame._ready_value = value
                 frame._has_ready_value = True
             return
         self._advance(frame, value)
 
     def _suspend(self, frame: Frame) -> None:
-        if frame.state is FrameState.DELAY:
+        if frame.state is _DELAY:
             frame._wake.cancel()
             frame._wake = None
             frame._remaining = frame._delay_end - self.engine.now
             # Uncharge the cycles that will be re-charged on resume.
             self._charge(frame, -frame._remaining)
-            frame.state = FrameState.DELAY_SUSPENDED
-        elif frame.state is FrameState.RUNNING:
+            frame.state = _DELAY_SUSPENDED
+        elif frame.state is _RUNNING:
             raise SimulationError(
                 f"cannot suspend frame {frame.name} mid-step"
             )
@@ -342,14 +365,14 @@ class Processor:
         frame = self.current
         if frame is None:
             return
-        if frame.state is FrameState.DELAY_SUSPENDED:
-            frame.state = FrameState.DELAY
+        if frame.state is _DELAY_SUSPENDED:
+            frame.state = _DELAY
             frame._delay_end = self.engine.now + frame._remaining
             self._charge(frame, frame._remaining)
             frame._wake = self.engine.call_at(
-                frame._delay_end, self._delay_done, frame
+                frame._delay_end, self._bound_delay_done, frame
             )
-        elif frame.state is FrameState.READY:
+        elif frame.state is _READY:
             if frame._has_ready_value:
                 value, frame._ready_value = frame._ready_value, None
                 frame._has_ready_value = False
@@ -366,7 +389,7 @@ class Processor:
                 f"frame {frame.name} finished while not on top"
             )
         self._stack.pop()
-        frame.state = FrameState.DONE
+        frame.state = _DONE
         frame.result = result
         was_kernel = frame.kernel
         if frame.on_done is not None:

@@ -55,14 +55,26 @@ Ordering is exactly the heap engine's global ``(time, seq)`` FIFO:
   any later direct insert, in heap ``(time, seq)`` order. Append order
   therefore equals global schedule order in every bucket.
 
+Clock advance never probes empty buckets. An **occupied-time index**
+(a min-heap of times) gets a time pushed whenever an append lands in
+an empty bucket; advancing pops it, skipping stale times (at or before
+``now``, or a bucket a compaction has since emptied). A time in the
+index that is still ahead of ``now`` names a bucket that can only hold
+entries for that one time, so the index chooses *which* bucket drains
+next and never touches the order within a bucket: the ordering
+argument above is unchanged. Sparse timelines (a WAN fabric, a long
+compute) would otherwise pay one probe per empty cycle, up to a whole
+window per advance — the known weak spot of Brown's calendar queue.
+
 ``run()`` batch-drains a whole cycle's bucket (then the run queue) in
 one inner loop with attribute lookups hoisted and the four callback
 shapes — Delay-resumed process, bare callable, ``(fn, arg)`` pair,
-cancellable entry — specialized by exact class check. The process
-shape is the hottest (every NI arrival, fabric hop and processor
-resume is a generator resumption), so the unbounded loop sends into
-the generator and re-buckets the next Delay inline, with no wrapper
-frame per event.
+cancellable entry — specialized by exact class check. In whole-machine
+runs the hottest shape is the cancellable entry: the processor's
+compute wake (see :mod:`repro.machine.processor`) is most of the
+events dispatched. The Delay-resumed process shape resumes the
+generator and re-buckets the next Delay inline, with no wrapper frame
+per event; it serves processes started with :meth:`Engine.process`.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
 time) disables the same-cycle run queue: same-cycle schedules then
@@ -234,8 +246,11 @@ class Process:
             cycles = target.cycles
             if cycles > 0:
                 if cycles < engine._window:
-                    engine._ring[(engine.now + cycles)
-                                 & engine._mask].append(self)
+                    time = engine.now + cycles
+                    bucket = engine._ring[time & engine._mask]
+                    if not bucket:
+                        heapq.heappush(engine._times, time)
+                    bucket.append(self)
                     engine._ring_count += 1
                 else:
                     engine._seq += 1
@@ -354,6 +369,12 @@ class Engine:
         self._ring: List[list] = [[] for _ in range(window)]
         #: Total items in the ring (live + lazily-cancelled).
         self._ring_count: int = 0
+        #: Occupied-time index: min-heap of the times whose bucket an
+        #: append found empty. Every nonempty bucket after ``now`` has
+        #: its time here; entries at or before ``now``, or whose bucket
+        #: was since emptied (compaction, front cleaning), are stale and
+        #: popped at the next clock advance.
+        self._times: List[int] = []
         #: Overflow tier for times >= now + window: heap of
         #: ``(time, seq, entry, _ENTRY)`` (cancellable) or
         #: ``(time, seq, fn, arg)`` (handle-free) tuples.
@@ -467,7 +488,10 @@ class Engine:
             entry = _ScheduledCall(time, fn, arg, self)
         if now < time:
             if time - now < self._window:
-                self._ring[time & self._mask].append(entry)
+                bucket = self._ring[time & self._mask]
+                if not bucket:
+                    heapq.heappush(self._times, time)
+                bucket.append(entry)
                 self._ring_count += 1
             else:
                 self._seq += 1
@@ -494,8 +518,10 @@ class Engine:
             time = int(time)
         if now < time:
             if time - now < self._window:
-                self._ring[time & self._mask].append(
-                    fn if arg is _NO_ARG else (fn, arg))
+                bucket = self._ring[time & self._mask]
+                if not bucket:
+                    heapq.heappush(self._times, time)
+                bucket.append(fn if arg is _NO_ARG else (fn, arg))
                 self._ring_count += 1
             else:
                 self._seq += 1
@@ -565,6 +591,7 @@ class Engine:
         heappop = heapq.heappop
         ring = self._ring
         mask = self._mask
+        times = self._times
         pulled = 0
         while heap and heap[0][0] < horizon:
             time, _seq, x, marker = heappop(heap)
@@ -573,11 +600,12 @@ class Engine:
                     self._cancelled_pending -= 1
                     self._retire(x)
                     continue
-                ring[time & mask].append(x)
-            elif marker is _NO_ARG:
-                ring[time & mask].append(x)
-            else:
-                ring[time & mask].append((x, marker))
+            elif marker is not _NO_ARG:
+                x = (x, marker)
+            bucket = ring[time & mask]
+            if not bucket:
+                heapq.heappush(times, time)
+            bucket.append(x)
             pulled += 1
         self._ring_count += pulled
 
@@ -594,29 +622,48 @@ class Engine:
             return item[0]
         return None
 
+    def _next_ring_time(self) -> Optional[int]:
+        """Earliest time after ``now`` with a nonempty bucket, or None.
+
+        Pops stale index entries (at or before ``now``, or whose bucket
+        has been emptied) off the occupied-time index; the returned time
+        stays indexed until the clock passes it. Every clock advance
+        goes through here, so no loop ever probes empty buckets.
+        """
+        times = self._times
+        ring = self._ring
+        mask = self._mask
+        now = self.now
+        while times:
+            t = times[0]
+            if t > now and ring[t & mask]:
+                return t
+            heapq.heappop(times)
+        if self._ring_count > len(ring[now & mask]):
+            raise SimulationError(
+                "calendar ring accounting corrupt: "
+                f"{self._ring_count} items, none indexed after {now}"
+            )
+        return None
+
     def _next_timed_time(self) -> Optional[int]:
         """Earliest live ring or overflow entry time, cleaning cancelled
         entries off bucket fronts; ``None`` when nothing timed remains.
         Does not advance the clock."""
-        if self._ring_count:
-            ring = self._ring
-            mask = self._mask
-            t = self.now
-            limit = t + self._window
-            while t < limit:
-                bucket = ring[t & mask]
-                while bucket:
-                    item = bucket[0]
-                    if (item.__class__ is not _ScheduledCall
-                            or not item.cancelled):
-                        return t
-                    del bucket[0]
-                    self._ring_count -= 1
-                    self._cancelled_pending -= 1
-                    self._retire(item)
-                if not self._ring_count:
-                    break
-                t += 1
+        ring = self._ring
+        t = self.now
+        while t is not None:
+            bucket = ring[t & self._mask]
+            while bucket:
+                item = bucket[0]
+                if (item.__class__ is not _ScheduledCall
+                        or not item.cancelled):
+                    return t
+                del bucket[0]
+                self._ring_count -= 1
+                self._cancelled_pending -= 1
+                self._retire(item)
+            t = self._next_ring_time()
         return self._next_live_heap_time()
 
     def peek_time(self) -> Optional[int]:
@@ -736,6 +783,7 @@ class Engine:
         mask = self._mask
         runq = self._runq
         heap = self._heap
+        times = self._times
         free = self._free
         refcount = getrefcount
         window = self._window
@@ -773,7 +821,10 @@ class Engine:
                             cycles = target.cycles
                             if cycles > 0:
                                 if cycles < window:
-                                    ring[(now + cycles) & mask].append(item)
+                                    later = ring[(now + cycles) & mask]
+                                    if not later:
+                                        heappush(times, now + cycles)
+                                    later.append(item)
                                     self._ring_count += 1
                                 else:
                                     self._seq += 1
@@ -839,7 +890,10 @@ class Engine:
                             cycles = target.cycles
                             if cycles > 0:
                                 if cycles < window:
-                                    ring[(now + cycles) & mask].append(item)
+                                    later = ring[(now + cycles) & mask]
+                                    if not later:
+                                        heappush(times, now + cycles)
+                                    later.append(item)
                                     self._ring_count += 1
                                 else:
                                     self._seq += 1
@@ -884,29 +938,15 @@ class Engine:
                 if self._stop:
                     return now
             # Advance: nearest nonempty bucket, else the overflow tier.
-            if self._ring_count:
-                t = now + 1
-                end = now + window
-                while not ring[t & mask]:
-                    t += 1
-                    if t == end:
-                        raise SimulationError(
-                            "calendar ring accounting corrupt: "
-                            f"{self._ring_count} items not found in window"
-                        )
-                now = t
-                self.now = t
-                if heap and heap[0][0] < t + window:
-                    self._pull_overflow(t + window)
-            elif heap:
+            t = self._next_ring_time()
+            if t is None:
                 t = self._next_live_heap_time()
                 if t is None:
                     return now
-                now = t
-                self.now = t
+            now = t
+            self.now = t
+            if heap and heap[0][0] < t + window:
                 self._pull_overflow(t + window)
-            else:
-                return now
 
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:
@@ -1019,35 +1059,20 @@ class Engine:
                     return until
                 return now
             # Advance: nearest nonempty bucket, else the overflow tier.
-            if self._ring_count:
-                t = now + 1
-                end = now + window
-                while not ring[t & mask]:
-                    t += 1
-                    if t == end:
-                        raise SimulationError(
-                            "calendar ring accounting corrupt: "
-                            f"{self._ring_count} items not found in window"
-                        )
-                if t > stop_bound:
-                    self._clamp_to(until)
-                    return until
-                now = t
-                self.now = t
-                if heap and heap[0][0] < t + window:
-                    self._pull_overflow(t + window)
-            else:
+            t = self._next_ring_time()
+            if t is None:
                 t = self._next_live_heap_time()
                 if t is None:
                     if until is not None and now < until:
                         self.now = until
                         return until
                     return now
-                if t > stop_bound:
-                    self._clamp_to(until)
-                    return until
-                now = t
-                self.now = t
+            if t > stop_bound:
+                self._clamp_to(until)
+                return until
+            now = t
+            self.now = t
+            if heap and heap[0][0] < t + window:
                 self._pull_overflow(t + window)
 
     @property

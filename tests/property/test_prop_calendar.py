@@ -9,6 +9,9 @@ far-future entries that cross the overflow boundary, entries that
 migrate from the overflow heap into the ring as the window slides,
 and lazy-deleted cancellations — with identical ``events_executed``
 and (for pre-run cancellation storms) ``compactions`` accounting.
+Sparse timelines stress the occupied-time index that drives clock
+advance: wide gaps, ``until`` clamps between occupied times, and
+mid-run compactions that empty buckets the index still names.
 """
 
 import heapq
@@ -88,20 +91,33 @@ class ReferenceEngine:
     def call_soon(self, fn, arg=engine_mod._NO_ARG):
         self.call_at(self.now, fn, arg)
 
-    def run(self):
+    def run(self, until=None):
         heap = self._heap
         no_arg = engine_mod._NO_ARG
         while heap:
-            time, _seq, handle = heapq.heappop(heap)
+            time, _seq, handle = heap[0]
             if handle.cancelled:
+                heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
+            if until is not None and time > until:
+                break
+            heapq.heappop(heap)
             self.now = time
             self._events += 1
             if handle.arg is no_arg:
                 handle.fn()
             else:
                 handle.fn(handle.arg)
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+    def peek_time(self):
+        for time, _seq, handle in sorted(self._heap):
+            if not handle.cancelled:
+                return time
+        return None
 
     @property
     def events_executed(self):
@@ -161,20 +177,31 @@ def test_calendar_matches_reference_heap_order(seed):
     assert calendar == reference
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_general_mode_matches_reference_heap_order(seed):
-    # Inline env handling: hypothesis reuses one fixture instance
-    # across examples, so monkeypatch is off-limits here.
+def _with_env_mode(general, build):
+    """Run ``build()`` with REPRO_NO_FASTPATH set iff ``general``.
+
+    Inline env handling: hypothesis reuses one fixture instance across
+    examples, so monkeypatch is off-limits here.
+    """
     saved = os.environ.get("REPRO_NO_FASTPATH")
-    os.environ["REPRO_NO_FASTPATH"] = "1"
+    if general:
+        os.environ["REPRO_NO_FASTPATH"] = "1"
+    else:
+        os.environ.pop("REPRO_NO_FASTPATH", None)
     try:
-        calendar = _random_program(Engine(window=WINDOW), seed, 400)
+        return build()
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
         else:
             os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_general_mode_matches_reference_heap_order(seed):
+    calendar = _with_env_mode(
+        True, lambda: _random_program(Engine(window=WINDOW), seed, 400))
     reference = _random_program(ReferenceEngine(), seed, 400)
     assert calendar == reference
 
@@ -212,3 +239,120 @@ def test_cancellation_storm_compaction_accounting(delays, cancel_mask):
     assert fired["calendar"] == fired["reference"]
     assert calendar.events_executed == reference.events_executed
     assert calendar.compactions == reference.compactions
+
+
+def _sparse_program(engine, seed, size):
+    """A sparse timeline driven in ``until`` slices.
+
+    Each event schedules one or two successors, mostly far inside the
+    window (gaps up to ``WINDOW - 1``, so consecutive occupied times
+    sit many empty buckets apart) and sometimes past it (overflow
+    pulls). The run advances in random ``until`` slices whose clamps
+    land between occupied times; after each slice the clock and
+    ``peek_time()`` are recorded.
+    """
+    order = []
+    rng = random.Random(seed)
+    handles = []
+
+    def work(tag):
+        order.append((engine.now, tag))
+        if len(order) >= size:
+            return
+        for k in range(1 + (rng.random() < 0.3)):
+            band = rng.random()
+            if band < 0.6:
+                delay = rng.randrange(WINDOW // 2, WINDOW)
+            elif band < 0.8:
+                delay = WINDOW - 1
+            else:
+                delay = rng.randrange(WINDOW, WINDOW * 5)
+            tag2 = f"{tag}.{k}"
+            if rng.random() < 0.4:
+                engine.schedule(engine.now + delay, work, tag2)
+            else:
+                handles.append(engine.call_after(delay, work, tag2))
+        if handles and rng.random() < 0.2:
+            handles.pop(rng.randrange(len(handles))).cancel()
+
+    for i in range(3):
+        engine.schedule(rng.randrange(WINDOW), work, str(i))
+    slices = []
+    until = 0
+    while engine.peek_time() is not None:
+        until += rng.randrange(1, WINDOW * 3)
+        engine.run(until=until)
+        slices.append((engine.now, engine.peek_time()))
+    return order, slices, engine.events_executed, engine.pending
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       general=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sparse_timeline_with_until_clamps_matches_reference(seed, general):
+    calendar = _with_env_mode(
+        general, lambda: _sparse_program(Engine(window=WINDOW), seed, 300))
+    reference = _sparse_program(ReferenceEngine(), seed, 300)
+    assert calendar == reference
+
+
+def _storm_program(engine, seed, sliced):
+    """Cancellation storms over sparse buckets, mid-run.
+
+    Each storm books a burst of cancellable entries on scattered times
+    inside the window and then cancels most of them, so compaction
+    empties buckets whose times are still in the occupied-time index.
+    Some of those times are then booked again (re-occupying an emptied
+    bucket), and a few entries go to the overflow tier.
+    """
+    order = []
+    rng = random.Random(seed)
+
+    def work(tag):
+        order.append((engine.now, tag))
+
+    def storm(round_):
+        order.append((engine.now, f"storm{round_}"))
+        burst = []
+        for i in range(rng.randrange(20, 60)):
+            delay = rng.randrange(1, WINDOW)
+            burst.append((delay, engine.call_after(delay, work,
+                                                   f"{round_}.{i}")))
+        for _delay, handle in burst:
+            if rng.random() < 0.85:
+                handle.cancel()
+        for i, (delay, _handle) in enumerate(burst[:rng.randrange(8)]):
+            engine.schedule(engine.now + delay, work, f"{round_}.re{i}")
+        for i in range(rng.randrange(3)):
+            engine.call_after(rng.randrange(WINDOW, WINDOW * 3), work,
+                              f"{round_}.far{i}")
+        if round_ < 6:
+            engine.call_after(rng.randrange(WINDOW // 2, WINDOW * 2),
+                              storm, round_ + 1)
+
+    engine.schedule(0, storm, 0)
+    if sliced:
+        until = 0
+        while engine.peek_time() is not None:
+            until += rng.randrange(1, WINDOW)
+            engine.run(until=until)
+    else:
+        engine.run()
+    return order, engine.events_executed, engine.pending
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       sliced=st.booleans(), general=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_midrun_compaction_of_indexed_buckets_matches_reference(
+        seed, sliced, general):
+    saved = engine_mod._COMPACT_MIN_CANCELLED
+    engine_mod._COMPACT_MIN_CANCELLED = 8
+    try:
+        engine = _with_env_mode(general, lambda: Engine(window=WINDOW))
+        calendar = _storm_program(engine, seed, sliced)
+    finally:
+        engine_mod._COMPACT_MIN_CANCELLED = saved
+    reference = _storm_program(ReferenceEngine(), seed, sliced)
+    assert engine.compactions > 0
+    assert calendar == reference

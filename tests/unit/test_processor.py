@@ -258,3 +258,44 @@ class TestAccounting:
         engine.run()
         assert proc.user_cycles == 70
         assert proc.kernel_cycles == 30
+
+
+class TestRepeatedPreemption:
+    def test_same_cycle_then_double_preemption_keeps_one_wake(self, cpu):
+        """A compute wake survives a same-cycle preempt/resume and two
+        more preemptions before it is due: exactly one live wake at the
+        end, and the frame finishes when uninterrupted work plus kernel
+        time says it should."""
+        engine, proc = cpu
+        trace = []
+
+        def user():
+            yield Compute(100)
+            trace.append(("user", engine.now))
+
+        def kernel(length):
+            if length:
+                yield Compute(length)
+
+        def preempt(length):
+            proc.raise_kernel(
+                lambda: Frame(kernel(length), f"k{length}", kernel=True))
+
+        frame = Frame(user(), "user")
+        proc.push_frame(frame)
+        engine.call_after(10, preempt, 0)   # preempted and resumed at 10
+        engine.call_after(30, preempt, 5)   # 30..35
+        engine.call_after(50, preempt, 5)   # 50..55
+        engine.run(until=60)
+
+        assert frame.state is FrameState.DELAY
+        assert not frame._wake.cancelled
+        assert frame._wake.time == 110
+        assert engine.pending == 1
+        assert engine.peek_time() == 110
+
+        engine.run()
+        assert trace == [("user", 110)]
+        assert proc.user_cycles == 100
+        assert proc.kernel_cycles == 10
+        assert engine.pending == 0
