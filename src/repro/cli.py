@@ -17,13 +17,17 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_series, render_table
 
 
+def _cache(args):
+    """The persistent result cache, or None under ``--no-cache``."""
+    from repro.runner import ResultCache
+
+    return None if args.no_cache else ResultCache()
+
+
 def _runner_kwargs(args) -> dict:
     """jobs/cache keywords for sweep commands (see ``--jobs``,
     ``--no-cache``)."""
-    from repro.runner import ResultCache
-
-    cache = None if args.no_cache else ResultCache()
-    return {"jobs": args.jobs, "cache": cache}
+    return {"jobs": args.jobs, "cache": _cache(args)}
 
 
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
@@ -38,6 +42,10 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for independent runs "
              "(default: all CPUs; 1 disables parallelism)")
+    _add_cache_flag(parser)
+
+
+def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="ignore and don't write the persistent result cache "
@@ -47,7 +55,7 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_table4(args) -> None:
     from repro.experiments.micro import table4_results
 
-    results = table4_results(rounds=args.rounds)
+    results = table4_results(rounds=args.rounds, cache=_cache(args))
     rows = []
     for r in results:
         fast = r.model.fast
@@ -64,9 +72,9 @@ def _cmd_table4(args) -> None:
 
 
 def _cmd_table5(args) -> None:
-    from repro.experiments.micro import measure_buffered_path
+    from repro.experiments.micro import table5_result
 
-    result = measure_buffered_path(count=args.rounds)
+    result = table5_result(count=args.rounds, cache=_cache(args))
     print(render_table(
         "Table 5: software-buffer overheads (cycles)",
         ["item", "paper", "measured"],
@@ -524,10 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4 = sub.add_parser("table4", help="fast-path cycle costs")
     p4.add_argument("--rounds", type=int, default=300)
+    # Tables 4 and 5 are three runs and one: too few for the runner to
+    # fan out, so they take no --jobs.
+    _add_cache_flag(p4)
     p4.set_defaults(fn=_cmd_table4)
 
     p5 = sub.add_parser("table5", help="buffered-path cycle costs")
     p5.add_argument("--rounds", type=int, default=400)
+    _add_cache_flag(p5)
     p5.set_defaults(fn=_cmd_table5)
 
     p6 = sub.add_parser("table6", help="application characteristics")

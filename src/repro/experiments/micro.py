@@ -10,13 +10,20 @@ end-to-end simulation reproduces the totals.
 The buffered-path numbers come from a stream benchmark with the
 receiver forced into buffered mode, measuring the kernel's insertion
 handler and the drain thread's extraction cost per message.
+
+Both are runner kinds (``fast_path`` per protection regime,
+``buffered_path`` for the stream), so :func:`table4_results` and
+:func:`table5_result` replay from the persistent cache like every other
+artifact; :func:`measure_fast_path` and :func:`measure_buffered_path`
+are the uncached executor bodies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Tuple
+from typing import Generator, List, Optional, Tuple
 
+from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.base import Application
 from repro.core.costs import AtomicityMode, CostModel
 from repro.core.udm import UdmRuntime
@@ -24,6 +31,7 @@ from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
 from repro.machine.processor import Compute
+from repro.runner import ResultCache, RunSpec, require_all, run_specs
 
 
 class PingPongApplication(Application):
@@ -186,9 +194,10 @@ class NullStreamApplication(Application):
             yield Compute(self.gap)
 
 
-def measure_fast_path(mode: AtomicityMode,
-                      rounds: int = 300) -> FastPathResult:
-    """Ping-pong + paced stream at one protection regime."""
+def _fast_path(mode: AtomicityMode,
+               rounds: int) -> Tuple[FastPathResult, RunMetrics]:
+    """Ping-pong + paced stream at one protection regime; the metrics
+    are the paced stream's."""
     machine, app = _run_pingpong(mode, "interrupt", rounds)
     result = FastPathResult(
         mode=mode,
@@ -206,11 +215,42 @@ def measure_fast_path(mode: AtomicityMode,
     stream_machine.start()
     stream_machine.run_until_job_done(stream_job, limit=100_000_000)
     result.measured_receive_interrupt = stream_job.stats.mean_handler_cycles
-    return result
+    return result, collect_metrics(stream_machine, stream_job)
 
 
-def table4_results(rounds: int = 300) -> List[FastPathResult]:
-    return [measure_fast_path(mode, rounds) for mode in AtomicityMode]
+def measure_fast_path(mode: AtomicityMode,
+                      rounds: int = 300) -> FastPathResult:
+    """Ping-pong + paced stream at one protection regime (uncached)."""
+    return _fast_path(mode, rounds)[0]
+
+
+#: The measured :class:`FastPathResult` fields a ``fast_path`` run
+#: carries in its ``extra`` (mode and model follow from the spec).
+_FAST_FIELDS = ("measured_receive_interrupt", "measured_leg_interrupt",
+                "measured_leg_poll", "network_transit")
+
+
+def execute_fast_path(mode: str, rounds: int = 300):
+    """Runner executor (kind ``fast_path``): one Table 4 regime."""
+    result, metrics = _fast_path(AtomicityMode(mode), rounds)
+    return metrics, {name: getattr(result, name) for name in _FAST_FIELDS}
+
+
+def fast_path_spec(mode: AtomicityMode, rounds: int = 300) -> RunSpec:
+    return RunSpec.make("fast_path", mode=mode.value, rounds=rounds)
+
+
+def table4_results(rounds: int = 300, jobs: Optional[int] = None,
+                   cache: Optional[ResultCache] = None,
+                   ) -> List[FastPathResult]:
+    """Table 4, one batch: every protection regime."""
+    modes = list(AtomicityMode)
+    results = run_specs([fast_path_spec(mode, rounds) for mode in modes],
+                        jobs=jobs, cache=cache)
+    require_all(results)
+    return [FastPathResult(mode=mode, model=CostModel.for_mode(mode),
+                           **run.extra)
+            for mode, run in zip(modes, results)]
 
 
 # ----------------------------------------------------------------------
@@ -265,8 +305,8 @@ class BufferedPathResult:
         return self.measured_insert_min + self.measured_extract
 
 
-def measure_buffered_path(count: int = 400,
-                          payload_words: int = 0) -> BufferedPathResult:
+def _buffered_path(count: int, payload_words: int,
+                   ) -> Tuple[BufferedPathResult, RunMetrics]:
     config = SimulationConfig(num_nodes=2)
     machine = Machine(config)
     app = BufferedStreamApplication(count=count,
@@ -296,4 +336,38 @@ def measure_buffered_path(count: int = 400,
         result.measured_extract = sum(
             end - start for start, end in spans
         ) / len(spans)
-    return result
+    return result, collect_metrics(machine, job)
+
+
+def measure_buffered_path(count: int = 400,
+                          payload_words: int = 0) -> BufferedPathResult:
+    """Forced-buffered stream (uncached)."""
+    return _buffered_path(count, payload_words)[0]
+
+
+#: The measured :class:`BufferedPathResult` fields a ``buffered_path``
+#: run carries in its ``extra`` (the model is the default one).
+_BUFFERED_FIELDS = ("measured_insert_min", "measured_insert_vmalloc",
+                    "measured_extract", "messages", "vmalloc_count")
+
+
+def execute_buffered_path(count: int = 400, payload_words: int = 0):
+    """Runner executor (kind ``buffered_path``): the Table 5 stream."""
+    result, metrics = _buffered_path(count, payload_words)
+    return metrics, {name: getattr(result, name)
+                     for name in _BUFFERED_FIELDS}
+
+
+def buffered_path_spec(count: int = 400, payload_words: int = 0) -> RunSpec:
+    return RunSpec.make("buffered_path", count=count,
+                        payload_words=payload_words)
+
+
+def table5_result(count: int = 400, jobs: Optional[int] = None,
+                  cache: Optional[ResultCache] = None,
+                  ) -> BufferedPathResult:
+    """Table 5 through the runner (cached like every other run)."""
+    (run,) = run_specs([buffered_path_spec(count)], jobs=jobs, cache=cache)
+    run.require()
+    return BufferedPathResult(model=SimulationConfig().cost_model(),
+                              **run.extra)

@@ -255,8 +255,9 @@ class Machine:
                            limit: Optional[int] = None) -> int:
         """Run until ``job`` finishes (or ``limit`` cycles elapse).
 
-        Dispatches through the engine's batched :meth:`Engine.run` loop
-        with ``job.done`` wired to :meth:`Engine.stop`, so completion
+        Dispatches through :meth:`Engine.run` (its bounded loop when
+        ``limit`` is given, the batched one otherwise) with
+        ``job.done`` wired to :meth:`Engine.stop`, so completion
         halts the loop right after the finishing event — the same exit
         point as the old one-``step()``-at-a-time loop, without paying
         a Python-level call per event.

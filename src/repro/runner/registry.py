@@ -37,6 +37,8 @@ EXECUTORS: Dict[str, str] = {
     "ablate_delivery": "repro.experiments.ablations:execute_delivery",
     "faulted": "repro.faults.runner:execute_faulted",
     "mailbox": "repro.experiments.mailbox_sweeps:execute_mailbox",
+    "fast_path": "repro.experiments.micro:execute_fast_path",
+    "buffered_path": "repro.experiments.micro:execute_buffered_path",
 }
 
 _resolved: Dict[str, Executor] = {}

@@ -66,15 +66,23 @@ argument above is unchanged. Sparse timelines (a WAN fabric, a long
 compute) would otherwise pay one probe per empty cycle, up to a whole
 window per advance — the known weak spot of Brown's calendar queue.
 
-``run()`` batch-drains a whole cycle's bucket (then the run queue) in
-one inner loop with attribute lookups hoisted and the four callback
+``run()`` has two loops. With neither ``until`` nor ``max_events``,
+``_run_fast`` batch-drains a whole cycle's bucket (then the run queue)
+in one inner loop with attribute lookups hoisted and the four callback
 shapes — Delay-resumed process, bare callable, ``(fn, arg)`` pair,
-cancellable entry — specialized by exact class check. In whole-machine
-runs the hottest shape is the cancellable entry: the processor's
-compute wake (see :mod:`repro.machine.processor`) is most of the
-events dispatched. The Delay-resumed process shape resumes the
-generator and re-buckets the next Delay inline, with no wrapper frame
-per event; it serves processes started with :meth:`Engine.process`.
+cancellable entry — specialized by exact class check. Any bound takes
+``_run_bounded``, which keeps per-event budget, stop and counter
+checks. Whole-machine runs are bounded: ``Machine.run_until_job_done``
+passes ``until=limit`` (every experiment, runner kind and benchmark
+gives a limit) and shard workers pass their window bound, so they all
+dispatch through ``_run_bounded``. ``_run_fast`` serves only unbounded
+``run()`` calls: the ``engine_events`` micro-bench and the examples
+that run a job with no limit. In whole-machine runs the hottest shape
+is the cancellable entry: the processor's compute wake (see
+:mod:`repro.machine.processor`) is most of the events dispatched. The
+Delay-resumed process shape resumes the generator and re-buckets the
+next Delay inline, with no wrapper frame per event; it serves
+processes started with :meth:`Engine.process`.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
 time) disables the same-cycle run queue: same-cycle schedules then

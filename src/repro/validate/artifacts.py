@@ -121,7 +121,7 @@ class ReportContext:
 def _produce_table4(ctx: ReportContext) -> ArtifactRun:
     from repro.experiments.micro import table4_results
 
-    results = table4_results(rounds=300)
+    results = table4_results(rounds=300, **ctx.runner_kwargs())
     by_mode = {r.mode.value: r for r in results}
     kernel = by_mode["kernel"]
     hard = by_mode["hard"]
@@ -179,9 +179,9 @@ _TABLE4 = ArtifactSpec(
 # Table 5 — buffered-path costs
 # ----------------------------------------------------------------------
 def _produce_table5(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.micro import measure_buffered_path
+    from repro.experiments.micro import table5_result
 
-    result = measure_buffered_path(count=400)
+    result = table5_result(count=400, **ctx.runner_kwargs())
     values = {
         "insert_min": result.measured_insert_min,
         "insert_vmalloc": result.measured_insert_vmalloc,

@@ -23,10 +23,16 @@ class TestTable4Reproduction:
         assert result.measured_receive_interrupt == expected_total
 
     def test_one_way_legs_match_analysis(self):
-        result = measure_fast_path(AtomicityMode.HARD, rounds=100)
-        assert result.measured_leg_interrupt == result.expected_leg_interrupt
-        # Polling includes loop quantization: within one poll iteration.
-        assert abs(result.measured_leg_poll - result.expected_leg_poll) <= 4
+        # Every regime: the report's exact leg_* checks may replay from
+        # the result cache, so this uncached run is what catches drift.
+        for mode in AtomicityMode:
+            result = measure_fast_path(mode, rounds=100)
+            assert (result.measured_leg_interrupt
+                    == result.expected_leg_interrupt), mode
+            # Polling includes loop quantization: within one poll
+            # iteration.
+            assert abs(result.measured_leg_poll
+                       - result.expected_leg_poll) <= 4, mode
 
     def test_protection_overhead_is_60_percent(self):
         """Headline: protected user-level receive costs ~60% more than
