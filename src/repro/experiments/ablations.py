@@ -14,12 +14,13 @@ Three studies, each isolating one element of the paper's argument:
   of the network.
 
 Every ablation point is one independent run, so each study is expressed
-as a batch of :class:`~repro.runner.RunSpec` and executed through
-:func:`repro.runner.run_specs` — the points of a study run in parallel
-and cache like any other experiment. Study-specific side measurements
-(kernel insert cycles, network backlog, resident pages, ...) travel in
-the run's ``extra`` dict so they survive worker-process and cache
-boundaries.
+as a batch of :class:`~repro.runner.RunSpec` (built by its ``*_specs``
+function, which ``repro report`` also uses to plan its runs) and
+executed through :func:`repro.runner.run_specs` — the points of a study
+run in parallel and cache like any other experiment. Study-specific
+side measurements (kernel insert cycles, network backlog, resident
+pages, ...) travel in the run's ``extra`` dict so they survive
+worker-process and cache boundaries.
 """
 
 from __future__ import annotations
@@ -82,18 +83,22 @@ def execute_two_case(workload: str = "barrier", num_nodes: int = 8,
     return metrics, extra
 
 
+def two_case_specs(workload: str = "barrier", num_nodes: int = 8,
+                   scale: str = "fast") -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_two_case", workload=workload,
+                     num_nodes=num_nodes, scale=scale, forced=forced)
+        for forced in (False, True)
+    ]
+
+
 def two_case_ablation(workload: str = "barrier", num_nodes: int = 8,
                       scale: str = "fast",
                       jobs: Optional[int] = None,
                       cache: Optional[ResultCache] = None,
                       ) -> List[AblationPoint]:
-    labels = ["two-case", "always-buffered"]
-    specs = [
-        RunSpec.make("ablate_two_case", workload=workload,
-                     num_nodes=num_nodes, scale=scale, forced=forced)
-        for forced in (False, True)
-    ]
-    return _points(specs, labels, jobs, cache)
+    return _points(two_case_specs(workload, num_nodes, scale),
+                   ["two-case", "always-buffered"], jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +121,18 @@ def execute_timeout(timeout: int, workload: str = "barnes",
     return collect_metrics(machine, job), {"timeout": timeout}
 
 
+def timeout_specs(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
+                  workload: str = "barnes", num_nodes: int = 8,
+                  skew: float = 0.05,
+                  scale: str = "fast") -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_timeout", timeout=timeout,
+                     workload=workload, num_nodes=num_nodes, skew=skew,
+                     scale=scale)
+        for timeout in timeouts
+    ]
+
+
 def timeout_ablation(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
                      workload: str = "barnes", num_nodes: int = 8,
                      skew: float = 0.05,
@@ -124,12 +141,7 @@ def timeout_ablation(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
                      cache: Optional[ResultCache] = None,
                      ) -> List[AblationPoint]:
     labels = [f"timeout={timeout}" for timeout in timeouts]
-    specs = [
-        RunSpec.make("ablate_timeout", timeout=timeout,
-                     workload=workload, num_nodes=num_nodes, skew=skew,
-                     scale=scale)
-        for timeout in timeouts
-    ]
+    specs = timeout_specs(timeouts, workload, num_nodes, skew, scale)
     return _points(specs, labels, jobs, cache)
 
 
@@ -175,6 +187,19 @@ def execute_architecture(label: str, workload: str = "barrier",
     return metrics, extra
 
 
+#: The Figure 1 architectures, in study order.
+ARCHITECTURES = ("two-case", "memory-based", "always-buffered")
+
+
+def architecture_specs(workload: str = "barrier", num_nodes: int = 8,
+                       scale: str = "fast") -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_architecture", label=label,
+                     workload=workload, num_nodes=num_nodes, scale=scale)
+        for label in ARCHITECTURES
+    ]
+
+
 def architecture_comparison(workload: str = "barrier",
                             num_nodes: int = 8,
                             scale: str = "fast",
@@ -187,13 +212,8 @@ def architecture_comparison(workload: str = "barrier",
     * memory-based: every message through a pinned memory queue;
     * always-buffered: the software-buffer-only strawman.
     """
-    labels = ["two-case", "memory-based", "always-buffered"]
-    specs = [
-        RunSpec.make("ablate_architecture", label=label,
-                     workload=workload, num_nodes=num_nodes, scale=scale)
-        for label in labels
-    ]
-    return _points(specs, labels, jobs, cache)
+    specs = architecture_specs(workload, num_nodes, scale)
+    return _points(specs, ARCHITECTURES, jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -250,20 +270,24 @@ def execute_bulk(threshold: Optional[int], region_words: int = 1500,
     return metrics, extra
 
 
+def bulk_specs(region_words: int = 1500, rounds: int = 6,
+               num_nodes: int = 8) -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_bulk", threshold=threshold,
+                     region_words=region_words, rounds=rounds,
+                     num_nodes=num_nodes)
+        for threshold in (None, 256)
+    ]
+
+
 def bulk_transfer_ablation(region_words: int = 1500, rounds: int = 6,
                            num_nodes: int = 8,
                            jobs: Optional[int] = None,
                            cache: Optional[ResultCache] = None,
                            ) -> List[AblationPoint]:
     """Fragmented 16-word messages vs one DMA transfer per grant."""
-    labels = ["fragments", "bulk-dma"]
-    specs = [
-        RunSpec.make("ablate_bulk", threshold=threshold,
-                     region_words=region_words, rounds=rounds,
-                     num_nodes=num_nodes)
-        for threshold in (None, 256)
-    ]
-    return _points(specs, labels, jobs, cache)
+    return _points(bulk_specs(region_words, rounds, num_nodes),
+                   ["fragments", "bulk-dma"], jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -288,18 +312,23 @@ def execute_queue_depth(depth: int, num_nodes: int = 4):
     return metrics, extra
 
 
+def queue_depth_specs(depths: Sequence[int] = (1, 2, 8),
+                      num_nodes: int = 4) -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_queue_depth", depth=depth,
+                     num_nodes=num_nodes)
+        for depth in depths
+    ]
+
+
 def queue_depth_ablation(depths: Sequence[int] = (1, 2, 8),
                          num_nodes: int = 4,
                          jobs: Optional[int] = None,
                          cache: Optional[ResultCache] = None,
                          ) -> List[AblationPoint]:
     labels = [f"queue={depth}" for depth in depths]
-    specs = [
-        RunSpec.make("ablate_queue_depth", depth=depth,
-                     num_nodes=num_nodes)
-        for depth in depths
-    ]
-    return _points(specs, labels, jobs, cache)
+    return _points(queue_depth_specs(depths, num_nodes), labels, jobs,
+                   cache)
 
 
 # ----------------------------------------------------------------------
@@ -339,15 +368,21 @@ def execute_delivery(label: str, num_nodes: int = 4):
     return metrics, extra
 
 
+#: The delivery disciplines of the head-to-head, in study order.
+DISCIPLINES = ("twocase", "zerocopy", "damq")
+
+
+def delivery_specs(num_nodes: int = 4) -> List[RunSpec]:
+    return [
+        RunSpec.make("ablate_delivery", label=label, num_nodes=num_nodes)
+        for label in DISCIPLINES
+    ]
+
+
 def delivery_comparison(num_nodes: int = 4,
                         jobs: Optional[int] = None,
                         cache: Optional[ResultCache] = None,
                         ) -> List[AblationPoint]:
     """Head-to-head: the paper's two-case discipline vs the competing
     zero-copy-ring and DAMQ input-queue organizations."""
-    labels = ["twocase", "zerocopy", "damq"]
-    specs = [
-        RunSpec.make("ablate_delivery", label=label, num_nodes=num_nodes)
-        for label in labels
-    ]
-    return _points(specs, labels, jobs, cache)
+    return _points(delivery_specs(num_nodes), DISCIPLINES, jobs, cache)

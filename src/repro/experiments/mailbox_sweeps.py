@@ -158,6 +158,23 @@ CURVE_FIELDS = (
 )
 
 
+def scaling_specs(clients_values: Sequence[int] = CLIENT_SCALES,
+                  trials: int = 2,
+                  delivery_kinds: Sequence[str] = tuple(DELIVERY_KINDS),
+                  ) -> List[RunSpec]:
+    """:func:`scaling_sweep`'s runs: the trials of every client scale,
+    then one head-to-head run per delivery kind."""
+    return [
+        mailbox_spec(clients=clients, seed=seed + 1)
+        for clients in clients_values
+        for seed in range(trials)
+    ] + [
+        mailbox_spec(clients=HEAD_TO_HEAD_CLIENTS, seed=1,
+                     delivery=kind)
+        for kind in delivery_kinds
+    ]
+
+
 def scaling_sweep(clients_values: Sequence[int] = CLIENT_SCALES,
                   trials: int = 2,
                   delivery_kinds: Sequence[str] = tuple(DELIVERY_KINDS),
@@ -165,17 +182,9 @@ def scaling_sweep(clients_values: Sequence[int] = CLIENT_SCALES,
                   cache: Optional[ResultCache] = None,
                   ) -> MailboxSweepResult:
     """Client-scaling curves + delivery head-to-head, one fan-out."""
-    specs: List[RunSpec] = [
-        mailbox_spec(clients=clients, seed=seed + 1)
-        for clients in clients_values
-        for seed in range(trials)
-    ]
-    head_specs: List[RunSpec] = [
-        mailbox_spec(clients=HEAD_TO_HEAD_CLIENTS, seed=1,
-                     delivery=kind)
-        for kind in delivery_kinds
-    ]
-    results = run_specs(specs + head_specs, jobs=jobs, cache=cache)
+    results = run_specs(
+        scaling_specs(clients_values, trials, delivery_kinds),
+        jobs=jobs, cache=cache)
     curves: Dict[str, List[float]] = {name: [] for name in CURVE_FIELDS}
     cursor = 0
     for _clients in clients_values:

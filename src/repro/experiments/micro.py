@@ -240,13 +240,17 @@ def fast_path_spec(mode: AtomicityMode, rounds: int = 300) -> RunSpec:
     return RunSpec.make("fast_path", mode=mode.value, rounds=rounds)
 
 
+def table4_specs(rounds: int = 300) -> List[RunSpec]:
+    """Table 4's runs: one per protection regime."""
+    return [fast_path_spec(mode, rounds) for mode in AtomicityMode]
+
+
 def table4_results(rounds: int = 300, jobs: Optional[int] = None,
                    cache: Optional[ResultCache] = None,
                    ) -> List[FastPathResult]:
     """Table 4, one batch: every protection regime."""
     modes = list(AtomicityMode)
-    results = run_specs([fast_path_spec(mode, rounds) for mode in modes],
-                        jobs=jobs, cache=cache)
+    results = run_specs(table4_specs(rounds), jobs=jobs, cache=cache)
     require_all(results)
     return [FastPathResult(mode=mode, model=CostModel.for_mode(mode),
                            **run.extra)

@@ -188,6 +188,18 @@ def skew_sweep(name: str, skews: Sequence[float] = DEFAULT_SKEWS,
     return _collect_sweep(name, skews, trials, results)
 
 
+def full_sweep_specs(skews: Sequence[float] = DEFAULT_SKEWS,
+                     trials: int = 3, num_nodes: int = 8,
+                     scale: str = "bench",
+                     names: Sequence[str] = tuple(WORKLOAD_NAMES),
+                     timeslice: int = 500_000,
+                     faults: str = "") -> List[RunSpec]:
+    """:func:`full_sweep`'s runs, workload-major."""
+    return [spec for name in names
+            for spec in _sweep_specs(name, skews, trials, num_nodes,
+                                     scale, timeslice, faults)]
+
+
 def full_sweep(skews: Sequence[float] = DEFAULT_SKEWS, trials: int = 3,
                num_nodes: int = 8, scale: str = "bench",
                names: Sequence[str] = tuple(WORKLOAD_NAMES),
@@ -201,10 +213,8 @@ def full_sweep(skews: Sequence[float] = DEFAULT_SKEWS, trials: int = 3,
     All ``len(names) * len(skews) * trials`` runs are fanned out in one
     batch so worker processes stay saturated across workloads.
     """
-    specs: List[RunSpec] = []
-    for name in names:
-        specs.extend(_sweep_specs(name, skews, trials, num_nodes, scale,
-                                  timeslice, faults))
+    specs = full_sweep_specs(skews, trials, num_nodes, scale, names,
+                             timeslice, faults)
     results = run_specs(specs, jobs=jobs, cache=cache)
     per_workload = len(skews) * trials
     return {

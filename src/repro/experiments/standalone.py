@@ -109,18 +109,24 @@ def run_standalone(name: str, num_nodes: int = 8, seed: int = 1,
     return metrics
 
 
+def table6_specs(num_nodes: int = 8, seed: int = 1,
+                 scale: str = "bench", faults: str = "") -> List[RunSpec]:
+    """Table 6's runs: every workload standalone."""
+    return [
+        standalone_spec(name, num_nodes=num_nodes, seed=seed,
+                        scale=scale, faults=faults)
+        for name in WORKLOAD_NAMES
+    ]
+
+
 def table6_rows(num_nodes: int = 8, seed: int = 1,
                 scale: str = "bench",
                 jobs: Optional[int] = None,
                 cache: Optional[ResultCache] = None,
                 faults: str = "") -> List[Table6Row]:
     """Table 6, one parallel batch: every workload standalone."""
-    specs = [
-        standalone_spec(name, num_nodes=num_nodes, seed=seed,
-                        scale=scale, faults=faults)
-        for name in WORKLOAD_NAMES
-    ]
-    results = run_specs(specs, jobs=jobs, cache=cache)
+    results = run_specs(table6_specs(num_nodes, seed, scale, faults),
+                        jobs=jobs, cache=cache)
     return [
         Table6Row(
             name=name, model=MODELS[name], metrics=result.require(),

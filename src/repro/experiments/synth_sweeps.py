@@ -172,18 +172,22 @@ class SynthSweepResult:
         ]
 
 
-def _run_synth_grid(x_label: str, xs: Sequence[int],
-                    group_sizes: Sequence[int], trials: int,
-                    spec_for, jobs: Optional[int],
-                    cache: Optional[ResultCache]) -> SynthSweepResult:
-    """Fan out a (group, x, trial) grid and fold to buffered %."""
-    specs: List[RunSpec] = [
+def _grid_specs(xs: Sequence[int], group_sizes: Sequence[int],
+                trials: int, spec_for) -> List[RunSpec]:
+    """A (group, x, trial) grid of specs, in the order
+    :func:`_fold_grid` regroups."""
+    return [
         spec_for(group, x, seed + 1)
         for group in group_sizes
         for x in xs
         for seed in range(trials)
     ]
-    results = run_specs(specs, jobs=jobs, cache=cache)
+
+
+def _fold_grid(x_label: str, xs: Sequence[int],
+               group_sizes: Sequence[int], trials: int,
+               results) -> SynthSweepResult:
+    """Fold a :func:`_grid_specs` result list to buffered %."""
     series: Dict[int, List[float]] = {}
     cursor = 0
     for group in group_sizes:
@@ -199,6 +203,19 @@ def _run_synth_grid(x_label: str, xs: Sequence[int],
     return SynthSweepResult(x_label=x_label, xs=list(xs), series=series)
 
 
+def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
+                   group_sizes: Sequence[int] = GROUP_SIZES,
+                   trials: int = 3, messages_per_node: int = 2000,
+                   shards: int = 1) -> List[RunSpec]:
+    """:func:`interval_sweep`'s runs."""
+    def spec_for(group: int, t_betw: int, seed: int) -> RunSpec:
+        return synth_spec(group, t_betw, seed=seed,
+                          messages_per_node=messages_per_node,
+                          shards=shards)
+
+    return _grid_specs(intervals, group_sizes, trials, spec_for)
+
+
 def interval_sweep(intervals: Sequence[int] = DEFAULT_INTERVALS,
                    group_sizes: Sequence[int] = GROUP_SIZES,
                    trials: int = 3,
@@ -207,13 +224,26 @@ def interval_sweep(intervals: Sequence[int] = DEFAULT_INTERVALS,
                    cache: Optional[ResultCache] = None,
                    shards: int = 1) -> SynthSweepResult:
     """Figure 9: buffered % versus send interval."""
-    def spec_for(group: int, t_betw: int, seed: int) -> RunSpec:
-        return synth_spec(group, t_betw, seed=seed,
+    specs = interval_specs(intervals, group_sizes, trials,
+                           messages_per_node, shards)
+    return _fold_grid("T_betw", intervals, group_sizes, trials,
+                      run_specs(specs, jobs=jobs, cache=cache))
+
+
+def buffer_cost_specs(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
+                      group_sizes: Sequence[int] = GROUP_SIZES,
+                      trials: int = 3, messages_per_node: int = 2000,
+                      shards: int = 1) -> List[RunSpec]:
+    """:func:`buffer_cost_sweep`'s runs."""
+    baseline = DEFAULT_BUFFER_COSTS[0]
+
+    def spec_for(group: int, cost: int, seed: int) -> RunSpec:
+        return synth_spec(group, FIG10_T_BETW, seed=seed,
+                          buffer_cost_extra=max(0, cost - baseline),
                           messages_per_node=messages_per_node,
                           shards=shards)
 
-    return _run_synth_grid("T_betw", intervals, group_sizes, trials,
-                           spec_for, jobs, cache)
+    return _grid_specs(costs, group_sizes, trials, spec_for)
 
 
 def buffer_cost_sweep(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
@@ -224,13 +254,7 @@ def buffer_cost_sweep(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
                       cache: Optional[ResultCache] = None,
                       shards: int = 1) -> SynthSweepResult:
     """Figure 10: buffered % versus buffered-path cost at T_betw=275."""
-    baseline = DEFAULT_BUFFER_COSTS[0]
-
-    def spec_for(group: int, cost: int, seed: int) -> RunSpec:
-        return synth_spec(group, FIG10_T_BETW, seed=seed,
-                          buffer_cost_extra=max(0, cost - baseline),
-                          messages_per_node=messages_per_node,
-                          shards=shards)
-
-    return _run_synth_grid("buffered-path cost", costs, group_sizes,
-                           trials, spec_for, jobs, cache)
+    specs = buffer_cost_specs(costs, group_sizes, trials,
+                              messages_per_node, shards)
+    return _fold_grid("buffered-path cost", costs, group_sizes, trials,
+                      run_specs(specs, jobs=jobs, cache=cache))

@@ -3,9 +3,13 @@
 One spec per evaluation artifact (Tables 4–6, Figures 7–10, the
 design-choice ablations). A spec names:
 
+* its **runs** — every :class:`~repro.runner.RunSpec` the producer
+  will request, built by the same ``*_specs`` functions the experiment
+  entry points use. ``repro report`` runs the declared runs of all
+  selected artifacts in one :func:`~repro.runner.run_specs` batch
+  before any producer starts (see :class:`ReportContext`);
 * a **producer** — regenerates the artifact's measurements through the
-  existing experiment executors (and thus through
-  :mod:`repro.runner`'s parallel fan-out and persistent cache);
+  existing experiment executors, served from that batch;
 * the **quantities** the artifact must reproduce, each with its
   tolerance band (see :mod:`repro.validate.quantity`);
 * the **doc payload** — everything EXPERIMENTS.md and the report
@@ -18,10 +22,12 @@ exactly one place.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.runner import RunResult, RunSpec, run_specs
 from repro.validate.quantity import Quantity
 
 #: Table 6 / Figure 7–8 application order (communication-most first in
@@ -54,6 +60,9 @@ class ArtifactSpec:
     command: str
     quantities: Tuple[Quantity, ...]
     producer: Callable[["ReportContext"], ArtifactRun]
+    #: Builds the list of every run the producer requests. A producer
+    #: that requests anything else raises :class:`UndeclaredRunError`.
+    runs: Callable[[], List[RunSpec]]
 
     def quantity(self, name: str) -> Quantity:
         for q in self.quantities:
@@ -77,19 +86,81 @@ class ArtifactSpec:
         return digest[:12]
 
 
-class ReportContext:
-    """Shared state for one report run: runner knobs + memoized sweeps.
+class UndeclaredRunError(RuntimeError):
+    """A producer requested a run its artifact's ``runs`` omits."""
 
-    Figures 7 and 8 are two views of the same multiprogrammed sweep, so
-    the context memoizes sweep objects in-process (the on-disk
-    :class:`~repro.runner.ResultCache` already memoizes the underlying
-    runs across processes and sessions).
+
+class ReportContext:
+    """Shared state for one report run: the planned batch + memoized sweeps.
+
+    A report plans before it runs. :meth:`prefetch` collects the
+    declared runs of every selected artifact, drops duplicates and makes
+    **one** :func:`~repro.runner.run_specs` call against the persistent
+    cache, so the misses of all artifacts together face the runner's
+    parallel rule. Producers then get the context itself as their
+    runner cache (:meth:`runner_kwargs`): :meth:`get` answers from the
+    in-memory results without a second read of the persistent cache,
+    re-raises a failed run's captured :class:`~repro.runner.RunnerError`,
+    and raises :class:`UndeclaredRunError` for a run the producing
+    artifact did not declare. Figures 7 and 8 are two views of the same
+    multiprogrammed sweep, so the context also memoizes sweep objects.
     """
 
     def __init__(self, jobs: Optional[int] = None, cache=None) -> None:
         self.jobs = jobs
         self.cache = cache
         self._memo: Dict[str, Any] = {}
+        self._results: Dict[RunSpec, RunResult] = {}
+        #: The artifact being produced, and the runs it declared.
+        self._serving: Optional[str] = None
+        self._declared: frozenset = frozenset()
+
+    def prefetch(self, ids: Sequence[str]) -> Dict[str, Any]:
+        """Run the declared runs of ``ids`` not yet fetched, in one batch.
+
+        Returns ``run_specs``' ``info`` record plus ``declared`` (runs
+        declared across the artifacts, duplicates included) and
+        ``planned`` (the distinct runs submitted).
+        """
+        wanted = set(ids)
+        declared = [spec for aid in ARTIFACT_IDS if aid in wanted
+                    for spec in ARTIFACTS[aid].runs()]
+        specs = [spec for spec in dict.fromkeys(declared)
+                 if spec not in self._results]
+        info: Dict[str, Any] = {"declared": len(declared),
+                                "planned": len(specs)}
+        results = run_specs(specs, jobs=self.jobs, cache=self.cache,
+                            info=info)
+        self._results.update(zip(specs, results))
+        return info
+
+    # -- the runner-cache protocol producers see -----------------------
+    def runner_kwargs(self) -> Dict[str, Any]:
+        return {"cache": self}
+
+    def get(self, spec: RunSpec):
+        if spec not in self._declared:
+            raise UndeclaredRunError(
+                f"artifact {self._serving!r} requested {spec.describe()}, "
+                "which its ArtifactSpec.runs does not declare"
+            )
+        result = self._results[spec]
+        return result.require(), result.extra
+
+    def put(self, spec: RunSpec, metrics, extra=None) -> None:
+        """Never reached: :meth:`get` answers or raises for every spec."""
+
+    @contextmanager
+    def _serve(self, artifact_id: str):
+        declared = frozenset(ARTIFACTS[artifact_id].runs())
+        if not declared <= self._results.keys():
+            self.prefetch([artifact_id])
+        outer = self._serving, self._declared
+        self._serving, self._declared = artifact_id, declared
+        try:
+            yield
+        finally:
+            self._serving, self._declared = outer
 
     # -- memoized experiment entry points ------------------------------
     def _memoized(self, key: str, build: Callable[[], Any]) -> Any:
@@ -97,22 +168,23 @@ class ReportContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def runner_kwargs(self) -> Dict[str, Any]:
-        return {"jobs": self.jobs, "cache": self.cache}
-
     def full_sweep(self):
         from repro.experiments.multiprog import full_sweep
 
-        return self._memoized(
-            "full_sweep",
-            lambda: full_sweep(trials=3, **self.runner_kwargs()),
-        )
+        # Outside a producer (the benchmarks call this directly) the
+        # sweep is served as Figure 7's runs.
+        with self._serve(self._serving or "fig7"):
+            return self._memoized(
+                "full_sweep",
+                lambda: full_sweep(trials=3, **self.runner_kwargs()),
+            )
 
     def produce(self, artifact_id: str) -> ArtifactRun:
         """Regenerate one artifact (memoized per context)."""
         spec = ARTIFACTS[artifact_id]
-        return self._memoized(f"artifact:{artifact_id}",
-                              lambda: spec.producer(self))
+        with self._serve(artifact_id):
+            return self._memoized(f"artifact:{artifact_id}",
+                                  lambda: spec.producer(self))
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +221,12 @@ def _produce_table4(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="table4", values=values, doc=doc)
 
 
+def _table4_runs() -> List[RunSpec]:
+    from repro.experiments.micro import table4_specs
+
+    return table4_specs(rounds=300)
+
+
 _TABLE4 = ArtifactSpec(
     id="table4",
     title="Table 4: null-message fast-path costs (cycles)",
@@ -172,6 +250,7 @@ _TABLE4 = ArtifactSpec(
         Quantity("leg_soft", "exact", unit="cycles"),
     ),
     producer=_produce_table4,
+    runs=_table4_runs,
 )
 
 
@@ -194,6 +273,12 @@ def _produce_table5(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="table5", values=values, doc=doc)
 
 
+def _table5_runs() -> List[RunSpec]:
+    from repro.experiments.micro import buffered_path_spec
+
+    return [buffered_path_spec(count=400)]
+
+
 _TABLE5 = ArtifactSpec(
     id="table5",
     title="Table 5: software-buffer overheads (cycles)",
@@ -209,6 +294,7 @@ _TABLE5 = ArtifactSpec(
                  note="buffered path / 87-cycle fast path"),
     ),
     producer=_produce_table5,
+    runs=_table5_runs,
 )
 
 
@@ -270,6 +356,12 @@ def _table6_quantities() -> Tuple[Quantity, ...]:
     return tuple(out)
 
 
+def _table6_runs() -> List[RunSpec]:
+    from repro.experiments.standalone import table6_specs
+
+    return table6_specs(scale="bench")
+
+
 _TABLE6 = ArtifactSpec(
     id="table6",
     title="Table 6: standalone application characteristics (8 nodes)",
@@ -277,6 +369,7 @@ _TABLE6 = ArtifactSpec(
     command="python -m repro table6",
     quantities=_table6_quantities(),
     producer=_produce_table6,
+    runs=_table6_runs,
 )
 
 
@@ -312,6 +405,12 @@ def _produce_fig7(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="fig7", values=values, doc=doc)
 
 
+def _full_sweep_runs() -> List[RunSpec]:
+    from repro.experiments.multiprog import full_sweep_specs
+
+    return full_sweep_specs(trials=3)
+
+
 _FIG7 = ArtifactSpec(
     id="fig7",
     title="Figure 7: % messages buffered vs schedule skew",
@@ -338,6 +437,7 @@ _FIG7 = ArtifactSpec(
         ]
     ),
     producer=_produce_fig7,
+    runs=_full_sweep_runs,
 )
 
 
@@ -393,6 +493,7 @@ _FIG8 = ArtifactSpec(
         ]
     ),
     producer=_produce_fig8,
+    runs=_full_sweep_runs,
 )
 
 
@@ -427,6 +528,12 @@ def _produce_fig9(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="fig9", values=values, doc=doc)
 
 
+def _fig9_runs() -> List[RunSpec]:
+    from repro.experiments.synth_sweeps import interval_specs
+
+    return interval_specs(trials=3, messages_per_node=2000)
+
+
 _FIG9 = ArtifactSpec(
     id="fig9",
     title="Figure 9: % buffered vs send interval (synth-N, 1% skew)",
@@ -452,6 +559,7 @@ _FIG9 = ArtifactSpec(
         ]
     ),
     producer=_produce_fig9,
+    runs=_fig9_runs,
 )
 
 
@@ -479,6 +587,12 @@ def _produce_fig10(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="fig10", values=values, doc=doc)
 
 
+def _fig10_runs() -> List[RunSpec]:
+    from repro.experiments.synth_sweeps import buffer_cost_specs
+
+    return buffer_cost_specs(trials=3, messages_per_node=2000)
+
+
 _FIG10 = ArtifactSpec(
     id="fig10",
     title="Figure 10: % buffered vs buffered-path cost (T_betw=275)",
@@ -499,6 +613,7 @@ _FIG10 = ArtifactSpec(
         ]
     ),
     producer=_produce_fig10,
+    runs=_fig10_runs,
 )
 
 
@@ -617,6 +732,16 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
     return ArtifactRun(artifact="ablations", values=values, doc=doc)
 
 
+def _ablations_runs() -> List[RunSpec]:
+    from repro.experiments.ablations import (
+        architecture_specs, bulk_specs, queue_depth_specs,
+        timeout_specs, two_case_specs,
+    )
+
+    return (two_case_specs() + timeout_specs() + queue_depth_specs()
+            + architecture_specs() + bulk_specs())
+
+
 _ABLATIONS = ArtifactSpec(
     id="ablations",
     title="Design-choice ablations (beyond the paper's figures)",
@@ -661,6 +786,7 @@ _ABLATIONS = ArtifactSpec(
                  note="each variant uses only its own transfer path"),
     ),
     producer=_produce_ablations,
+    runs=_ablations_runs,
 )
 
 
@@ -707,6 +833,12 @@ def _produce_delivery(ctx: ReportContext) -> ArtifactRun:
                        doc=doc)
 
 
+def _delivery_runs() -> List[RunSpec]:
+    from repro.experiments.ablations import delivery_specs
+
+    return delivery_specs()
+
+
 _DELIVERY = ArtifactSpec(
     id="delivery_headtohead",
     title="Delivery disciplines head-to-head: two-case vs zero-copy "
@@ -740,6 +872,7 @@ _DELIVERY = ArtifactSpec(
                       "hoggiest source to buffered mode"),
     ),
     producer=_produce_delivery,
+    runs=_delivery_runs,
 )
 
 
@@ -799,6 +932,12 @@ def _produce_mailbox(ctx: ReportContext) -> ArtifactRun:
                        doc=doc)
 
 
+def _mailbox_runs() -> List[RunSpec]:
+    from repro.experiments.mailbox_sweeps import scaling_specs
+
+    return scaling_specs(trials=2)
+
+
 _MAILBOX = ArtifactSpec(
     id="mailbox_scaling",
     title="Mailbox scaling: internet-scale client populations on "
@@ -853,6 +992,7 @@ _MAILBOX = ArtifactSpec(
                       "mailbox workload (deterministic)"),
     ),
     producer=_produce_mailbox,
+    runs=_mailbox_runs,
 )
 
 
@@ -877,5 +1017,5 @@ def pipeline_schema_hash() -> str:
 __all__ = [
     "APP_ORDER", "ARTIFACTS", "ARTIFACT_IDS", "ArtifactRun",
     "ArtifactSpec", "ReportContext", "T_BETW_ORDER",
-    "pipeline_schema_hash",
+    "UndeclaredRunError", "pipeline_schema_hash",
 ]

@@ -2,9 +2,11 @@
 
 The report flow:
 
-1. every selected artifact is regenerated through its producer (the
-   sweeps fan out via :mod:`repro.runner`, so ``--jobs`` and the
-   persistent cache apply);
+1. plan, then run: the declared runs of every selected artifact go to
+   :func:`repro.runner.run_specs` in **one** batch (so ``--jobs`` and
+   the persistent cache apply to all of them at once), then each
+   artifact is regenerated through its producer from that batch's
+   in-memory results;
 2. each quantity is compared against ``goldens/paper.json`` within its
    tolerance band;
 3. a bundle is written under ``--out``: per-artifact Markdown/CSV/JSON,
@@ -239,6 +241,11 @@ def run_report(only: Optional[Sequence[str]] = None,
         return 2
 
     ctx = ReportContext(jobs=jobs, cache=cache)
+    info = ctx.prefetch(selected)
+    echo(f"batch: {info['declared']} runs declared, {info['planned']} "
+         f"distinct: {info['cache_hits']} cached, {info['misses']} "
+         f"simulated ({info['mode']}, {info['workers']} worker(s): "
+         f"{info['mode_reason']})")
     runs: Dict[str, ArtifactRun] = {}
     for artifact_id in selected:
         echo(f"regenerating {artifact_id} "
