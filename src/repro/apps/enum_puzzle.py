@@ -20,7 +20,8 @@ One final barrier (with a fused reduction) collects the solution count.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps.base import Application, CollectiveOps
 from repro.machine.processor import Compute
@@ -39,15 +40,29 @@ def triangle_cells(side: int) -> List[Position]:
 _DIRECTIONS = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
+@lru_cache(maxsize=8)
+def _jump_table(cells: frozenset) -> Dict[Position, Tuple[Tuple[Position, Position], ...]]:
+    """For each cell, its ``(over, dest)`` pairs whose ``dest`` is on
+    the board, in ``_DIRECTIONS`` order: static geometry, built once
+    per board shape. Read-only: every caller shares the result."""
+    return {
+        (r, c): tuple(((r + dr, c + dc), (r + 2 * dr, c + 2 * dc))
+                      for dr, dc in _DIRECTIONS
+                      if (r + 2 * dr, c + 2 * dc) in cells)
+        for (r, c) in cells
+    }
+
+
 def legal_moves(board: Board, cells: frozenset) -> List[Tuple[Position, Position, Position]]:
-    """All (source, jumped, destination) jumps available on ``board``."""
+    """All (source, jumped, destination) jumps available on ``board``
+    (a subset of ``cells``), source-major in ``board`` iteration order,
+    then in ``_DIRECTIONS`` order."""
+    jumps = _jump_table(cells)
     moves = []
-    for (r, c) in board:
-        for dr, dc in _DIRECTIONS:
-            over = (r + dr, c + dc)
-            dest = (r + 2 * dr, c + 2 * dc)
-            if over in board and dest in cells and dest not in board:
-                moves.append(((r, c), over, dest))
+    for src in board:
+        for over, dest in jumps[src]:
+            if over in board and dest not in board:
+                moves.append((src, over, dest))
     return moves
 
 

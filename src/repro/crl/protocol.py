@@ -329,6 +329,13 @@ class CrlProtocol:
         directory = self.directory[rid]
         if not directory.busy or directory.current is None:
             return
+        if directory.inv_acks_needed:
+            # Step 2 below is still collecting invalidation acks. A home
+            # release must not grant early: the sharers still hold
+            # copies, and their late acks would re-advance the *next*
+            # operation (a duplicate flush that drops the owner from
+            # the sharer set, so a later upgrade writes a stale copy).
+            return  # resumes in _h_inv_ack
         region = self.regions[rid]
         kind, requester = directory.current
         home_local = self.node_state(region.home, rid)

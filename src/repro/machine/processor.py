@@ -34,22 +34,36 @@ import enum
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError, flyweight_table
 from repro.sim.events import Event
 
 
 class Compute:
-    """Yielded by a frame to consume ``cycles`` of processor time."""
+    """Yielded by a frame to consume ``cycles`` of processor time.
+
+    Interned like :class:`~repro.sim.engine.Delay`: ``Compute(c)`` for
+    ``0 <= c < 1024`` returns a shared immutable instance (most charges,
+    the cost-model constants and poll intervals, fall in this range, and
+    every compute wake yields one). Subclasses are never interned. Never
+    mutate ``cycles``.
+    """
 
     __slots__ = ("cycles",)
 
-    def __init__(self, cycles: int) -> None:
+    def __new__(cls, cycles: int) -> "Compute":
+        if cls is Compute and type(cycles) is int and 0 <= cycles < 1024:
+            return _COMPUTE_CACHE[cycles]
+        self = object.__new__(cls)
         if cycles < 0:
             raise ValueError(f"negative compute: {cycles}")
-        self.cycles = int(cycles)
+        self.cycles = cycles if type(cycles) is int else int(cycles)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Compute({self.cycles})"
+
+
+_COMPUTE_CACHE = flyweight_table(Compute)
 
 
 class FrameState(enum.Enum):

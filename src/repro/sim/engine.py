@@ -21,10 +21,11 @@ constant number of cycles ahead) pays for none of the machinery the
 uncommon case needs.
 
 * :meth:`Engine.schedule` is the fast case — no ``_ScheduledCall``
-  handle is allocated and there is no freelist or refcount bookkeeping
-  to retire.
+  handle is allocated.
 * :meth:`Engine.call_at` is the general case — it returns a cancellable
-  handle, at the cost of one (recycled) ``_ScheduledCall`` per call.
+  handle, at the cost of one fresh ``_ScheduledCall`` per call. Handles
+  are never recycled: a caller may hold one past its firing, and a
+  ``cancel()`` through a stale handle must not reach a later callback.
 * Callbacks for the current cycle bypass timed storage entirely: they
   go on a same-cycle **run queue** (a plain FIFO) drained after the
   cycle's timed entries.
@@ -71,11 +72,14 @@ window per advance — the known weak spot of Brown's calendar queue.
 in one inner loop with attribute lookups hoisted and the four callback
 shapes — Delay-resumed process, bare callable, ``(fn, arg)`` pair,
 cancellable entry — specialized by exact class check. Any bound takes
-``_run_bounded``, which keeps per-event budget, stop and counter
-checks. Whole-machine runs are bounded: ``Machine.run_until_job_done``
-passes ``until=limit`` (every experiment, runner kind and benchmark
-gives a limit) and shard workers pass their window bound, so they all
-dispatch through ``_run_bounded``. ``_run_fast`` serves only unbounded
+``_run_bounded``, which keeps per-event budget and stop checks and
+bumps ``events_executed`` per event (a timeline sampler reads it from
+inside a bucket), but flushes the secondary counters (ring and run-queue
+events, cycle batches) once per drain. Whole-machine runs are bounded:
+``Machine.run_until_job_done`` passes ``until=limit`` (every
+experiment, runner kind and benchmark gives a limit) and shard workers
+pass their window bound, so they all dispatch through
+``_run_bounded``. ``_run_fast`` serves only unbounded
 ``run()`` calls: the ``engine_events`` micro-bench and the examples
 that run a job with no limit. In whole-machine runs the hottest shape
 is the cancellable entry: the processor's compute wake (see
@@ -96,7 +100,6 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from sys import getrefcount
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.events import Event
@@ -147,16 +150,19 @@ class Delay:
         return f"Delay({self.cycles})"
 
 
-def _build_delay_cache() -> List[Delay]:
-    cache = []
+def flyweight_table(cls: type) -> list:
+    """Shared instances of ``cls`` with ``cycles`` 0..1023, built
+    without running ``cls.__new__``: the intern table behind
+    :class:`Delay` and the processor's ``Compute``."""
+    table = []
     for cycles in range(1024):
-        delay = object.__new__(Delay)
-        delay.cycles = cycles
-        cache.append(delay)
-    return cache
+        obj = object.__new__(cls)
+        obj.cycles = cycles
+        table.append(obj)
+    return table
 
 
-_DELAY_CACHE = _build_delay_cache()
+_DELAY_CACHE = flyweight_table(Delay)
 
 
 class _ScheduledCall:
@@ -350,8 +356,6 @@ _DEFAULT_WINDOW = _window_from_costs()
 #: enough to bound memory under cancellation storms, large enough that
 #: compaction never triggers on ordinary workloads.
 _COMPACT_MIN_CANCELLED = 512
-#: Upper bound on the `_ScheduledCall` free list (allocation reuse).
-_FREELIST_MAX = 1024
 
 #: Sentinel bound for run(until=None, max_events=None): compares greater
 #: than every int, so the bounded loop needs no per-event None checks.
@@ -406,8 +410,6 @@ class Engine:
         self._cancelled_pending: int = 0
         #: Times the pending set was swept to drop cancelled entries.
         self._compactions: int = 0
-        #: Retired entries available for reuse (allocation recycling).
-        self._free: List[_ScheduledCall] = []
         #: Cooperative stop flag: set by :meth:`stop`, cleared by
         #: :meth:`run`, checked between events (bounded runs) or batches.
         self._stop: bool = False
@@ -485,15 +487,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {now}"
             )
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.time = time
-            entry.fn = fn
-            entry.arg = arg
-            entry.cancelled = False
-        else:
-            entry = _ScheduledCall(time, fn, arg, self)
+        entry = _ScheduledCall(time, fn, arg, self)
         if now < time:
             if time - now < self._window:
                 bucket = self._ring[time & self._mask]
@@ -570,21 +564,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Queue maintenance
     # ------------------------------------------------------------------
-    def _retire(self, entry: _ScheduledCall) -> None:
-        """Recycle a popped entry if provably unreferenced elsewhere.
-
-        ``getrefcount`` sees exactly three references (the caller's
-        local, this frame's binding and the getrefcount argument) when
-        no external holder kept the entry returned from
-        :meth:`call_at`; only then is reuse safe — a stale holder
-        calling ``cancel()`` on a recycled entry would cancel an
-        unrelated callback.
-        """
-        if len(self._free) < _FREELIST_MAX and getrefcount(entry) == 3:
-            entry.fn = None  # drop the closure; keeps freelist lean
-            entry.arg = None
-            self._free.append(entry)
-
     def _pull_overflow(self, horizon: int) -> None:
         """Move overflow-heap entries with ``time < horizon`` into their
         ring buckets, in ``(time, seq)`` order.
@@ -606,7 +585,6 @@ class Engine:
             if marker is _ENTRY:
                 if x.cancelled:
                     self._cancelled_pending -= 1
-                    self._retire(x)
                     continue
             elif marker is not _NO_ARG:
                 x = (x, marker)
@@ -625,7 +603,6 @@ class Engine:
             if item[3] is _ENTRY and item[2].cancelled:
                 heapq.heappop(heap)
                 self._cancelled_pending -= 1
-                self._retire(item[2])
                 continue
             return item[0]
         return None
@@ -670,7 +647,6 @@ class Engine:
                 del bucket[0]
                 self._ring_count -= 1
                 self._cancelled_pending -= 1
-                self._retire(item)
             t = self._next_ring_time()
         return self._next_live_heap_time()
 
@@ -683,7 +659,6 @@ class Engine:
                 return self.now
             runq.popleft()
             self._cancelled_pending -= 1
-            self._retire(item)
         return self._next_timed_time()
 
     def _clamp_to(self, until: int) -> None:
@@ -714,11 +689,9 @@ class Engine:
             if cls is _ScheduledCall:
                 if item.cancelled:
                     self._cancelled_pending -= 1
-                    self._retire(item)
                     continue
                 fn = item.fn
                 arg = item.arg
-                self._retire(item)
             elif cls is tuple:
                 fn, arg = item
             elif cls is Process:
@@ -741,11 +714,9 @@ class Engine:
             if cls is _ScheduledCall:
                 if item.cancelled:
                     self._cancelled_pending -= 1
-                    self._retire(item)
                     continue
                 fn = item.fn
                 arg = item.arg
-                self._retire(item)
             elif cls is tuple:
                 fn, arg = item
             elif cls is Process:
@@ -792,8 +763,6 @@ class Engine:
         runq = self._runq
         heap = self._heap
         times = self._times
-        free = self._free
-        refcount = getrefcount
         window = self._window
         entry_cls = _ScheduledCall
         tuple_cls = tuple
@@ -801,7 +770,6 @@ class Engine:
         delay_cls = Delay
         heappush = heapq.heappush
         no_arg = _NO_ARG
-        cap = _FREELIST_MAX
         fastpath = self.fastpath
         now = self.now
         if heap and heap[0][0] < now + window:
@@ -852,17 +820,9 @@ class Engine:
                     elif cls is entry_cls:
                         if item.cancelled:
                             cancelled += 1
-                            if refcount(item) == 3 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
                             continue
                         fn = item.fn
                         arg = item.arg
-                        if refcount(item) == 3 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
                         if arg is no_arg:
                             fn()
                         else:
@@ -921,17 +881,9 @@ class Engine:
                     elif cls is entry_cls:
                         if item.cancelled:
                             self._cancelled_pending -= 1
-                            if refcount(item) == 2 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
                             continue
                         fn = item.fn
                         arg = item.arg
-                        if refcount(item) == 2 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
                         executed += 1
                         if arg is no_arg:
                             fn()
@@ -958,9 +910,15 @@ class Engine:
 
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:
-        """The bounded loop: per-event budget/stop checks and counter
-        updates (timeline samplers read them mid-run), partial bucket
-        consumption on early exit."""
+        """The bounded loop: per-event budget/stop checks, partial
+        bucket consumption on early exit.
+
+        ``events_executed`` is bumped per event because timeline
+        samplers read it from inside a bucket; the secondary counters
+        (``ring_events``, ``runq_events``, ``cycle_batches``) are
+        flushed once per bucket drain and once per run-queue drain,
+        early exits included, so they are exact whenever control is
+        back outside the drain."""
         now = self.now
         if until is not None and until < now:
             return now
@@ -968,14 +926,11 @@ class Engine:
         mask = self._mask
         runq = self._runq
         heap = self._heap
-        free = self._free
-        refcount = getrefcount
         window = self._window
         entry_cls = _ScheduledCall
         tuple_cls = tuple
         proc_cls = Process
         no_arg = _NO_ARG
-        cap = _FREELIST_MAX
         stop_bound = _UNBOUNDED if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         executed = 0
@@ -983,7 +938,7 @@ class Engine:
             bucket = ring[now & mask]
             if bucket:
                 i = 0
-                batch = 0
+                drained_from = executed
                 while i < len(bucket):
                     if executed >= budget or self._stop:
                         break
@@ -995,17 +950,9 @@ class Engine:
                     elif cls is entry_cls:
                         if item.cancelled:
                             self._cancelled_pending -= 1
-                            if refcount(item) == 3 and len(free) < cap:
-                                item.fn = None
-                                item.arg = None
-                                free.append(item)
                             continue
                         fn = item.fn
                         arg = item.arg
-                        if refcount(item) == 3 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
                     elif cls is proc_cls:
                         fn = item._bound_step
                         arg = no_arg
@@ -1013,17 +960,17 @@ class Engine:
                         fn = item
                         arg = no_arg
                     executed += 1
-                    batch += 1
                     self._events_executed += 1
-                    self._ring_executed += 1
                     if arg is no_arg:
                         fn()
                     else:
                         fn(arg)
                 del bucket[:i]
                 self._ring_count -= i
-                if batch:
+                if executed > drained_from:
+                    self._ring_executed += executed - drained_from
                     self._cycle_batches += 1
+            drained_from = executed
             while runq:
                 if executed >= budget or self._stop:
                     break
@@ -1034,17 +981,9 @@ class Engine:
                 elif cls is entry_cls:
                     if item.cancelled:
                         self._cancelled_pending -= 1
-                        if refcount(item) == 2 and len(free) < cap:
-                            item.fn = None
-                            item.arg = None
-                            free.append(item)
                         continue
                     fn = item.fn
                     arg = item.arg
-                    if refcount(item) == 2 and len(free) < cap:
-                        item.fn = None
-                        item.arg = None
-                        free.append(item)
                 elif cls is proc_cls:
                     fn = item._bound_step
                     arg = no_arg
@@ -1053,11 +992,12 @@ class Engine:
                     arg = no_arg
                 executed += 1
                 self._events_executed += 1
-                self._runq_executed += 1
                 if arg is no_arg:
                     fn()
                 else:
                     fn(arg)
+            if executed > drained_from:
+                self._runq_executed += executed - drained_from
             if self._stop:
                 return now
             if executed >= budget:

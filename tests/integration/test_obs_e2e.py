@@ -9,7 +9,9 @@ from repro.cli import main
 from repro.experiments.multiprog import execute_multiprog
 from repro.experiments.standalone import run_standalone, standalone_spec
 from repro.faults.runner import faulted_spec
+from repro.obs.snapshots import TimelineSampler
 from repro.runner import ResultCache, run_specs
+from tests.conftest import SinkApplication, make_machine
 
 
 def _obs_spec(**overrides):
@@ -159,3 +161,34 @@ class TestCacheCli:
         assert main(["cache", "--clear"]) == 0
         assert "cleared 1 entries" in capsys.readouterr().out
         assert len(cache) == 0
+
+
+class TestSamplerDispatchIdentity:
+    """The bounded run loop counts events exactly per event, like
+    ``step()``: a timeline sampler reads ``events_executed`` from inside
+    a bucket, so both drives must record identical samples."""
+
+    @staticmethod
+    def _samples(drive):
+        machine = make_machine(num_nodes=2)
+        job = machine.add_job(SinkApplication(count=30, gap=50))
+        machine.start()
+        # 50 cycles, like the sink's send gap: ticks share buckets with
+        # compute wakes, so they read the count mid-bucket.
+        sampler = TimelineSampler(machine, interval=50)
+        sampler.start()
+        drive(machine, job)
+        assert job.finished
+        return sampler.samples
+
+    def test_run_and_step_record_identical_samples(self):
+        def run(machine, job):
+            machine.run_until_job_done(job, limit=50_000_000)
+
+        def step(machine, job):
+            while not job.finished:
+                assert machine.engine.step()
+
+        by_run = self._samples(run)
+        assert len(by_run) > 10
+        assert by_run == self._samples(step)

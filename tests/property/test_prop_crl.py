@@ -6,7 +6,7 @@ regions must preserve: (a) serializability of the counter increments,
 read bracket.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import Application
@@ -67,6 +67,13 @@ class RandomCrlApp(Application):
 
 
 @given(schedules=st.lists(schedule, min_size=NODES, max_size=NODES))
+@example(schedules=[
+    # A home read ends while a remote write's invalidation ack is still
+    # in flight: the write must not be granted until the ack arrives.
+    [(0, False, 0, 0), (1, False, 0, 0)],
+    [(1, False, 30, 0), (1, False, 66, 0), (1, True, 0, 0)],
+    [(1, True, 0, 0), (1, True, 11, 0), (0, False, 0, 0), (1, True, 0, 0)],
+])
 @settings(max_examples=60, deadline=None)
 def test_random_schedules_stay_coherent(schedules):
     machine = make_machine(num_nodes=NODES)

@@ -13,6 +13,30 @@ def board_strategy(side=5):
     return st.sets(st.sampled_from(cells), min_size=2).map(frozenset)
 
 
+_DIRECTIONS = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+
+
+def oracle_legal_moves(board, cells):
+    """Reference: move generation by per-move tuple arithmetic."""
+    moves = []
+    for (r, c) in board:
+        for dr, dc in _DIRECTIONS:
+            over = (r + dr, c + dc)
+            dest = (r + 2 * dr, c + 2 * dc)
+            if over in board and dest in cells and dest not in board:
+                moves.append(((r, c), over, dest))
+    return moves
+
+
+@given(data=st.data(), side=st.integers(min_value=4, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_legal_moves_match_oracle_in_order(data, side):
+    board = data.draw(board_strategy(side))
+    cells = frozenset(triangle_cells(side))
+    # Order matters: the DFS pushes moves in list order.
+    assert legal_moves(board, cells) == oracle_legal_moves(board, cells)
+
+
 @given(board=board_strategy())
 @settings(max_examples=200, deadline=None)
 def test_moves_remove_exactly_one_peg(board):

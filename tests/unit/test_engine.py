@@ -225,7 +225,8 @@ class TestHeapCompaction:
 
 
 class TestEntryReuse:
-    """_ScheduledCall recycling must never alias a held entry."""
+    """Every ``call_at`` handle names one callback, for good: holding,
+    firing or cancelling one never reaches another."""
 
     def test_recycled_entries_produce_correct_schedule(self, engine):
         order = []
@@ -236,15 +237,133 @@ class TestEntryReuse:
         engine.call_after(1, lambda: chain(0))
         engine.run()
         assert order == list(range(500))
-        assert len(engine._free) > 0  # reuse actually happened
 
     def test_held_entry_is_not_recycled(self, engine):
         fired = []
         held = engine.call_after(1, lambda: fired.append("held"))
-        # Drive many further events; `held` fires but stays referenced,
-        # so the freelist must not hand it out again.
+        engine.run()
+        assert fired == ["held"]
+        # Schedule more work after `held` fired, then cancel through the
+        # stale handle: none of the later callbacks may be affected.
         for i in range(2, 50):
             engine.call_after(i, lambda i=i: fired.append(i))
+        held.cancel()
         engine.run()
-        assert held not in engine._free
-        assert fired[0] == "held"
+        assert fired == ["held"] + list(range(2, 50))
+
+    def test_entry_cancelled_before_its_time_never_runs(self, engine):
+        fired = []
+        doomed = engine.call_after(5, lambda: fired.append("doomed"))
+        for i in range(1, 10):
+            engine.call_after(i, lambda i=i: fired.append(i))
+        engine.run(until=3)
+        doomed.cancel()
+        engine.run()
+        assert fired == list(range(1, 10))
+
+
+@pytest.fixture(params=[True, False], ids=["fastpath", "no_fastpath"])
+def mode_engine(request, monkeypatch):
+    """An engine built with and without ``REPRO_NO_FASTPATH=1``."""
+    if request.param:
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    engine = Engine()
+    assert engine.fastpath is request.param
+    return engine
+
+
+def _split_counts_agree(engine):
+    return engine.ring_events + engine.runq_events == engine.events_executed
+
+
+class TestCounterExactness:
+    """``events_executed`` is exact per event in bounded runs; the
+    per-drain counters are exact whenever ``run()`` has returned."""
+
+    @pytest.mark.parametrize("drive", [
+        lambda e: e.run(until=100),
+        lambda e: e.run(max_events=50),
+        lambda e: [e.step() for _ in range(10)],
+    ], ids=["until", "max_events", "step"])
+    def test_same_time_callbacks_see_consecutive_counts(self, mode_engine,
+                                                        drive):
+        engine = mode_engine
+        seen = []
+        def read():
+            seen.append(engine.events_executed)
+        def fan_out():
+            # Same-cycle follow-ups: run queue or live bucket by mode.
+            for _ in range(3):
+                engine.call_soon(read)
+        for _ in range(3):
+            engine.call_at(5, read)
+        engine.call_at(7, fan_out)
+        drive(engine)
+        # The count includes the running event itself.
+        assert seen == [1, 2, 3, 5, 6, 7]
+        assert engine.events_executed == 7
+        assert _split_counts_agree(engine)
+
+    def test_max_events_stop_mid_bucket(self, mode_engine):
+        engine = mode_engine
+        log = []
+        def first():
+            log.append("a")
+            engine.call_soon(log.append, "x1")
+            engine.call_soon(log.append, "x2")
+        engine.call_at(1, first)
+        for tag in "bcd":
+            engine.call_at(1, log.append, tag)
+
+        engine.run(max_events=2)
+        assert log == ["a", "b"]
+        assert engine.events_executed == 2
+        assert engine.ring_events == 2 and engine.runq_events == 0
+        assert engine.cycle_batches == 1
+
+        engine.run(max_events=3)
+        assert log == ["a", "b", "c", "d", "x1"]
+        assert engine.events_executed == 5
+        assert _split_counts_agree(engine)
+        # The resumed bucket drain is a second batch; x1 ran off the run
+        # queue (fast path) or from the same bucket (general mode).
+        assert engine.cycle_batches == 2
+        assert engine.runq_events == (1 if engine.fastpath else 0)
+
+        engine.run(until=10)
+        assert log == ["a", "b", "c", "d", "x1", "x2"]
+        assert engine.events_executed == 6
+        assert _split_counts_agree(engine)
+        # General mode resumes the bucket for x2: a third batch.
+        assert engine.cycle_batches == (2 if engine.fastpath else 3)
+        assert engine.runq_events == (2 if engine.fastpath else 0)
+
+    def test_stop_from_inside_a_bucket(self, mode_engine):
+        engine = mode_engine
+        log = []
+        def first():
+            log.append("a")
+            engine.call_soon(log.append, "y")
+        def halt():
+            log.append("b")
+            engine.stop()
+        engine.call_at(1, first)
+        engine.call_at(1, halt)
+        engine.call_at(1, log.append, "c")
+        engine.call_at(4, log.append, "d")
+
+        assert engine.run(until=10) == 1
+        assert log == ["a", "b"]
+        assert engine.events_executed == 2
+        assert engine.ring_events == 2 and engine.runq_events == 0
+        assert engine.cycle_batches == 1
+
+        engine.run(until=10)
+        assert log == ["a", "b", "c", "y", "d"]
+        assert engine.events_executed == 5
+        assert _split_counts_agree(engine)
+        # Buckets drained: t=1 twice (before and after the stop), t=4.
+        assert engine.cycle_batches == 3
+        assert engine.runq_events == (1 if engine.fastpath else 0)

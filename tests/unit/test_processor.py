@@ -19,6 +19,40 @@ def spin(trace, engine, label, chunks, size=10):
         trace.append((label, engine.now))
 
 
+class TestComputeInterning:
+    def test_small_computes_are_shared(self):
+        assert Compute(40) is Compute(40)
+        assert Compute(0).cycles == 0 and Compute(1023).cycles == 1023
+
+    def test_negative_compute_rejected(self):
+        with pytest.raises(ValueError):
+            Compute(-1)
+
+    def test_large_and_subclass_computes_are_fresh(self):
+        assert Compute(5000) is not Compute(5000)
+        assert Compute(5000).cycles == 5000
+
+        class Tagged(Compute):
+            __slots__ = ()
+
+        tagged = Tagged(40)
+        assert tagged is not Tagged(40) and tagged is not Compute(40)
+        assert type(tagged) is Tagged and tagged.cycles == 40
+
+    def test_subclass_compute_still_runs(self, cpu):
+        engine, proc = cpu
+
+        class Tagged(Compute):
+            __slots__ = ()
+
+        def gen():
+            yield Tagged(25)
+
+        proc.push_frame(Frame(gen(), "t"))
+        engine.run()
+        assert engine.now == 25 and proc.user_cycles == 25
+
+
 class TestBasicExecution:
     def test_single_frame_runs_to_completion(self, cpu):
         engine, proc = cpu
