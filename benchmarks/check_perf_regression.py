@@ -15,15 +15,19 @@ a silent pass. The ratchet is two-sided:
   ``BENCH_runner.json`` so the baseline ratchets forward and the
   regression floor rises with it.
 
-The same two-sided ratchet applies to the sharded all-to-all leg's
-aggregate events/second — the number the exchange-channel and
-adaptive-lookahead work exists to improve. That comparison is neutral
-(skipped, not passed) whenever either side's ``speedup_required`` is
-False (single-core runner, serial fallback) or the baseline predates
-the leg: a skipped gate must never masquerade as a green one, and a
-figure measured without real parallelism is not a baseline.
+The same two-sided ratchet applies to the sharded all-to-all leg,
+in simulated messages per sharded host second — the number the
+exchange-channel and adaptive-lookahead work exists to improve. Not
+events/s: a change that needs fewer engine events per message (parked
+spins elide most of this leg's compute wakes) would read as a
+regression there while the run got faster. That comparison is
+neutral (skipped, not passed) whenever either side's
+``speedup_required`` is False (single-core runner, serial fallback)
+or the baseline predates the figure: a skipped gate must never
+masquerade as a green one, and a figure measured without real
+parallelism is not a baseline.
 
-Raw events/s is noisy across runner hardware generations, so both
+Raw throughput is noisy across runner hardware generations, so both
 sides are deliberately loose (a >20% move is a real change, not
 jitter).
 
@@ -47,6 +51,9 @@ import sys
 #: The committed report every fresh report is compared against.
 BASELINE_PATH = "BENCH_runner.json"
 
+#: The all-to-all leg's ratchet figure (``perf_smoke.py`` writes it).
+A2A_FIGURE = "sharded_messages_per_second"
+
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
     """The committed copy of ``path``, or None when git cannot show it
@@ -66,9 +73,9 @@ def main(argv=None) -> int:
     parser.add_argument("--fresh", default="BENCH_runner.json",
                         help="fresh smoke report (written by perf_smoke.py)")
     parser.add_argument("--threshold", type=float, default=0.20,
-                        help="max tolerated events/s regression fraction")
+                        help="max tolerated throughput regression fraction")
     parser.add_argument("--threshold-up", type=float, default=0.20,
-                        help="max unstamped events/s improvement fraction")
+                        help="max unstamped throughput improvement fraction")
     args = parser.parse_args(argv)
 
     with open(args.fresh, encoding="utf-8") as fh:
@@ -87,28 +94,27 @@ def main(argv=None) -> int:
         args.threshold, args.threshold_up,
     )
 
-    fresh_leg = fresh.get("shard", {}).get("all_to_all")
-    base_leg = baseline.get("shard", {}).get("all_to_all")
-    if fresh_leg is None or base_leg is None:
-        print("shard all-to-all events/s: no figure on "
-              + ("both sides" if fresh_leg is None and base_leg is None
-                 else ("the fresh side" if fresh_leg is None
+    label = "shard all-to-all messages/s"
+    fresh_leg = fresh.get("shard", {}).get("all_to_all") or {}
+    base_leg = baseline.get("shard", {}).get("all_to_all") or {}
+    fresh_mps = fresh_leg.get(A2A_FIGURE)
+    base_mps = base_leg.get(A2A_FIGURE)
+    if fresh_mps is None or base_mps is None:
+        print(f"{label}: no figure on "
+              + ("both sides" if fresh_mps is None and base_mps is None
+                 else ("the fresh side" if fresh_mps is None
                        else "the committed side"))
-              + " (schema predates the leg); skipping")
+              + " (schema predates it); skipping")
     elif not fresh_leg.get("speedup_required"):
-        print("shard all-to-all events/s: fresh gate skipped "
+        print(f"{label}: fresh gate skipped "
               f"({fresh_leg.get('speedup_skip_reason')}); neutral")
     elif not base_leg.get("speedup_required"):
-        print("shard all-to-all events/s: committed baseline was "
+        print(f"{label}: committed baseline was "
               f"measured without a real speedup gate "
               f"({base_leg.get('speedup_skip_reason')}); neutral")
     else:
-        failed = ratchet(
-            "shard all-to-all events/s",
-            fresh_leg["aggregate_events_per_second"],
-            base_leg["aggregate_events_per_second"],
-            args.threshold, args.threshold_up,
-        ) or failed
+        failed = ratchet(label, fresh_mps, base_mps,
+                         args.threshold, args.threshold_up) or failed
 
     if failed:
         return 1
@@ -116,20 +122,20 @@ def main(argv=None) -> int:
     return 0
 
 
-def ratchet(label: str, fresh_eps: float, base_eps: float,
+def ratchet(label: str, fresh_rate: float, base_rate: float,
             threshold: float, threshold_up: float) -> bool:
     """Two-sided comparison; True when the gate fails."""
-    floor = base_eps * (1.0 - threshold)
-    ceiling = base_eps * (1.0 + threshold_up)
-    change = fresh_eps / base_eps - 1.0
-    print(f"{label}: fresh {fresh_eps:,.0f} vs committed "
-          f"{base_eps:,.0f} ({change:+.1%}; floor {floor:,.0f} at "
+    floor = base_rate * (1.0 - threshold)
+    ceiling = base_rate * (1.0 + threshold_up)
+    change = fresh_rate / base_rate - 1.0
+    print(f"{label}: fresh {fresh_rate:,.0f} vs committed "
+          f"{base_rate:,.0f} ({change:+.1%}; floor {floor:,.0f} at "
           f"-{threshold:.0%}, ceiling {ceiling:,.0f} at "
           f"+{threshold_up:.0%})")
-    if fresh_eps < floor:
+    if fresh_rate < floor:
         print(f"FAIL: {label} regressed past the threshold")
         return True
-    if fresh_eps > ceiling:
+    if fresh_rate > ceiling:
         print(f"FAIL: {label} beat the committed baseline by "
               f"more than +{threshold_up:.0%} — re-stamp the "
               "baseline (run perf_smoke.py and commit the refreshed "

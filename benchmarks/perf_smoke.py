@@ -27,10 +27,12 @@ Times six things and writes ``BENCH_runner.json`` plus
   locality lets the shards free-run, and an ``all_to_all`` leg on a
   WAN-latency fabric that exercises the windowed protocol (shared
   memory struct exchange, adaptive lookahead). Both legs assert
-  bit-identical :class:`RunMetrics`; the aggregate-events/second
-  speedup gate applies only where meaningful, with
-  ``speedup_skip_reason`` recording why it was skipped (single-core
-  box, serial fallback) so CI can treat the skip as neutral;
+  bit-identical :class:`RunMetrics` and record simulated messages per
+  sharded host second (the all-to-all leg's ratchet unit); the
+  aggregate-events/second speedup gate applies only where meaningful,
+  with ``speedup_skip_reason`` recording why it was skipped
+  (single-core box, serial fallback) so CI can treat the skip as
+  neutral;
 * **observability overhead** — one multiprogrammed run with the
   :class:`~repro.obs.Observatory` disabled vs enabled (interleaved
   pairs), asserting the metrics stay bit-identical and gating the
@@ -377,6 +379,11 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
     sharded_wall = info.get("wall_seconds", 0.0)
     aggregate_eps = (sum(shard_events) / sharded_wall
                      if sharded_wall else 0.0)
+    # Simulated work per host second: unlike events/s, no change to
+    # how many engine events a message costs (parked spins) moves it.
+    messages_sent = serial_metrics.messages_sent
+    messages_per_second = (messages_sent / sharded_wall
+                           if sharded_wall else 0.0)
     identical = asdict(serial_metrics) == asdict(sharded_metrics)
     if (os.cpu_count() or 1) < 2:
         speedup_required, skip_reason = False, "single-core box"
@@ -404,6 +411,8 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
         "sharded_wall_seconds": sharded_wall,
         "shard_events": shard_events,
         "aggregate_events_per_second": aggregate_eps,
+        "messages_sent": messages_sent,
+        "sharded_messages_per_second": messages_per_second,
         "speedup": aggregate_eps / serial_eps if serial_eps else 0.0,
         "epochs": extra.get("shard_epochs"),
         "cross_shard_messages": extra.get("cross_shard_messages"),
@@ -604,6 +613,7 @@ def main(argv=None) -> int:
               f"{leg['serial_events_per_second']:,.0f} events/s, "
               f"aggregate {leg['aggregate_events_per_second']:,.0f} "
               f"events/s (speedup {leg['speedup']:.2f}x, {required}), "
+              f"{leg['sharded_messages_per_second']:,.0f} messages/s, "
               f"identical: {leg['metrics_identical']}")
     print(f"obs: disabled {obs['disabled_events_per_second']:,.0f} "
           f"events/s, enabled {obs['enabled_events_per_second']:,.0f} "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Generator
 
-from repro.machine.processor import Compute
+from repro.machine.processor import Compute, Spin
 from repro.core.udm import UdmRuntime
 
 
@@ -108,7 +108,8 @@ class CollectiveOps:
         self._epoch[node] = epoch + 1
         yield from rt.inject(0, self._h_arrive, (epoch, contribute))
         # Wait for the release; interrupts stay enabled so the release
-        # handler can run. Poll the epoch watermark with short sleeps.
-        while self._released[node] <= epoch:
-            yield Compute(40)
+        # handler can run. Poll the epoch watermark with short sleeps:
+        # only _h_release on this node writes it, so the poll can park.
+        released = self._released
+        yield Spin(40, lambda: released[node] > epoch)
         return self._reduce_result[node].pop(epoch)

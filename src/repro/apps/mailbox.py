@@ -538,7 +538,8 @@ class MailboxApplication(Application):
         group = self._node_group(node_index)
         # All service work happens in handlers; the main thread just
         # keeps the node resident until every gateway in its own
-        # locality group has drained.
+        # locality group has drained. Not a Spin: other nodes' frames
+        # bump _drained, so the count changes while this node parks.
         while self._drained[group] < self._gateways_per_group:
             yield Compute(2_000)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
+from repro.machine.processor import Compute, Spin
 from repro.core.udm import UdmRuntime
 from repro.sim.random import DeterministicRng
 
@@ -120,8 +120,10 @@ class SynthApplication(Application):
                 yield from rt.inject(dst, self._h_request, (node_index,))
                 sent += 1
             # Synchronization point: wait for the whole group's replies.
-            while self._acks[node_index] < group_start_acks + group:
-                yield Compute(50)
+            # Only _h_reply on this node bumps the count, so the poll
+            # can park.
+            acks, target = self._acks, group_start_acks + group
+            yield Spin(50, lambda: acks[node_index] >= target)
 
     def describe(self) -> str:
         return (

@@ -258,6 +258,8 @@ class UdmRuntime:
         The caller still extracts it. Must hold atomicity, or the
         message will be stolen by the interrupt path.
         """
+        # Not a Spin: fabric callbacks fill the NI queue with no frame
+        # running here, so the poll must wake every interval.
         while True:
             yield Compute(self.costs.fast.poll_check)
             message = self.peek()

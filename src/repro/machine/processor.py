@@ -9,6 +9,10 @@ A :class:`Frame` wraps a generator coroutine. Frames yield:
   *interruptible*: a frame pushed on top (an interrupt or upcall handler)
   suspends the remaining cycles, which resume when the frame is again on
   top of the stack.
+* :class:`Spin` — poll a predicate every N cycles. ``Spin(n, done)``
+  means exactly ``while not done(): yield Compute(n)``, but the
+  processor *parks* the frame on one wake many chunks ahead instead of
+  waking it every chunk (see "Parked spins" below).
 * :class:`~repro.sim.events.Event` — block until the event triggers. The
   frame stays subscribed across preemptions and context switches; the
   value is kept until the frame is next runnable on top.
@@ -26,6 +30,23 @@ Context switching is expressed with :meth:`Processor.capture_user_frames`
 / :meth:`Processor.install_user_frames`: the gang scheduler's kernel
 handler lifts the whole user portion of the stack out (suspending any
 in-flight compute) and installs another job's saved frames.
+
+Parked spins
+------------
+
+A spin's contract is that ``done`` reads only state written by frames
+running on this processor. While the spinning frame is on top in
+``DELAY`` no other frame here runs, so ``done()`` cannot change, and
+re-checking it every chunk only costs engine events. The processor
+therefore schedules one wake ``_PARK_CHUNKS`` chunks ahead. If the frame
+is suspended mid-park, the remainder it saves is the rest of the chunk
+the explicit loop would be in, ``n - (now - origin) % n``; resumed, it
+wakes at that real chunk boundary and re-checks ``done()`` there, as
+the loop would. Cycle charges match the loop's once the spin ends. A
+park wake that finds ``done()`` true means the contract was broken and
+raises :class:`~repro.sim.engine.SimulationError`. Why the result is
+cycle-exact (suspensions are same-cycle run-queue callbacks, ordered
+after any timed wake at that cycle) is argued in docs/SIMULATION.md.
 """
 
 from __future__ import annotations
@@ -66,11 +87,38 @@ class Compute:
 _COMPUTE_CACHE = flyweight_table(Compute)
 
 
+class Spin:
+    """Yielded by a frame to wait for ``done()`` in ``cycles`` chunks.
+
+    Equivalent to ``while not done(): yield Compute(cycles)`` (same exit
+    cycle, same charges once it ends, same order of every other event)
+    provided ``done`` reads only state that frames running on *this*
+    processor write: message handlers of this node, not other nodes or
+    fabric/NI callbacks. ``cycles`` must be at least 2, so a one-cycle
+    kernel retry can never land on a skipped chunk boundary.
+    """
+
+    __slots__ = ("cycles", "done")
+
+    def __init__(self, cycles: int, done: Callable[[], bool]) -> None:
+        if cycles < 2:
+            raise ValueError(f"spin chunk must be >= 2 cycles: {cycles}")
+        self.cycles = int(cycles)
+        self.done = done
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Spin({self.cycles})"
+
+
+#: Chunks a parked spin sleeps before re-checking its predicate.
+_PARK_CHUNKS = 1024
+
+
 class FrameState(enum.Enum):
     READY = "ready"            # runnable, waiting to be on top
     RUNNING = "running"        # being advanced right now
-    DELAY = "delay"            # in a Compute with a scheduled wake
-    DELAY_SUSPENDED = "delay_suspended"  # preempted mid-Compute
+    DELAY = "delay"            # in a Compute/Spin with a scheduled wake
+    DELAY_SUSPENDED = "delay_suspended"  # preempted mid-Compute/Spin
     WAITING = "waiting"        # blocked on an Event
     DONE = "done"
 
@@ -94,6 +142,7 @@ class Frame:
         "gen", "name", "kernel", "state", "on_done",
         "_delay_end", "_remaining", "_wake", "_wait_event",
         "_ready_value", "_has_ready_value", "result", "job_gid",
+        "_spin", "_park_origin",
     )
 
     def __init__(self, gen: FrameGen, name: str, kernel: bool = False,
@@ -112,6 +161,11 @@ class Frame:
         self._ready_value: Any = None
         self._has_ready_value = False
         self.result: Any = None
+        #: The Spin being waited out, or None.
+        self._spin: Optional[Spin] = None
+        #: Cycle the current park started at; None when the pending
+        #: wake is a real chunk boundary (after a resume).
+        self._park_origin: Optional[int] = None
 
     @property
     def finished(self) -> bool:
@@ -140,6 +194,7 @@ class Processor:
         self._busy_since: Optional[int] = None
         # Bound once: every compute wake schedules it.
         self._bound_delay_done = self._delay_done
+        self._bound_spin_wake = self._spin_wake
 
     # ------------------------------------------------------------------
     # Introspection
@@ -310,6 +365,13 @@ class Processor:
                 else:
                     self.user_cycles += cycles
                 return
+            if op.__class__ is Spin:
+                if op.done():
+                    value = None
+                    continue
+                frame._spin = op
+                self._park(frame, op.cycles)
+                return
             if isinstance(op, Event):
                 if op.triggered:
                     value = op.value
@@ -331,6 +393,38 @@ class Processor:
             raise SimulationError(
                 f"delay completed for non-top frame {frame.name}"
             )
+        self._advance(frame, None)
+
+    def _park(self, frame: Frame, cycles: int) -> None:
+        """Sleep a spinning frame ``_PARK_CHUNKS`` chunks, charged now."""
+        engine = self.engine
+        now = engine.now
+        span = cycles * _PARK_CHUNKS
+        frame.state = _DELAY
+        frame._park_origin = now
+        frame._delay_end = now + span
+        frame._wake = engine.call_at(now + span, self._bound_spin_wake, frame)
+        self._charge(frame, span)
+
+    def _spin_wake(self, frame: Frame) -> None:
+        """A spin's chunk boundary: exit if ``done()``, else park again."""
+        frame._wake = None
+        stack = self._stack
+        if not stack or stack[-1] is not frame:
+            raise SimulationError(
+                f"spin wake for non-top frame {frame.name}"
+            )
+        spin = frame._spin
+        if not spin.done():
+            self._park(frame, spin.cycles)
+            return
+        if frame._park_origin is not None:
+            raise SimulationError(
+                f"spin on frame {frame.name} (node {self.node_id}) became "
+                "done while parked: its predicate reads state written "
+                "while no frame ran on this processor"
+            )
+        frame._spin = None
         self._advance(frame, None)
 
     def _event_fired(self, frame: Frame, value: Any) -> None:
@@ -365,9 +459,19 @@ class Processor:
         if frame.state is _DELAY:
             frame._wake.cancel()
             frame._wake = None
-            frame._remaining = frame._delay_end - self.engine.now
-            # Uncharge the cycles that will be re-charged on resume.
-            self._charge(frame, -frame._remaining)
+            now = self.engine.now
+            # Uncharge everything charged ahead of now; the remainder
+            # is re-charged on resume.
+            self._charge(frame, now - frame._delay_end)
+            origin = frame._park_origin
+            if origin is None:
+                frame._remaining = frame._delay_end - now
+            else:
+                # Mid-park: resume at the end of the chunk the explicit
+                # loop would be in.
+                cycles = frame._spin.cycles
+                frame._remaining = cycles - (now - origin) % cycles
+                frame._park_origin = None
             frame.state = _DELAY_SUSPENDED
         elif frame.state is _RUNNING:
             raise SimulationError(
@@ -384,7 +488,10 @@ class Processor:
             frame._delay_end = self.engine.now + frame._remaining
             self._charge(frame, frame._remaining)
             frame._wake = self.engine.call_at(
-                frame._delay_end, self._bound_delay_done, frame
+                frame._delay_end,
+                self._bound_delay_done if frame._spin is None
+                else self._bound_spin_wake,
+                frame,
             )
         elif frame.state is _READY:
             if frame._has_ready_value:

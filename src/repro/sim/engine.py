@@ -176,6 +176,9 @@ class _ScheduledCall:
     back-reference to their engine so cancellation can be counted: when
     cancelled entries dominate the pending set the engine compacts them
     away in one pass instead of dragging dead weight to its timestamp.
+    Every dispatch loop detaches the handle (``engine = None``) as it
+    fires it, so a ``cancel()`` after firing counts nothing: the entry
+    is no longer pending.
     """
 
     __slots__ = ("time", "fn", "arg", "cancelled", "engine")
@@ -691,6 +694,7 @@ class Engine:
                     self._cancelled_pending -= 1
                     continue
                 fn = item.fn
+                item.engine = None
                 arg = item.arg
             elif cls is tuple:
                 fn, arg = item
@@ -716,6 +720,7 @@ class Engine:
                     self._cancelled_pending -= 1
                     continue
                 fn = item.fn
+                item.engine = None
                 arg = item.arg
             elif cls is tuple:
                 fn, arg = item
@@ -822,6 +827,7 @@ class Engine:
                             cancelled += 1
                             continue
                         fn = item.fn
+                        item.engine = None
                         arg = item.arg
                         if arg is no_arg:
                             fn()
@@ -883,6 +889,7 @@ class Engine:
                             self._cancelled_pending -= 1
                             continue
                         fn = item.fn
+                        item.engine = None
                         arg = item.arg
                         executed += 1
                         if arg is no_arg:
@@ -952,6 +959,7 @@ class Engine:
                             self._cancelled_pending -= 1
                             continue
                         fn = item.fn
+                        item.engine = None
                         arg = item.arg
                     elif cls is proc_cls:
                         fn = item._bound_step
@@ -983,6 +991,7 @@ class Engine:
                         self._cancelled_pending -= 1
                         continue
                     fn = item.fn
+                    item.engine = None
                     arg = item.arg
                 elif cls is proc_cls:
                     fn = item._bound_step

@@ -42,7 +42,8 @@ class _RefHandle:
     def cancel(self):
         if not self.cancelled:
             self.cancelled = True
-            self.engine._note_cancelled()
+            if self.engine is not None:  # None once fired
+                self.engine._note_cancelled()
 
 
 class ReferenceEngine:
@@ -103,6 +104,7 @@ class ReferenceEngine:
             if until is not None and time > until:
                 break
             heapq.heappop(heap)
+            handle.engine = None  # fired: no longer pending
             self.now = time
             self._events += 1
             if handle.arg is no_arg:

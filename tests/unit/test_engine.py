@@ -367,3 +367,39 @@ class TestCounterExactness:
         # Buckets drained: t=1 twice (before and after the stop), t=4.
         assert engine.cycle_batches == 3
         assert engine.runq_events == (1 if engine.fastpath else 0)
+
+
+class TestCancelAfterFiring:
+    """A handle that has fired is no longer pending, so cancelling it
+    afterwards must neither count as a pending cancellation nor push
+    the engine toward a compaction."""
+
+    @pytest.mark.parametrize("drive", ["run", "run_until", "step"])
+    def test_late_cancel_leaves_pending_and_compactions_alone(
+            self, mode_engine, drive):
+        engine = mode_engine
+        fired = []
+
+        def same_cycle():
+            # Scheduled at `now`: the run-queue (or live-bucket) shape.
+            fired.append(engine.call_at(engine.now, lambda: None))
+
+        for i in range(600):
+            fired.append(engine.call_after(1 + i % 3, lambda: None))
+        engine.call_at(2, same_cycle)
+        if drive == "run":
+            engine.run()
+        elif drive == "run_until":
+            engine.run(until=10)
+        else:
+            while engine.step():
+                pass
+        assert engine.pending == 0
+
+        live = engine.call_after(100, lambda: None)
+        for handle in fired:
+            handle.cancel()
+        assert engine.pending == 1
+        assert engine.compactions == 0
+        live.cancel()
+        assert engine.pending == 0

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.machine.processor import Compute, Frame, FrameState, Processor
+from repro.machine.processor import (
+    Compute, Frame, FrameState, Processor, Spin,
+)
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event
 
@@ -333,3 +335,85 @@ class TestRepeatedPreemption:
         assert proc.user_cycles == 100
         assert proc.kernel_cycles == 10
         assert engine.pending == 0
+
+
+class TestSpin:
+    """``Spin(c, done)`` behaves as ``while not done(): yield Compute(c)``
+    while parking the frame on one wake per many chunks."""
+
+    @staticmethod
+    def _run(use_spin, kernel_at=None, set_at=500):
+        engine = Engine()
+        proc = Processor(engine, 0)
+        flag = [False]
+        trace = []
+
+        def main():
+            yield Compute(3)
+            if use_spin:
+                yield Spin(10, lambda: flag[0])
+            else:
+                while not flag[0]:
+                    yield Compute(10)
+            trace.append(("exit", engine.now, proc.user_cycles,
+                          proc.kernel_cycles))
+
+        def kernel():
+            yield Compute(7)
+
+        def setter():
+            yield Compute(4)
+            flag[0] = True
+
+        proc.push_frame(Frame(main(), "main"))
+        if kernel_at is not None:
+            engine.call_at(kernel_at, lambda: proc.raise_kernel(
+                lambda: Frame(kernel(), "k", kernel=True)))
+        engine.call_at(set_at, lambda: proc.raise_user_upcall(
+            lambda: Frame(setter(), "set")))
+        engine.run()
+        return trace, engine.events_executed
+
+    def test_exit_cycle_matches_the_loop_with_fewer_events(self):
+        loop, loop_events = self._run(False)
+        spin, spin_events = self._run(True)
+        # The setter runs 500..504 inside the chunk 493..503, which
+        # finishes at 507; every cycle to then is user time.
+        assert loop == spin == [("exit", 507, 507, 0)]
+        assert spin_events < loop_events
+
+    @pytest.mark.parametrize("kernel_at", [33, 32, 34, 3])
+    def test_preemption_on_or_beside_a_chunk_boundary(self, kernel_at):
+        # 33 is a chunk boundary of the spin that starts at cycle 3.
+        loop, _ = self._run(False, kernel_at=kernel_at)
+        spin, _ = self._run(True, kernel_at=kernel_at)
+        assert spin == loop
+
+    def test_already_done_spin_takes_no_time(self, cpu):
+        engine, proc = cpu
+
+        def gen():
+            yield Spin(10, lambda: True)
+
+        proc.push_frame(Frame(gen(), "g"))
+        engine.run()
+        assert engine.now == 0 and proc.user_cycles == 0
+
+    def test_predicate_flipped_with_no_frame_running_raises(self, cpu):
+        """The contract: only frames on this processor may make a spin
+        done. A bare engine callback flipping the flag is caught at the
+        next park wake."""
+        engine, proc = cpu
+        flag = [False]
+
+        def gen():
+            yield Spin(10, lambda: flag[0])
+
+        proc.push_frame(Frame(gen(), "g"))
+        engine.call_at(55, lambda: flag.__setitem__(0, True))
+        with pytest.raises(SimulationError, match="became done while parked"):
+            engine.run()
+
+    def test_chunk_below_two_cycles_rejected(self):
+        with pytest.raises(ValueError):
+            Spin(1, lambda: True)
