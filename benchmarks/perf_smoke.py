@@ -3,11 +3,11 @@
 Times six things and writes ``BENCH_runner.json`` plus
 ``BENCH_obs.json``:
 
-* **engine microbenchmark** — raw discrete-event throughput
-  (events/second, best of 3) on a process-churn loop — with the
-  calendar queue's tier counters (bucket hits, overflow-heap inserts,
-  per-cycle batch sizes) — and on a cancellation-heavy loop (the
-  lazy-deletion/compaction path);
+* **engine microbenchmark** (informational, not gated) — raw
+  discrete-event throughput (events/second, best of 3) on a
+  process-churn loop — with the calendar queue's tier counters (bucket
+  hits, overflow-heap inserts, per-cycle batch sizes) — and on a
+  cancellation-heavy loop (the lazy-deletion/compaction path);
 * **runner sweep, serial vs parallel vs auto** — a small fixed
   multiprogrammed sweep through :func:`repro.runner.run_specs` at
   ``jobs=1``, forced ``mode="parallel"`` at ``jobs=N``, and
@@ -15,12 +15,16 @@ Times six things and writes ``BENCH_runner.json`` plus
   cost), verifying the metrics are identical across all of them;
 * **cache replay** — the same sweep again from the persistent cache,
   recording hit counts and replay time;
-* **two-case fast path** — quiescent whole-machine runs (best of 3),
-  the first with a closure-counting shim over
+* **two-case fast path** — quiescent whole-machine runs, the first
+  with a closure-counting shim over
   ``engine.call_at``/``engine.schedule`` (asserting *zero* per-message
   lambda/closure allocation), the engine/fabric/NI fast-path hit
   counters, and a bit-identity check of the run metrics against the
-  same run forced down the general path via ``REPRO_NO_FASTPATH``;
+  same run forced down the general path via ``REPRO_NO_FASTPATH``.
+  Each unshimmed run is bracketed by runs of the e2e benchmark's host
+  calibration kernel; the median calibrated events/second over them
+  (``fastpath.calibrated_events_per_second``) is the engine figure
+  ``check_perf_regression.py`` ratchets;
 * **sharded execution** — two synth workloads, each run
   single-process and through :func:`repro.shard.run_sharded` (one
   worker process per node group): a ``rack_local`` leg whose traffic
@@ -55,6 +59,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict
+from pathlib import Path
 from types import FunctionType
 
 from repro.analysis.metrics import collect_metrics
@@ -67,8 +72,17 @@ from repro.obs import EngineProfiler
 from repro.runner import ResultCache, default_jobs, run_specs
 from repro.sim.engine import _NO_ARG, Delay, Engine
 
+# The repository root, so the e2e benchmark's calibration kernel is
+# importable when this file runs as a script.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from benchmarks.e2e.harness import NOMINAL_CALIB_S  # noqa: E402
+from benchmarks.e2e.passes import host_calibration  # noqa: E402
+
 #: Maximum tolerated events/sec regression with observability enabled.
 OBS_OVERHEAD_LIMIT = 0.10
+
+#: Unshimmed whole-machine runs behind the calibrated ratchet figure.
+CALIBRATED_RUNS = 15
 
 #: The fixed smoke sweep: 2 workloads x 2 skews x 2 trials, fast scale.
 SMOKE_SPECS = [
@@ -225,9 +239,6 @@ def _attach_closure_counter(engine) -> dict:
 
     engine.call_at = call_at
     engine.schedule = schedule
-    # Route the processes' inlined Delay resumes back through
-    # engine.schedule so the shim really does see every callback.
-    engine._shadowed = True
     return counts
 
 
@@ -264,23 +275,35 @@ def _machine_run(force_general: bool = False,
             os.environ["REPRO_NO_FASTPATH"] = saved
 
 
-def bench_fastpath(repeats: int = 3) -> dict:
+def bench_fastpath(runs: int = CALIBRATED_RUNS) -> dict:
     """Two-case fast-path accounting + zero-closure + identity gates,
-    best of ``repeats``.
+    and the calibrated whole-machine throughput the ratchet gates.
 
-    Only the first fast run carries the closure-counting shim (the
-    shim itself costs time); the remaining repeats time the unshimmed
-    fast path, and the reported events/second is the best of all of
-    them. ``gate_ok`` requires: no lambda/closure scheduled during a
-    quiescent run, bit-identical metrics across every fast run *and*
-    the forced-general (``REPRO_NO_FASTPATH``) run, the general run
-    using the run queue not at all, and the fast run actually
-    exercising every fast path it claims to have.
+    The first run carries the closure-counting shim (the shim itself
+    costs time); ``runs`` more time the unshimmed fast path, each
+    bracketed in the same process by runs of the e2e benchmark's host
+    calibration kernel. Each run's events per second is rescaled to a
+    host that runs the kernel in ``NOMINAL_CALIB_S``, taking the mean
+    of the kernel times either side of it as this host's;
+    ``calibrated_events_per_second`` is the median over the runs, and
+    ``events_per_second`` the raw best. ``gate_ok`` requires: no
+    lambda/closure scheduled during a quiescent run, bit-identical
+    metrics across every fast run *and* the forced-general
+    (``REPRO_NO_FASTPATH``) run, the general run using the run queue
+    not at all, and the fast run actually exercising every fast path
+    it claims to have.
     """
-    fast_runs = [_machine_run(count_closures=(i == 0))
-                 for i in range(repeats)]
-    machine, metrics, counts, _wall = fast_runs[0]
-    best_wall = min(wall for _m, _met, _c, wall in fast_runs)
+    machine, metrics, counts, _wall = _machine_run(count_closures=True)
+    walls, calibs, calibrated, run_metrics = [], [], [], []
+    calibs.append(host_calibration())
+    for _ in range(runs):
+        run_machine, run_metric, _c, wall = _machine_run()
+        calibs.append(host_calibration())
+        host_calib = (calibs[-2] + calibs[-1]) / 2
+        walls.append(wall)
+        calibrated.append(run_machine.engine.events_executed
+                          / (wall * NOMINAL_CALIB_S / host_calib))
+        run_metrics.append(run_metric)
     general_machine, general_metrics, _, _ = _machine_run(
         force_general=True)
 
@@ -290,14 +313,18 @@ def bench_fastpath(repeats: int = 3) -> dict:
     ni_general = sum(n.ni.stats.general_deliveries for n in machine.nodes)
     base = asdict(metrics)
     identical = (
-        all(asdict(m) == base for _m, m, _c, _w in fast_runs[1:])
+        all(asdict(m) == base for m in run_metrics)
         and base == asdict(general_metrics)
     )
     batches = engine.cycle_batches
     return {
-        "repeats": repeats,
-        "wall_seconds": best_wall,
-        "events_per_second": engine.events_executed / best_wall,
+        "runs": runs,
+        "wall_seconds": min(walls),
+        "events_per_second": engine.events_executed / min(walls),
+        "host_calib_seconds": calibs,
+        "nominal_calib_seconds": NOMINAL_CALIB_S,
+        "calibrated_samples": calibrated,
+        "calibrated_events_per_second": statistics.median(calibrated),
         "closures_scheduled": counts["closures"],
         "callbacks_scheduled": counts["scheduled"],
         "runq_events": engine.runq_events,
@@ -587,7 +614,7 @@ def main(argv=None) -> int:
     sweep = report["sweep"]
     fastpath = report["fastpath"]
     shard = report["shard"]
-    print(f"engine: {events:,.0f} events/s")
+    print(f"engine: {events:,.0f} events/s (micro-bench, informational)")
     print(f"sweep ({sweep['runs']} runs): serial "
           f"{sweep['serial_wall_seconds']:.2f}s, jobs={sweep['jobs']} "
           f"{sweep['parallel_wall_seconds']:.2f}s "
@@ -605,6 +632,9 @@ def main(argv=None) -> int:
           f"{fastpath['closures_scheduled']} closures scheduled, "
           f"identical vs general: "
           f"{fastpath['metrics_identical_vs_general']}")
+    print(f"machine: {fastpath['calibrated_events_per_second']:,.0f} "
+          f"calibrated events/s (median of {fastpath['runs']}; "
+          f"raw best {fastpath['events_per_second']:,.0f})")
     for leg in (shard["rack_local"], shard["all_to_all"]):
         required = ("required" if leg["speedup_required"] else
                     f"skipped: {leg['speedup_skip_reason']}")

@@ -255,12 +255,11 @@ class Machine:
                            limit: Optional[int] = None) -> int:
         """Run until ``job`` finishes (or ``limit`` cycles elapse).
 
-        Dispatches through :meth:`Engine.run` (its bounded loop when
-        ``limit`` is given, the batched one otherwise) with
-        ``job.done`` wired to :meth:`Engine.stop`, so completion
-        halts the loop right after the finishing event — the same exit
-        point as the old one-``step()``-at-a-time loop, without paying
-        a Python-level call per event.
+        Dispatches through :meth:`Engine.run` (bounded by ``limit`` when
+        one is given) with ``job.done`` wired to :meth:`Engine.stop`, so
+        completion halts the loop right after the finishing event — the
+        same exit point as the old one-``step()``-at-a-time loop,
+        without paying a Python-level call per event.
 
         Raises RuntimeError if the event queues drain with the job
         unfinished — a deadlocked or wedged application is a bug worth

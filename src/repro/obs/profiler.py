@@ -78,13 +78,10 @@ class EngineProfiler:
 
         # Instance attributes shadow the class methods; everything that
         # schedules through this engine (call_after, call_soon, timeout,
-        # processes) funnels into one of these two, so the pair covers
-        # the machine. Setting ``_shadowed`` makes processes route their
-        # inlined Delay resumes back through ``engine.schedule`` so the
-        # wrappers see those too.
+        # process resumes) funnels into one of these two, so the pair
+        # covers the machine.
         self.engine.call_at = profiled_call_at
         self.engine.schedule = profiled_schedule
-        self.engine._shadowed = True
         self._attached = True
         return self
 
@@ -92,7 +89,6 @@ class EngineProfiler:
         if self._attached:
             del self.engine.call_at  # un-shadow the class methods
             del self.engine.schedule
-            self.engine._shadowed = False
             self._attached = False
 
     def __enter__(self) -> "EngineProfiler":

@@ -67,26 +67,20 @@ argument above is unchanged. Sparse timelines (a WAN fabric, a long
 compute) would otherwise pay one probe per empty cycle, up to a whole
 window per advance — the known weak spot of Brown's calendar queue.
 
-``run()`` has two loops. With neither ``until`` nor ``max_events``,
-``_run_fast`` batch-drains a whole cycle's bucket (then the run queue)
-in one inner loop with attribute lookups hoisted and the four callback
-shapes — Delay-resumed process, bare callable, ``(fn, arg)`` pair,
-cancellable entry — specialized by exact class check. Any bound takes
-``_run_bounded``, which keeps per-event budget and stop checks and
-bumps ``events_executed`` per event (a timeline sampler reads it from
-inside a bucket), but flushes the secondary counters (ring and run-queue
-events, cycle batches) once per drain. Whole-machine runs are bounded:
-``Machine.run_until_job_done`` passes ``until=limit`` (every
-experiment, runner kind and benchmark gives a limit) and shard workers
-pass their window bound, so they all dispatch through
-``_run_bounded``. ``_run_fast`` serves only unbounded
-``run()`` calls: the ``engine_events`` micro-bench and the examples
-that run a job with no limit. In whole-machine runs the hottest shape
-is the cancellable entry: the processor's compute wake (see
-:mod:`repro.machine.processor`) is most of the events dispatched. The
-Delay-resumed process shape resumes the generator and re-buckets the
-next Delay inline, with no wrapper frame per event; it serves
-processes started with :meth:`Engine.process`.
+One loop dispatches every callback: ``_run_bounded``. ``run()`` passes
+its ``until`` and ``max_events`` bounds straight through (``None`` for
+no bound), and ``step()`` is the same drain with a budget of one event.
+The loop drains a cycle's bucket, then the run queue, with per-event
+budget and stop checks, and tells the three callback shapes — bare
+callable, ``(fn, arg)`` pair, cancellable entry — apart by exact class
+check. It bumps ``events_executed`` per event (a timeline sampler reads
+it from inside a bucket) but flushes the secondary counters (ring and
+run-queue events, cycle batches) once per drain, so a stepped ring
+event counts as one cycle batch. In whole-machine runs the hottest
+shape is the cancellable entry: the processor's compute wake (see
+:mod:`repro.machine.processor`) is most of the events dispatched. A
+process started with :meth:`Engine.process` resumes from a ``Delay``
+through :meth:`Engine.schedule` like any other callback.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
 time) disables the same-cycle run queue: same-cycle schedules then
@@ -240,64 +234,21 @@ class Process:
         self._dispatch(target)
 
     def _dispatch(self, target: Any) -> None:
-        """Suspend on whatever the generator yielded.
-
-        Exact-type checks first: Delay/Event/Process are effectively
-        final in the hot path, and ``type(x) is C`` is markedly cheaper
-        than isinstance(). The isinstance() fallback keeps subclasses
-        working. A Delay resumption needs no cancellation handle: the
-        *process itself* goes into the calendar bucket (or run queue)
-        as the scheduled item, which lets the engine's drain loops
-        resume the generator without a wrapper frame — unless something
-        shadows the engine's scheduling methods, in which case the
-        resume is routed through ``engine.schedule`` so the shadow
-        sees every event (the profiler and benchmark shims rely on
-        that funnel).
-        """
-        engine = self.engine
-        cls = target.__class__
-        if cls is Delay:
-            if engine._shadowed:
-                engine.schedule(engine.now + target.cycles, self._bound_step)
-                return
-            cycles = target.cycles
-            if cycles > 0:
-                if cycles < engine._window:
-                    time = engine.now + cycles
-                    bucket = engine._ring[time & engine._mask]
-                    if not bucket:
-                        heapq.heappush(engine._times, time)
-                    bucket.append(self)
-                    engine._ring_count += 1
-                else:
-                    engine._seq += 1
-                    heapq.heappush(
-                        engine._heap,
-                        (engine.now + cycles, engine._seq, self, _NO_ARG))
-                    engine._overflow_scheduled += 1
-            elif engine.fastpath:
-                engine._runq.append(self)
-            else:
-                engine._ring[engine.now & engine._mask].append(self)
-                engine._ring_count += 1
-        elif cls is Event:
-            self._waiting_on = target
-            target.subscribe(self._bound_on_event)
-        elif cls is Process:
-            self._waiting_on = target.done
-            target.done.subscribe(self._bound_on_event)
-        elif isinstance(target, Delay):
+        """Suspend on whatever the generator yielded: a Delay resumes
+        through a handle-free :meth:`Engine.schedule`; an Event (or a
+        Process's ``done``) resumes on its trigger."""
+        if isinstance(target, Delay):
+            engine = self.engine
             engine.schedule(engine.now + target.cycles, self._bound_step)
-        elif isinstance(target, Event):
-            self._waiting_on = target
-            target.subscribe(self._bound_on_event)
-        elif isinstance(target, Process):
-            self._waiting_on = target.done
-            target.done.subscribe(self._bound_on_event)
-        else:
+            return
+        if isinstance(target, Process):
+            target = target.done
+        if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name} yielded unsupported {target!r}"
             )
+        self._waiting_on = target
+        target.subscribe(self._bound_on_event)
 
     def _on_event(self, value: Any) -> None:
         self._waiting_on = None
@@ -360,8 +311,8 @@ _DEFAULT_WINDOW = _window_from_costs()
 #: compaction never triggers on ordinary workloads.
 _COMPACT_MIN_CANCELLED = 512
 
-#: Sentinel bound for run(until=None, max_events=None): compares greater
-#: than every int, so the bounded loop needs no per-event None checks.
+#: Sentinel for an absent ``until`` or ``max_events``: compares greater
+#: than every int, so the dispatch loop needs no per-event None checks.
 _UNBOUNDED = float("inf")
 
 
@@ -414,14 +365,8 @@ class Engine:
         #: Times the pending set was swept to drop cancelled entries.
         self._compactions: int = 0
         #: Cooperative stop flag: set by :meth:`stop`, cleared by
-        #: :meth:`run`, checked between events (bounded runs) or batches.
+        #: :meth:`run` and :meth:`step`, checked between events.
         self._stop: bool = False
-        #: True while something (the profiler, a benchmark shim) has
-        #: shadowed ``call_at``/``schedule`` with instance-attribute
-        #: wrappers: processes then route Delay resumes through
-        #: ``engine.schedule`` instead of the inlined bucket append, so
-        #: the shadow observes every scheduled callback.
-        self._shadowed: bool = False
         #: False forces same-cycle schedules into the live bucket (set
         #: from the REPRO_NO_FASTPATH environment variable).
         self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
@@ -676,79 +621,21 @@ class Engine:
     # Main loop
     # ------------------------------------------------------------------
     def stop(self, _value: Any = None) -> None:
-        """Ask :meth:`run` to return after the current event (bounded
-        runs) or bucket batch. The signature accepts one ignored value
-        so ``event.subscribe(engine.stop)`` works directly."""
+        """Ask :meth:`run` to return after the current event. The
+        signature accepts one ignored value so
+        ``event.subscribe(engine.stop)`` works directly."""
         self._stop = True
 
     def step(self) -> bool:
-        """Run the single earliest event. Returns False if none remain."""
-        bucket = self._ring[self.now & self._mask]
-        while bucket:
-            item = bucket[0]
-            del bucket[0]
-            self._ring_count -= 1
-            cls = item.__class__
-            if cls is _ScheduledCall:
-                if item.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                fn = item.fn
-                item.engine = None
-                arg = item.arg
-            elif cls is tuple:
-                fn, arg = item
-            elif cls is Process:
-                fn = item._bound_step
-                arg = _NO_ARG
-            else:
-                fn = item
-                arg = _NO_ARG
-            self._events_executed += 1
-            self._ring_executed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-        runq = self._runq
-        while runq:
-            item = runq.popleft()
-            cls = item.__class__
-            if cls is _ScheduledCall:
-                if item.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                fn = item.fn
-                item.engine = None
-                arg = item.arg
-            elif cls is tuple:
-                fn, arg = item
-            elif cls is Process:
-                fn = item._bound_step
-                arg = _NO_ARG
-            else:
-                fn = item
-                arg = _NO_ARG
-            self._events_executed += 1
-            self._runq_executed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-        t = self._next_timed_time()
-        if t is None:
-            return False
-        self.now = t
-        heap = self._heap
-        if heap and heap[0][0] < t + self._window:
-            self._pull_overflow(t + self._window)
-        # The target bucket now has a live item at its front (the scan
-        # cleaned cancelled fronts; a heap-sourced advance pulled at
-        # least its own live head), so this recursion executes exactly
-        # one event.
-        return self.step()
+        """Run the single earliest event. Returns False if none remain.
+
+        One budget-1 call into the drain :meth:`run` uses. A ``stop()``
+        left over from an earlier run is cleared first, as :meth:`run`
+        clears it, so it cannot swallow the step."""
+        self._stop = False
+        executed = self._events_executed
+        self._run_bounded(None, 1)
+        return self._events_executed != executed
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
@@ -756,169 +643,12 @@ class Engine:
         ``max_events`` events have executed, or :meth:`stop` is called.
         Returns the final time."""
         self._stop = False
-        if until is None and max_events is None:
-            return self._run_fast()
         return self._run_bounded(until, max_events)
-
-    def _run_fast(self) -> int:
-        """The unbounded hot loop: whole-bucket batches, counters
-        flushed per batch, stop checked per batch."""
-        ring = self._ring
-        mask = self._mask
-        runq = self._runq
-        heap = self._heap
-        times = self._times
-        window = self._window
-        entry_cls = _ScheduledCall
-        tuple_cls = tuple
-        proc_cls = Process
-        delay_cls = Delay
-        heappush = heapq.heappush
-        no_arg = _NO_ARG
-        fastpath = self.fastpath
-        now = self.now
-        if heap and heap[0][0] < now + window:
-            self._pull_overflow(now + window)
-        while True:
-            bucket = ring[now & mask]
-            if bucket:
-                cancelled = 0
-                shadowed = self._shadowed
-                # A plain for-loop picks up same-cycle appends made by
-                # the callbacks it runs (general mode schedules at
-                # `now` into this very bucket).
-                for item in bucket:
-                    cls = item.__class__
-                    if cls is proc_cls:
-                        # The hottest shape: a Delay-resumed process.
-                        # Resume the generator and reschedule the next
-                        # Delay right here, skipping the _step frame.
-                        try:
-                            target = item._gen_send(None)
-                        except StopIteration as stop:
-                            item.done.trigger(stop.value)
-                            continue
-                        if target.__class__ is delay_cls and not shadowed:
-                            cycles = target.cycles
-                            if cycles > 0:
-                                if cycles < window:
-                                    later = ring[(now + cycles) & mask]
-                                    if not later:
-                                        heappush(times, now + cycles)
-                                    later.append(item)
-                                    self._ring_count += 1
-                                else:
-                                    self._seq += 1
-                                    heappush(heap, (now + cycles, self._seq,
-                                                    item, no_arg))
-                                    self._overflow_scheduled += 1
-                            elif fastpath:
-                                runq.append(item)
-                            else:
-                                bucket.append(item)
-                                self._ring_count += 1
-                        else:
-                            item._dispatch(target)
-                    elif cls is tuple_cls:
-                        fn, arg = item
-                        fn(arg)
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            cancelled += 1
-                            continue
-                        fn = item.fn
-                        item.engine = None
-                        arg = item.arg
-                        if arg is no_arg:
-                            fn()
-                        else:
-                            fn(arg)
-                    else:
-                        item()
-                n = len(bucket)
-                del bucket[:]
-                self._ring_count -= n
-                if cancelled:
-                    self._cancelled_pending -= cancelled
-                    n -= cancelled
-                if n:
-                    self._events_executed += n
-                    self._ring_executed += n
-                    self._cycle_batches += 1
-                if self._stop:
-                    return now
-            if runq:
-                executed = 0
-                shadowed = self._shadowed
-                while runq:
-                    item = runq.popleft()
-                    cls = item.__class__
-                    if cls is proc_cls:
-                        executed += 1
-                        try:
-                            target = item._gen_send(None)
-                        except StopIteration as stop:
-                            item.done.trigger(stop.value)
-                            continue
-                        if target.__class__ is delay_cls and not shadowed:
-                            cycles = target.cycles
-                            if cycles > 0:
-                                if cycles < window:
-                                    later = ring[(now + cycles) & mask]
-                                    if not later:
-                                        heappush(times, now + cycles)
-                                    later.append(item)
-                                    self._ring_count += 1
-                                else:
-                                    self._seq += 1
-                                    heappush(heap, (now + cycles, self._seq,
-                                                    item, no_arg))
-                                    self._overflow_scheduled += 1
-                            else:
-                                # cycles == 0 on the fast path: straight
-                                # back onto the run queue.
-                                runq.append(item)
-                        else:
-                            item._dispatch(target)
-                    elif cls is tuple_cls:
-                        fn, arg = item
-                        executed += 1
-                        fn(arg)
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        fn = item.fn
-                        item.engine = None
-                        arg = item.arg
-                        executed += 1
-                        if arg is no_arg:
-                            fn()
-                        else:
-                            fn(arg)
-                    else:
-                        executed += 1
-                        item()
-                if executed:
-                    self._events_executed += executed
-                    self._runq_executed += executed
-                if self._stop:
-                    return now
-            # Advance: nearest nonempty bucket, else the overflow tier.
-            t = self._next_ring_time()
-            if t is None:
-                t = self._next_live_heap_time()
-                if t is None:
-                    return now
-            now = t
-            self.now = t
-            if heap and heap[0][0] < t + window:
-                self._pull_overflow(t + window)
 
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:
-        """The bounded loop: per-event budget/stop checks, partial
-        bucket consumption on early exit.
+        """The dispatch loop: per-event budget/stop checks, partial
+        bucket consumption on early exit; ``None`` means no bound.
 
         ``events_executed`` is bumped per event because timeline
         samplers read it from inside a bucket; the secondary counters
@@ -936,7 +666,6 @@ class Engine:
         window = self._window
         entry_cls = _ScheduledCall
         tuple_cls = tuple
-        proc_cls = Process
         no_arg = _NO_ARG
         stop_bound = _UNBOUNDED if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
@@ -961,9 +690,6 @@ class Engine:
                         fn = item.fn
                         item.engine = None
                         arg = item.arg
-                    elif cls is proc_cls:
-                        fn = item._bound_step
-                        arg = no_arg
                     else:
                         fn = item
                         arg = no_arg
@@ -993,9 +719,6 @@ class Engine:
                     fn = item.fn
                     item.engine = None
                     arg = item.arg
-                elif cls is proc_cls:
-                    fn = item._bound_step
-                    arg = no_arg
                 else:
                     fn = item
                     arg = no_arg

@@ -12,6 +12,8 @@ and (for pre-run cancellation storms) ``compactions`` accounting.
 Sparse timelines stress the occupied-time index that drives clock
 advance: wide gaps, ``until`` clamps between occupied times, and
 mid-run compactions that empty buckets the index still names.
+The random program also drives the calendar engine by ``step()`` and
+by ``max_events`` chunks, which must not change the order either.
 """
 
 import heapq
@@ -130,12 +132,35 @@ class ReferenceEngine:
         return len(self._heap) - self._cancelled
 
 
-def _random_program(engine, seed, size):
+def _drain(engine, drive):
+    """Run ``engine`` to quiescence one of three ways: ``"run"`` (one
+    ``run()``), ``"step"`` (``while engine.step()``) or an int ``k``
+    (repeated ``run(max_events=k)`` until a chunk executes nothing)."""
+    if drive == "run":
+        engine.run()
+    elif drive == "step":
+        while engine.step():
+            pass
+    else:
+        while True:
+            executed = engine.events_executed
+            engine.run(max_events=drive)
+            if engine.events_executed == executed:
+                break
+
+
+#: Engine-side drives; the reference engine always uses ``run()``.
+DRIVES = st.one_of(st.sampled_from(["run", "step"]),
+                   st.integers(min_value=1, max_value=40))
+
+
+def _random_program(engine, seed, size, drive="run"):
     """A seeded self-rescheduling workload mixing every primitive.
 
     Delays are drawn from three bands: same-cycle, inside the calendar
     window, and far past it (overflow tier); handles are cancelled at
     random, including handles for already-pulled overflow entries.
+    ``drive`` (see :func:`_drain`) picks how the engine is run.
     """
     order = []
     rng = random.Random(seed)
@@ -167,14 +192,14 @@ def _random_program(engine, seed, size):
 
     for i in range(6):
         engine.schedule(rng.randrange(3), work, str(i))
-    engine.run()
+    _drain(engine, drive)
     return order, engine.events_executed, engine.pending
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), drive=DRIVES)
 @settings(max_examples=60, deadline=None)
-def test_calendar_matches_reference_heap_order(seed):
-    calendar = _random_program(Engine(window=WINDOW), seed, 400)
+def test_calendar_matches_reference_heap_order(seed, drive):
+    calendar = _random_program(Engine(window=WINDOW), seed, 400, drive)
     reference = _random_program(ReferenceEngine(), seed, 400)
     assert calendar == reference
 
@@ -199,11 +224,12 @@ def _with_env_mode(general, build):
             os.environ["REPRO_NO_FASTPATH"] = saved
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), drive=DRIVES)
 @settings(max_examples=60, deadline=None)
-def test_general_mode_matches_reference_heap_order(seed):
+def test_general_mode_matches_reference_heap_order(seed, drive):
     calendar = _with_env_mode(
-        True, lambda: _random_program(Engine(window=WINDOW), seed, 400))
+        True,
+        lambda: _random_program(Engine(window=WINDOW), seed, 400, drive))
     reference = _random_program(ReferenceEngine(), seed, 400)
     assert calendar == reference
 

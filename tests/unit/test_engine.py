@@ -53,6 +53,32 @@ class TestScheduling:
     def test_step_returns_false_when_empty(self, engine):
         assert engine.step() is False
 
+    def test_step_ignores_stop_left_by_earlier_run(self, engine):
+        ran = []
+        engine.call_at(5, engine.stop)
+        engine.call_at(9, ran.append, "f")
+        assert engine.run() == 5
+        assert ran == []
+        assert engine.step() is True
+        assert ran == ["f"]
+        assert engine.now == 9
+
+    def test_step_after_stop_on_fresh_engine(self, engine):
+        ran = []
+        engine.call_at(3, ran.append, "f")
+        engine.stop()
+        assert engine.step() is True
+        assert ran == ["f"]
+        assert engine.step() is False
+
+    def test_stepped_ring_event_counts_as_one_batch(self, engine):
+        for _ in range(3):
+            engine.call_at(4, lambda: None)
+        while engine.step():
+            pass
+        assert engine.ring_events == 3
+        assert engine.cycle_batches == 3
+
     def test_peek_time_skips_cancelled(self, engine):
         entry = engine.call_after(5, lambda: None)
         engine.call_after(9, lambda: None)

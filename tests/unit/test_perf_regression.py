@@ -6,8 +6,8 @@ import json
 from benchmarks import check_perf_regression as gate
 
 
-def _report(engine_eps):
-    return {"engine_events": {"events_per_second": engine_eps}}
+def _report(machine_eps):
+    return {"fastpath": {gate.ENGINE_FIGURE: machine_eps}}
 
 
 def _write(path, report):
@@ -46,6 +46,39 @@ def test_missing_baseline_exits_2_with_reason(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert "no committed baseline" in out
     assert "HEAD:BENCH_runner.json" in out
+
+
+def test_engine_leg_ratchets_the_calibrated_figure_not_the_micro_bench(
+        tmp_path, monkeypatch, capsys):
+    base = _report(200_000)
+    base["engine_events"] = {"events_per_second": 2_000_000}
+    monkeypatch.setattr(gate, "committed_baseline", lambda path=None: base)
+    # A micro-bench collapse alone does not fail the gate.
+    same = _report(205_000)
+    same["engine_events"] = {"events_per_second": 500_000}
+    assert gate.main(["--fresh", _write(tmp_path / "same.json",
+                                        same)]) == 0
+    assert "machine calibrated events/s" in capsys.readouterr().out
+
+    # The floor is narrowed to ENGINE_THRESHOLD even at --threshold 0.2.
+    below = 200_000 * (1 - gate.ENGINE_THRESHOLD) * 0.99
+    slow = _write(tmp_path / "slow.json", _report(below))
+    assert gate.main(["--fresh", slow, "--threshold", "0.2"]) == 1
+    assert "FAIL: machine calibrated events/s regressed" in \
+        capsys.readouterr().out
+
+    fast = _write(tmp_path / "fast.json", _report(250_000))
+    assert gate.main(["--fresh", fast]) == 1
+
+
+def test_engine_leg_is_neutral_while_the_stamp_lacks_the_figure(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(gate, "committed_baseline", lambda path=None: {
+        "engine_events": {"events_per_second": 2_000_000}})
+    fresh = _write(tmp_path / "fresh.json", _report(1))
+    assert gate.main(["--fresh", fresh]) == 0
+    assert ("machine calibrated events/s: no figure on the committed "
+            "side (schema predates it); skipping") in capsys.readouterr().out
 
 
 def _with_a2a(engine_eps, messages_per_s, required=True, **leg):
