@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Deque, Dict, Generator, List, Optional, Tuple,
 )
@@ -44,6 +45,7 @@ from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.protocols.reliable import ReliableTransport
 from repro.sim.random import DeterministicRng
+from repro.stats import MAX, SUM, metric
 
 #: Upper bucket edges (cycles) for the retrieval-latency histogram:
 #: time from enqueue at the mailbox to delivery at the gateway. Shared
@@ -70,50 +72,42 @@ def heavy_tail_rank(rng: DeterministicRng, n: int) -> int:
     return rng.uniform_int(lo, hi) - 1
 
 
+@dataclass(slots=True)
 class MailboxStats:
     """Workload-global counters; the metric-collection ground truth."""
 
-    __slots__ = (
-        "submitted", "absorbed", "enqueued", "retrieved", "delivered",
-        "overflow_drops", "duplicates_suppressed", "client_duplicates",
-        "reconnects", "replays", "crashes", "crash_losses",
-        "flows_created", "flows_evicted", "dedup_evictions",
-        "active_flows_peak", "occupancy_peak",
-        "latency_counts", "latency_count", "latency_total",
-    )
-
-    def __init__(self) -> None:
-        self.submitted = 0            # transport sends of "submit"
-        self.absorbed = 0             # "submit" handled at a mailbox
-        self.enqueued = 0             # accepted into a recipient queue
-        self.retrieved = 0            # popped for a reconnect
-        self.delivered = 0            # "deliver" handled at a gateway
-        self.overflow_drops = 0       # mailbox quota rejections
-        self.duplicates_suppressed = 0  # app-level dedup hits
-        self.client_duplicates = 0    # impatient double-sends injected
-        self.reconnects = 0           # "retrieve" requests issued
-        self.replays = 0              # submissions replayed post-crash
-        self.crashes = 0              # mailbox-node crash events
-        self.crash_losses = 0         # queued mail wiped by crashes
-        self.flows_created = 0
-        self.flows_evicted = 0        # LRU pressure on the flow table
-        self.dedup_evictions = 0      # LRU pressure on the dedup cache
-        self.active_flows_peak = 0
-        self.occupancy_peak = 0       # single-node queued-mail high-water
-        self.latency_counts = [0] * (len(RETRIEVAL_LATENCY_EDGES) + 1)
-        self.latency_count = 0
-        self.latency_total = 0
+    submitted: int = 0            # transport sends of "submit"
+    absorbed: int = 0             # "submit" handled at a mailbox
+    enqueued: int = 0             # accepted into a recipient queue
+    retrieved: int = 0            # popped for a reconnect
+    delivered: int = 0            # "deliver" handled at a gateway
+    overflow_drops: int = 0       # mailbox quota rejections
+    duplicates_suppressed: int = 0  # app-level dedup hits
+    client_duplicates: int = 0    # impatient double-sends injected
+    reconnects: int = 0           # "retrieve" requests issued
+    replays: int = 0              # submissions replayed post-crash
+    crashes: int = 0              # mailbox-node crash events
+    crash_losses: int = 0         # queued mail wiped by crashes
+    flows_created: int = 0
+    flows_evicted: int = 0        # LRU pressure on the flow table
+    dedup_evictions: int = 0      # LRU pressure on the dedup cache
+    #: Sums across shards: a flow table only grows (LRU evictions fire
+    #: only above the cap, which holds its size), so the peak of the
+    #: summed tables is the sum of the per-shard peaks.
+    active_flows_peak: int = metric(fold=MAX, shards=SUM)
+    #: Single-node queued-mail high-water.
+    occupancy_peak: int = metric(fold=MAX)
+    #: The ``mailbox.retrieval_latency`` histogram's buckets and sums.
+    latency_counts: List[int] = metric(
+        obs=None, factory=lambda: [0] * (len(RETRIEVAL_LATENCY_EDGES) + 1))
+    latency_count: int = metric(obs=None)
+    latency_total: int = metric(obs=None)
 
     def note_latency(self, value: int) -> None:
         self.latency_counts[bisect_left(RETRIEVAL_LATENCY_EDGES,
                                         value)] += 1
         self.latency_count += 1
         self.latency_total += value
-
-    def latency_mean(self) -> float:
-        if not self.latency_count:
-            return 0.0
-        return self.latency_total / self.latency_count
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-scalar summary for RunResult.extra payloads."""

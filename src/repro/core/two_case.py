@@ -26,8 +26,10 @@ handled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
+
+from repro.stats import metric
 
 
 class DeliveryMode(enum.Enum):
@@ -74,9 +76,9 @@ class TwoCaseStats:
 
     fast_messages: int = 0
     buffered_messages: int = 0
-    transitions_to_buffered: Dict[TransitionReason, int] = field(
-        default_factory=dict
-    )
+    #: Published per reason as ``two_case.enter.<reason>``.
+    transitions_to_buffered: Dict[TransitionReason, int] = metric(
+        obs=None, factory=dict)
     transitions_to_fast: int = 0
 
     @property
@@ -93,11 +95,3 @@ class TwoCaseStats:
     def note_transition(self, reason: TransitionReason) -> None:
         count = self.transitions_to_buffered.get(reason, 0)
         self.transitions_to_buffered[reason] = count + 1
-
-    def merge(self, other: "TwoCaseStats") -> None:
-        self.fast_messages += other.fast_messages
-        self.buffered_messages += other.buffered_messages
-        self.transitions_to_fast += other.transitions_to_fast
-        for reason, count in other.transitions_to_buffered.items():
-            base = self.transitions_to_buffered.get(reason, 0)
-            self.transitions_to_buffered[reason] = base + count

@@ -21,6 +21,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.network.message import Message
 from repro.glaze.vm import AddressSpace, OutOfFrames
+from repro.stats import MAX, metric
 
 
 class BufferFull(Exception):
@@ -49,8 +50,8 @@ class BufferStats:
     consumed: int = 0
     pages_allocated: int = 0
     pages_released: int = 0
-    max_pages: int = 0
-    max_queued_messages: int = 0
+    max_pages: int = metric(fold=MAX)
+    max_queued_messages: int = metric(fold=MAX)
 
 
 class VirtualBuffer:

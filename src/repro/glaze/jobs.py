@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.two_case import DeliveryMode, TwoCaseStats
 from repro.sim.events import Event
+from repro.stats import metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.glaze.buffering import VirtualBuffer
@@ -26,11 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 class JobStats:
     """Whole-job counters beyond the two-case statistics."""
 
-    messages_sent: int = 0
-    handler_invocations: int = 0
-    handler_cycles: int = 0
-    scheduled_cycles: int = 0
-    page_faults_simulated: int = 0
+    messages_sent: int = metric(obs=None)
+    handler_invocations: int = metric(obs=None)
+    handler_cycles: int = metric(obs=None)
+    scheduled_cycles: int = metric(obs=None)
+    page_faults_simulated: int = metric(obs=None)
 
     @property
     def mean_handler_cycles(self) -> float:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.stats import metric
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.glaze.jobs import JobNodeState
     from repro.glaze.kernel import NodeKernel
@@ -45,7 +47,7 @@ class OverflowPolicy:
 class OverflowStats:
     advisories: int = 0
     suspensions: int = 0
-    exhaustion_events: int = 0
+    exhaustion_events: int = metric("exhaustions")
 
 
 class OverflowControl:

@@ -16,26 +16,59 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import (Any, Callable, Dict, Generator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRng
-from repro.network.fabric import NetworkFabric
+from repro.network.fabric import FabricStats, NetworkFabric
 from repro.network.second_network import SecondNetwork
 from repro.network.topology import MeshTopology
+from repro.ni.delivery import DeliveryStats
 from repro.ni.gid import GidAuthority
+from repro.ni.interface import NiStats
 from repro.machine.node import Node
 from repro.machine.processor import Frame
-from repro.glaze.buffering import VirtualBuffer
-from repro.glaze.jobs import Job, JobNodeState
-from repro.glaze.overflow import OverflowControl
+from repro.core.two_case import TwoCaseStats
+from repro.glaze.buffering import BufferStats, VirtualBuffer
+from repro.glaze.jobs import Job, JobNodeState, JobStats
+from repro.glaze.kernel import KernelStats
+from repro.glaze.overflow import OverflowControl, OverflowStats
 from repro.glaze.scheduler import GangScheduler
 from repro.glaze.vm import AddressSpace
+from repro.stats import metric
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.config import SimulationConfig
+
+
+@dataclass
+class ShardStats:
+    """Shard-execution counters, kept by :mod:`repro.shard` on the
+    machines it builds (``Machine.shard_stats``). Declared here so
+    :func:`stats_sources` names it without importing the shard package,
+    which imports this module."""
+
+    shards: int = metric(obs=None, default=1)
+    epochs: int = 0
+    cross_shard_messages: int = 0
+    barrier_stalls: int = 0
+    serial_fallbacks: int = 0
+    #: Exchange-channel accounting: struct-record plus pickled-fallback
+    #: bytes routed between shards, and static-window barriers skipped
+    #: by the adaptive (null-message) bound.
+    bytes_exchanged: int = 0
+    empty_epochs_coalesced: int = 0
+    #: Wall-clock seconds spent struct-packing outboxes, summed over
+    #: workers. Nondeterministic: reported via ``info``/obs (as the
+    #: ``shard.encode_seconds`` gauge), never via the cacheable
+    #: ``extra`` payload.
+    encode_seconds: float = metric(obs=None, default=0.0)
+    flags: Tuple[str, ...] = metric(obs=None, factory=tuple)
 
 
 class Machine:
@@ -99,7 +132,7 @@ class Machine:
         #: Sharded-execution statistics (see repro.shard); populated by
         #: the shard coordinator, None on ordinary single-process runs
         #: (the Observatory harvests it as an authoritative zero).
-        self.shard_stats = None
+        self.shard_stats: Optional[ShardStats] = None
 
     def _build_fabric(self) -> NetworkFabric:
         """Fabric factory hook; ShardMachine overrides it to divert
@@ -298,3 +331,40 @@ class Machine:
             f"<Machine nodes={self.config.num_nodes} t={self.engine.now} "
             f"jobs={[j.name for j in self.jobs]}>"
         )
+
+
+#: ``instances(machine, jobs, nodes)``: a machine's objects of one
+#: stats class, per-job ones for ``jobs`` and per-node ones for ``nodes``.
+Instances = Callable[[Machine, Sequence[Job], Sequence[Node]], List[Any]]
+
+
+@lru_cache(maxsize=None)
+def stats_sources() -> Tuple[Tuple[str, type, Instances], ...]:
+    """Every harvested stats dataclass as ``(prefix, class, instances)``.
+
+    ``prefix`` heads its fields' obs names and harvest entries.
+    """
+    # Off the import path of runs without a mailbox.
+    from repro.apps.mailbox import MailboxStats
+
+    return (
+        ("fabric", FabricStats, lambda m, jobs, nodes: [m.fabric.stats]),
+        ("ni", NiStats, lambda m, jobs, nodes: [n.ni.stats for n in nodes]),
+        ("delivery", DeliveryStats,
+         lambda m, jobs, nodes: [n.ni.discipline.stats for n in nodes]),
+        ("kernel", KernelStats,
+         lambda m, jobs, nodes: [n.kernel.stats for n in nodes]),
+        ("buffering", BufferStats,
+         lambda m, jobs, nodes: [job.node_states[n.node_id].buffer.stats
+                                 for job in jobs for n in nodes]),
+        ("overflow", OverflowStats,
+         lambda m, jobs, nodes: [m.overflow.stats]),
+        ("two_case", TwoCaseStats,
+         lambda m, jobs, nodes: [job.two_case for job in jobs]),
+        ("job", JobStats, lambda m, jobs, nodes: [job.stats for job in jobs]),
+        ("mailbox", MailboxStats,
+         lambda m, jobs, nodes: [service.stats for service in m.mailboxes]),
+        ("shard", ShardStats,
+         lambda m, jobs, nodes: ([] if m.shard_stats is None
+                                 else [m.shard_stats])),
+    )

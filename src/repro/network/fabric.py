@@ -34,13 +34,14 @@ Kernel-GID traffic is spared by default (``FaultPlan.spare_kernel``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Protocol
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.network.message import Message
 from repro.network.topology import MeshTopology
+from repro.stats import metric
 
 
 class DeliveryPort(Protocol):
@@ -57,10 +58,10 @@ class FabricStats:
 
     messages_sent: int = 0
     messages_delivered: int = 0
-    total_latency: int = 0
+    total_latency: int = metric(obs=None)
     words_carried: int = 0
     sender_blocks: int = 0
-    max_backlog: Dict[int, int] = field(default_factory=dict)
+    max_backlog: Dict[int, int] = metric(obs=None, factory=dict)
     # Fault-injection outcomes (always zero on a reliable fabric).
     messages_dropped: int = 0
     messages_duplicated: int = 0

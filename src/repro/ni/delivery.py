@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.core.two_case import DeliveryMode, TransitionReason
 from repro.network.message import Message
+from repro.stats import MAX, metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.glaze.kernel import NodeKernel
@@ -65,13 +66,13 @@ class DeliveryStats:
     zerocopy_accepts: int = 0    # messages pinned directly in the ring
     fault_traps: int = 0         # protection-fault traps taken
     fallbacks: int = 0           # ring overflows -> buffered fallback
-    pinned_words: int = 0        # live pinned words (0 after drain)
-    pinned_pages_peak: int = 0   # high-water pinned footprint, pages
+    pinned_words: int = metric(obs=None)  # live pinned words (0 after drain)
+    pinned_pages_peak: int = metric(fold=MAX)  # high-water pinned pages
     # DAMQ
     damq_admits: int = 0         # messages admitted to the shared pool
     damq_evictions: int = 0      # occupancy-pressure evictions
     damq_share_refusals: int = 0  # refusals at the per-source share
-    damq_peak_occupancy: int = 0  # high-water shared-pool occupancy
+    damq_peak_occupancy: int = metric(fold=MAX)  # shared-pool high-water
 
 
 class DeliveryDiscipline:

@@ -37,6 +37,7 @@ from repro.ni.registers import RegisterFile
 from repro.ni.timer import AtomicityTimer
 from repro.ni.traps import Trap, TrapSignal
 from repro.ni.uac import UserAtomicityControl
+from repro.stats import MAX, metric
 
 
 @dataclass
@@ -68,10 +69,10 @@ class NiStats:
 
     delivered_to_user: int = 0     # messages disposed on the fast path
     delivered_to_kernel: int = 0   # messages disposed by the kernel
-    message_available_upcalls: int = 0
+    message_available_upcalls: int = metric("upcalls")
     mismatch_interrupts: int = 0
     atomicity_timeouts: int = 0
-    max_input_queue: int = 0
+    max_input_queue: int = metric(fold=MAX)
     input_stalls: int = 0          # fault-injected transient stalls
     forced_timeouts: int = 0       # fault-injected timer expiries
     # Two-case accounting: deliveries accepted on the quiescent fast

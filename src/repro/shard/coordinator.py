@@ -22,11 +22,11 @@ import multiprocessing
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
-from repro.machine.machine import Machine
+from repro.analysis.metrics import RunMetrics, collect_metrics, derive, merge
+from repro.apps.mailbox import MailboxStats
+from repro.machine.machine import Machine, ShardStats
 from repro.runner.executor import fork_available, notice_serial_fallback
 from repro.shard.channel import (
     RECORD_SIZE, ExchangeSegment, copy_record, peek_arrival, peek_dst,
@@ -37,31 +37,11 @@ from repro.shard.lookahead import (
 )
 from repro.shard.partition import owner_of, partition_nodes
 from repro.shard.worker import shard_worker
+from repro.stats import fold, rules
 
 #: Fixed-width records per exchange segment (~1.2 MiB each at the
 #: 148-byte record size); overflow rides the pipe, it never fails.
 EXCHANGE_SLOTS = 8_192
-
-
-@dataclass
-class ShardStats:
-    """Shard-execution counters (harvested by the Observatory)."""
-
-    shards: int = 1
-    epochs: int = 0
-    cross_shard_messages: int = 0
-    barrier_stalls: int = 0
-    serial_fallbacks: int = 0
-    #: Exchange-channel accounting: struct-record plus pickled-fallback
-    #: bytes routed between shards, and static-window barriers skipped
-    #: by the adaptive (null-message) bound.
-    bytes_exchanged: int = 0
-    empty_epochs_coalesced: int = 0
-    #: Wall-clock seconds spent struct-packing outboxes, summed over
-    #: workers. Nondeterministic: reported via ``info``/obs, never via
-    #: the cacheable ``extra`` payload.
-    encode_seconds: float = 0.0
-    flags: Tuple[str, ...] = field(default_factory=tuple)
 
 
 def _free_run_possible(apps: Sequence[Any],
@@ -115,91 +95,6 @@ def _occupancy_exceeded(partials: Sequence[Dict[str, Any]],
             else:
                 occupancy -= 1
     return False
-
-
-def _merge_metrics(config, name: str,
-                   partials: Sequence[Dict[str, Any]]) -> RunMetrics:
-    """Reassemble :func:`collect_metrics` from per-shard sums.
-
-    Every float is computed with the same expression, on the same
-    integers, as the monolithic path — bit-identical, not just close.
-    """
-    elapsed = max(p["local_finish"] for p in partials)
-    total_msgs = sum(p["messages_sent"] for p in partials)
-    num_nodes = config.num_nodes
-    per_node_msgs = total_msgs / num_nodes if num_nodes else 0
-    t_betw = elapsed / per_node_msgs if per_node_msgs else 0.0
-    handler_invocations = sum(p["handler_invocations"] for p in partials)
-    handler_cycles = sum(p["handler_cycles"] for p in partials)
-    t_hand = (handler_cycles / handler_invocations
-              if handler_invocations else 0.0)
-    fast = sum(p["fast_messages"] for p in partials)
-    buffered = sum(p["buffered_messages"] for p in partials)
-    total_two_case = fast + buffered
-    buffered_fraction = (buffered / total_two_case
-                         if total_two_case else 0.0)
-    transitions_to_buffered = sum(
-        count for p in partials
-        for count in p["transitions_to_buffered"].values()
-    )
-    mailbox = [m for p in partials for m in p["mailbox"]]
-    mailbox_fields: Dict[str, Any] = {}
-    if mailbox:
-        # Sums for counters, max for the per-node occupancy high-water.
-        # active_flows_peak *sums*: each flow table's size is monotone
-        # non-decreasing (LRU evictions only fire above the cap, which
-        # holds the size constant), so the global peak of the sum is
-        # the sum of the final sizes — i.e. the sum of the per-shard
-        # peaks. The latency mean replays _mailbox_metrics' expression
-        # on the summed integers, bit-identically.
-        total = sum(m["latency_count"] for m in mailbox)
-        weighted = sum(m["latency_total"] for m in mailbox)
-        mailbox_fields = dict(
-            mailbox_enqueued=sum(m["enqueued"] for m in mailbox),
-            mailbox_retrieved=sum(m["retrieved"] for m in mailbox),
-            mailbox_overflow_drops=sum(m["overflow_drops"]
-                                       for m in mailbox),
-            mailbox_dup_suppressed=sum(m["duplicates_suppressed"]
-                                       for m in mailbox),
-            mailbox_occupancy_peak=max(m["occupancy_peak"]
-                                       for m in mailbox),
-            mailbox_active_flows_peak=sum(m["active_flows_peak"]
-                                          for m in mailbox),
-            mailbox_replays=sum(m["replays"] for m in mailbox),
-            mailbox_crash_losses=sum(m["crash_losses"]
-                                     for m in mailbox),
-            retrieval_latency_mean=(weighted / total) if total else 0.0,
-        )
-    return RunMetrics(
-        name=name,
-        elapsed_cycles=elapsed,
-        messages_sent=total_msgs,
-        fast_messages=fast,
-        buffered_messages=buffered,
-        buffered_fraction=buffered_fraction,
-        max_buffer_pages=max(p["max_buffer_pages"] for p in partials),
-        t_betw=t_betw,
-        t_hand=t_hand,
-        handler_invocations=handler_invocations,
-        transitions_to_buffered=transitions_to_buffered,
-        transitions_to_fast=sum(p["transitions_to_fast"]
-                                for p in partials),
-        revocations=sum(p["revocations"] for p in partials),
-        page_outs=sum(p["page_outs"] for p in partials),
-        overflow_suspensions=sum(p["overflow_suspensions"]
-                                 for p in partials),
-        pinned_pages_peak=max(p["pinned_pages_peak"] for p in partials),
-        delivery_fault_traps=sum(p["delivery_fault_traps"]
-                                 for p in partials),
-        damq_evictions=sum(p["damq_evictions"] for p in partials),
-        damq_peak_occupancy=max(p["damq_peak_occupancy"]
-                                for p in partials),
-        messages_dropped=sum(p["messages_dropped"] for p in partials),
-        messages_duplicated=sum(p["messages_duplicated"]
-                                for p in partials),
-        retries=sum(p["retries"] for p in partials),
-        **mailbox_fields,
-    )
 
 
 def _run_serial(config, apps: Sequence[Any], measured_index: int,
@@ -276,31 +171,24 @@ def run_sharded(config, apps: Sequence[Any], measured_index: int = 0,
                                       for p in partials]
         info["wall_seconds"] = time.perf_counter() - started
         info["encode_seconds"] = stats.encode_seconds
-    metrics = _merge_metrics(config, name, partials)
+    metrics = derive(merge([p["harvest"] for p in partials]), name,
+                     config.num_nodes)
     mode = "free-run" if free_run else "windowed"
     extra = _extra(mode, groups, lookahead, stats)
-    mailbox = [m for p in partials for m in p["mailbox"]]
-    if mailbox:
-        extra["mailbox"] = _merge_mailbox_snapshots(
-            [m["snapshot"] for m in mailbox])
-        extra["queued_at_exit"] = sum(m["queued"] for m in mailbox)
+    snapshots = [snap for p in partials for snap in p["mailbox"]]
+    if snapshots:
+        extra["mailbox"] = _merge_mailbox_snapshots(snapshots)
+        extra["queued_at_exit"] = sum(p["queued"] for p in partials)
     return metrics, extra
 
 
 def _merge_mailbox_snapshots(snaps: List[Dict[str, Any]],
                              ) -> Dict[str, Any]:
-    """Combine per-shard MailboxStats snapshots (sum counters, max the
-    per-node occupancy high-water, vector-sum histogram buckets)."""
-    out = dict(snaps[0])
-    for snap in snaps[1:]:
-        for key, value in snap.items():
-            if key == "occupancy_peak":
-                out[key] = max(out[key], value)
-            elif key == "latency_counts":
-                out[key] = [a + b for a, b in zip(out[key], value)]
-            else:
-                out[key] = out[key] + value
-    return out
+    """Combine per-shard MailboxStats snapshots, each field by its
+    declared shard rule."""
+    shard_rules = {name: rule.shards for name, rule in rules(MailboxStats)}
+    return {key: fold(shard_rules[key], [snap[key] for snap in snaps])
+            for key in snaps[0]}
 
 
 def _extra(mode: str, groups, lookahead,

@@ -54,6 +54,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.metrics import harvest
 from repro.shard.channel import (
     decode_message, encode_message, handler_table, pack_record,
     table_crc, unpack_record,
@@ -129,80 +130,22 @@ def _harvest(machine: ShardMachine, job, wall_started: float,
         # finish-cycle-collision instead). Windowed: in-flight traffic
         # at termination means the protocol cut deliveries short.
         flags.add("in-flight-at-finish")
-    finish_times = [
-        job.node_states[node].main_finish_time for node in local
-    ]
-    partial = dict(
+    return dict(
         shard=machine.shard_index,
         flags=sorted(flags),
         events_executed=machine.engine.events_executed,
         wall_seconds=time.perf_counter() - wall_started,
         encode_seconds=encode_seconds,
-        local_finish=max(
-            (t for t in finish_times if t is not None), default=None
-        ),
-        all_finished=all(t is not None for t in finish_times),
-        messages_sent=job.stats.messages_sent,
-        handler_invocations=job.stats.handler_invocations,
-        handler_cycles=job.stats.handler_cycles,
-        fast_messages=job.two_case.fast_messages,
-        buffered_messages=job.two_case.buffered_messages,
-        transitions_to_buffered={
-            reason.value: count for reason, count
-            in job.two_case.transitions_to_buffered.items()
-        },
-        transitions_to_fast=job.two_case.transitions_to_fast,
-        max_buffer_pages=job.max_buffer_pages(),
-        revocations=sum(
-            machine.nodes[node].kernel.stats.revocations for node in local
-        ),
-        page_outs=sum(
-            machine.nodes[node].kernel.stats.page_outs for node in local
-        ),
-        overflow_suspensions=machine.overflow.stats.suspensions,
-        pinned_pages_peak=max(
-            machine.nodes[node].ni.discipline.stats.pinned_pages_peak
-            for node in local
-        ),
-        delivery_fault_traps=sum(
-            machine.nodes[node].ni.discipline.stats.fault_traps
-            for node in local
-        ),
-        damq_evictions=sum(
-            machine.nodes[node].ni.discipline.stats.damq_evictions
-            for node in local
-        ),
-        damq_peak_occupancy=max(
-            machine.nodes[node].ni.discipline.stats.damq_peak_occupancy
-            for node in local
-        ),
-        messages_dropped=fabric.stats.messages_dropped,
-        messages_duplicated=fabric.stats.messages_duplicated,
-        retries=sum(t.retransmissions for t in machine.transports),
+        harvest=harvest(machine, job,
+                        [machine.nodes[node] for node in local]),
         cross_shard_sends=fabric.cross_shard_sends,
         occ_injects={dst: list(times) for dst, times
                      in fabric.occ_injects.items()},
         occ_releases={dst: list(times) for dst, times
                       in fabric.occ_releases.items()},
+        mailbox=[s.stats.snapshot() for s in machine.mailboxes],
+        queued=sum(s.queued_total() for s in machine.mailboxes),
     )
-    partial["mailbox"] = [
-        dict(
-            enqueued=s.stats.enqueued,
-            retrieved=s.stats.retrieved,
-            overflow_drops=s.stats.overflow_drops,
-            duplicates_suppressed=s.stats.duplicates_suppressed,
-            occupancy_peak=s.stats.occupancy_peak,
-            active_flows_peak=s.stats.active_flows_peak,
-            replays=s.stats.replays,
-            crash_losses=s.stats.crash_losses,
-            latency_count=s.stats.latency_count,
-            latency_total=s.stats.latency_total,
-            snapshot=s.stats.snapshot(),
-            queued=s.queued_total(),
-        )
-        for s in machine.mailboxes
-    ]
-    return partial
 
 
 def shard_worker(conn, shard_index: int,

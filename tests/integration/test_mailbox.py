@@ -21,13 +21,17 @@ import json
 
 import pytest
 
-from repro.apps.mailbox import MailboxApplication, heavy_tail_rank
+from repro.analysis.metrics import collect_metrics
+from repro.apps.mailbox import (
+    MailboxApplication, MailboxStats, heavy_tail_rank,
+)
 from repro.sim.random import DeterministicRng
 from repro.experiments.config import SimulationConfig
 from repro.experiments.mailbox_sweeps import mailbox_spec, run_mailbox
 from repro.machine.machine import Machine
 from repro.ni.delivery import DELIVERY_KINDS
 from repro.runner import ResultCache, run_specs
+from repro.stats import rules
 
 #: A small-but-contended configuration that finishes in well under a
 #: second per discipline while still exercising dedup, reconnects and
@@ -208,3 +212,45 @@ class TestMetricsPlumbing:
         assert sum(snap["latency_counts"]) == snap["latency_count"]
         # JSON-safe for the persistent cache.
         assert json.loads(json.dumps(extra)) == extra
+
+
+class TestObservedMailbox:
+    """An observed mailbox run: the ``mailbox.*`` obs metrics, the
+    ``RunMetrics.mailbox_*`` fields and ``MailboxStats`` share one
+    declaration per counter, so all three must agree."""
+
+    def test_obs_totals_match_stats_and_run_metrics(self):
+        machine = Machine(SimulationConfig(num_nodes=6, seed=2))
+        app = MailboxApplication(
+            num_nodes=6, mailbox_nodes=2, clients=5_000, recipients=16,
+            messages_per_gateway=60, seed=2)
+        job = machine.add_job(app)
+        obs = machine.enable_observability()
+        machine.start()
+        machine.run_until_job_done(job)
+        metrics = collect_metrics(machine, job)
+        reg = obs.finalize()
+        stats = app.stats
+        assert stats.enqueued > 0 and stats.latency_count > 0
+
+        published = 0
+        for name, rule in rules(MailboxStats):
+            if rule.obs is not None:
+                assert reg.get(f"mailbox.{rule.obs}").value == \
+                    getattr(stats, name), name
+                published += 1
+        assert published == 17  # 15 counters and 2 high-water gauges
+        for field in dataclasses.fields(metrics):
+            source = field.metadata.get("harvest", "")
+            if source.startswith("mailbox."):
+                assert getattr(metrics, field.name) == \
+                    reg.get(source).value, field.name
+        assert metrics.mailbox_enqueued == stats.enqueued
+        assert metrics.retrieval_latency_mean == \
+            stats.latency_total / stats.latency_count
+
+        hist = reg.get("mailbox.retrieval_latency")
+        assert hist.count == stats.latency_count
+        assert hist.counts == stats.latency_counts
+        assert hist.total == stats.latency_total
+        assert reg.unwired(("counter", "gauge")) == []

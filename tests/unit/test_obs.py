@@ -1,15 +1,22 @@
 """Unit tests for the observability subsystem (``repro.obs``)."""
 
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 
+import repro.obs
+from repro.apps.barrier import BarrierApplication
+from repro.experiments.config import SimulationConfig
+from repro.glaze.kernel import KernelStats
+from repro.machine.machine import Machine, stats_sources
 from repro.obs import (
     DuplicateMetric, EngineProfiler, MetricRegistry, Observatory,
     sparkline, write_jsonl,
 )
 from repro.obs.snapshots import TimelineSampler, take_sample
 from repro.sim.engine import Engine
+from repro.stats import metric, rules
 
 
 class TestHistogram:
@@ -208,6 +215,61 @@ class TestObservatory:
         payload = obs.payload()
         assert "snapshots" not in payload
         assert set(payload) == {"metrics", "events", "events_dropped"}
+
+
+def _observed_barrier(prepare=None):
+    """A finished, observed 4-node barrier run; ``prepare(machine)``
+    runs before the start."""
+    machine = Machine(SimulationConfig(num_nodes=4))
+    job = machine.add_job(BarrierApplication(iterations=20, num_nodes=4))
+    if prepare is not None:
+        prepare(machine)
+    obs = machine.enable_observability()
+    machine.start()
+    machine.run_until_job_done(job)
+    return machine, obs.finalize()
+
+
+class TestDeclarations:
+    """Each stats field declares its own metric (``repro.stats``)."""
+
+    def test_every_harvested_field_is_published_or_marked(self):
+        _, reg = _observed_barrier()
+        names = set(reg.names())
+        for prefix, cls, _ in stats_sources():
+            declared = dict(rules(cls))
+            for f in fields(cls):
+                # Published under its declared name, or marked "not in
+                # the obs taxonomy" (obs=None) where it is declared.
+                obs = declared[f.name].obs
+                assert obs is None or f"{prefix}.{obs}" in names, \
+                    f"{cls.__name__}.{f.name}"
+        assert reg.unwired(("counter", "gauge")) == []
+
+    def test_one_line_counter_reaches_taxonomy_and_harvest(
+            self, monkeypatch):
+        @dataclass
+        class ProbedKernelStats(KernelStats):
+            probe: int = metric()  # the whole change under test
+
+        table = tuple((prefix, ProbedKernelStats if cls is KernelStats
+                       else cls, instances)
+                      for prefix, cls, instances in stats_sources())
+        monkeypatch.setattr(repro.obs, "stats_sources", lambda: table)
+
+        def prepare(machine):
+            for node in machine.nodes:
+                node.kernel.stats = ProbedKernelStats(
+                    probe=node.node_id + 1)
+
+        machine, reg = _observed_barrier(prepare)
+        assert "kernel.probe" in reg.names()
+        assert reg.get("kernel.probe").kind == "counter"
+        assert reg.get("kernel.probe").value == 1 + 2 + 3 + 4
+        # The probe rode along with the real kernel counters.
+        assert reg.get("kernel.context_switches").value == sum(
+            node.kernel.stats.context_switches for node in machine.nodes)
+        assert reg.unwired(("counter", "gauge")) == []
 
 
 class TestSparkline:
