@@ -22,19 +22,19 @@ micro-bench is informational and not gated. The ratchet is two-sided:
   regression floor rises with it.
 
 The same two-sided ratchet applies to the sharded all-to-all leg,
-in simulated messages per sharded host second — the number the
-exchange-channel and adaptive-lookahead work exists to improve. Not
-events/s: a change that needs fewer engine events per message (parked
-spins elide most of this leg's compute wakes) would read as a
-regression there while the run got faster. That comparison is
+in calibrated simulated messages per sharded host second
+(``shard.all_to_all.calibrated_messages_per_second``): the median over
+repeated sharded runs, each rescaled by the same calibration kernel
+run at once on as many CPUs as the leg has shards, timed either side
+of it. Messages, not events/s: a change that needs
+fewer engine events per message (parked spins elide most of this
+leg's compute wakes) would read as a regression there while the run
+got faster. Its floor is ``A2A_THRESHOLD`` at most. That comparison is
 neutral (skipped, not passed) whenever either side's
 ``speedup_required`` is False (single-core runner, serial fallback).
 Either leg is neutral while a side lacks its figure (a baseline that
 predates it): a skipped gate must never masquerade as a green one,
 and a figure measured without real parallelism is not a baseline.
-
-The all-to-all figure is raw host throughput, so both of its sides
-are deliberately loose (a >20% move is a real change, not jitter).
 
 Run from the repo root::
 
@@ -65,8 +65,16 @@ ENGINE_FIGURE = "calibrated_events_per_second"
 #: -26.2%: a 20% floor would let that slowdown through.
 ENGINE_THRESHOLD = 0.12
 
-#: The all-to-all leg's ratchet figure (``perf_smoke.py`` writes it).
-A2A_FIGURE = "sharded_messages_per_second"
+#: The all-to-all leg's ratchet figure, under ``shard.all_to_all``
+#: (``perf_smoke.py``).
+A2A_FIGURE = "calibrated_messages_per_second"
+
+#: The all-to-all floor's largest tolerated regression. On the 2-CPU
+#: box five unchanged-tree runs read -6.6% to +1.2% against the stamp,
+#: while a 30% busy-wait after each window's engine run in the shard
+#: worker read -24.3% to -26.2%, and a 30% sleep there -24.8% to
+#: -31.6%: each fails 5 of 5.
+A2A_THRESHOLD = 0.15
 
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
@@ -110,7 +118,7 @@ def main(argv=None) -> int:
                          min(args.threshold, ENGINE_THRESHOLD),
                          args.threshold_up)
 
-    label = "shard all-to-all messages/s"
+    label = "shard all-to-all calibrated messages/s"
     fresh_leg = fresh.get("shard", {}).get("all_to_all") or {}
     base_leg = baseline.get("shard", {}).get("all_to_all") or {}
     fresh_mps = fresh_leg.get(A2A_FIGURE)
@@ -125,7 +133,8 @@ def main(argv=None) -> int:
                   f"({base_leg.get('speedup_skip_reason')}); neutral")
         else:
             failed = ratchet(label, fresh_mps, base_mps,
-                             args.threshold, args.threshold_up) or failed
+                             min(args.threshold, A2A_THRESHOLD),
+                             args.threshold_up) or failed
 
     if failed:
         return 1

@@ -29,10 +29,14 @@ Times six things and writes ``BENCH_runner.json`` plus
   single-process and through :func:`repro.shard.run_sharded` (one
   worker process per node group): a ``rack_local`` leg whose traffic
   locality lets the shards free-run, and an ``all_to_all`` leg on a
-  WAN-latency fabric that exercises the windowed protocol (shared
-  memory struct exchange, adaptive lookahead). Both legs assert
-  bit-identical :class:`RunMetrics` and record simulated messages per
-  sharded host second (the all-to-all leg's ratchet unit); the
+  WAN-latency fabric that exercises the windowed protocol (pickled
+  pipe exchange, adaptive lookahead). Both legs assert bit-identical
+  :class:`RunMetrics` and record simulated messages per sharded host
+  second; the all-to-all leg repeats its sharded run, each bracketed
+  by the calibration kernel on as many CPUs as it has shards, and the
+  median calibrated figure
+  (``shard.all_to_all.calibrated_messages_per_second``) is the one
+  ``check_perf_regression.py`` ratchets; the
   aggregate-events/second speedup gate applies only where meaningful,
   with ``speedup_skip_reason`` recording why it was skipped
   (single-core box, serial fallback) so CI can treat the skip as
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import statistics
 import sys
@@ -70,6 +75,7 @@ from repro.experiments.workloads import make_workload
 from repro.machine.machine import Machine
 from repro.obs import EngineProfiler
 from repro.runner import ResultCache, default_jobs, run_specs
+from repro.runner.executor import fork_available
 from repro.sim.engine import _NO_ARG, Delay, Engine
 
 # The repository root, so the e2e benchmark's calibration kernel is
@@ -83,6 +89,9 @@ OBS_OVERHEAD_LIMIT = 0.10
 
 #: Unshimmed whole-machine runs behind the calibrated ratchet figure.
 CALIBRATED_RUNS = 15
+
+#: Sharded runs behind the calibrated all-to-all ratchet figure.
+A2A_RUNS = 9
 
 #: The fixed smoke sweep: 2 workloads x 2 skews x 2 trials, fast scale.
 SMOKE_SPECS = [
@@ -275,6 +284,54 @@ def _machine_run(force_general: bool = False,
             os.environ["REPRO_NO_FASTPATH"] = saved
 
 
+def _kernel_into(queue) -> None:
+    queue.put(host_calibration())
+
+
+def _host_calibration_on(cpus: int) -> float:
+    """Mean seconds of the host calibration kernel run at once in
+    ``cpus`` forked processes (in this process when ``cpus`` is 1 or
+    fork is unavailable). A run that keeps ``cpus`` CPUs busy is slowed
+    by contention on all of them, which one kernel alone does not see.
+    """
+    if cpus == 1 or not fork_available():
+        return host_calibration()
+    context = multiprocessing.get_context("fork")
+    queue = context.SimpleQueue()
+    procs = [context.Process(target=_kernel_into, args=(queue,))
+             for _ in range(cpus)]
+    for proc in procs:
+        proc.start()
+    seconds = [queue.get() for _ in procs]
+    for proc in procs:
+        proc.join()
+    return statistics.mean(seconds)
+
+
+def _calibrated_runs(runs: int, one_run, cpus: int = 1):
+    """Call ``one_run`` ``runs`` times, each call bracketed by runs of
+    the e2e benchmark's host calibration kernel on ``cpus`` CPUs.
+
+    ``one_run()`` returns ``(work, wall_seconds, result)``. Each call's
+    work per second is rescaled to a host that runs the kernel in
+    ``NOMINAL_CALIB_S``, taking the mean of the kernel times either
+    side of it as this host's (0.0 for a call that measured no wall).
+    Returns ``(calibrated, kernel_seconds, walls, results)``, one
+    calibrated rate, wall and result per call.
+    """
+    calibs = [_host_calibration_on(cpus)]
+    calibrated, walls, results = [], [], []
+    for _ in range(runs):
+        work, wall, result = one_run()
+        calibs.append(_host_calibration_on(cpus))
+        host_calib = (calibs[-2] + calibs[-1]) / 2
+        calibrated.append(work / (wall * NOMINAL_CALIB_S / host_calib)
+                          if wall else 0.0)
+        walls.append(wall)
+        results.append(result)
+    return calibrated, calibs, walls, results
+
+
 def bench_fastpath(runs: int = CALIBRATED_RUNS) -> dict:
     """Two-case fast-path accounting + zero-closure + identity gates,
     and the calibrated whole-machine throughput the ratchet gates.
@@ -294,16 +351,13 @@ def bench_fastpath(runs: int = CALIBRATED_RUNS) -> dict:
     it claims to have.
     """
     machine, metrics, counts, _wall = _machine_run(count_closures=True)
-    walls, calibs, calibrated, run_metrics = [], [], [], []
-    calibs.append(host_calibration())
-    for _ in range(runs):
+
+    def one_run():
         run_machine, run_metric, _c, wall = _machine_run()
-        calibs.append(host_calibration())
-        host_calib = (calibs[-2] + calibs[-1]) / 2
-        walls.append(wall)
-        calibrated.append(run_machine.engine.events_executed
-                          / (wall * NOMINAL_CALIB_S / host_calib))
-        run_metrics.append(run_metric)
+        return run_machine.engine.events_executed, wall, run_metric
+
+    calibrated, calibs, walls, run_metrics = _calibrated_runs(runs,
+                                                              one_run)
     general_machine, general_metrics, _, _ = _machine_run(
         force_general=True)
 
@@ -355,7 +409,8 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
                net_base_latency: int, expected_mode: str,
                group_size: int = 10, t_betw: int = 275,
                timeslice: int = 500_000,
-               fabric_credits: int = 16, seed: int = 1) -> dict:
+               fabric_credits: int = 16, seed: int = 1,
+               runs: int = 1) -> dict:
     """One serial-vs-sharded comparison on a synth workload.
 
     The gate requires bit-identical :class:`RunMetrics` always. The
@@ -365,6 +420,13 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
     ``speedup_required`` is False and ``speedup_skip_reason`` records
     why (single-core box, serial fallback) so the CI ratchet can treat
     the skip as neutral instead of silently passing.
+
+    The sharded side runs ``runs`` times through
+    :func:`_calibrated_runs`, with the kernel on ``shards`` CPUs at
+    once, the CPUs the workers occupy: ``calibrated_messages_per_second``
+    (the figure ``check_perf_regression.py`` ratchets) is the median of
+    the calibrated simulated messages per sharded host second, and the
+    raw wall-clock figures use the median sharded wall.
     """
     from repro.apps.synth import SynthApplication
     from repro.experiments.synth_sweeps import SYNTH_SKEW, T_HAND, \
@@ -391,27 +453,35 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
     serial_events = machine.engine.events_executed
     serial_eps = serial_events / serial_wall
 
-    extra: dict = {}
-    info: dict = {}
-    sharded_metrics = run_synth(
-        group_size, t_betw, seed=seed,
-        messages_per_node=messages_per_node, timeslice=timeslice,
-        shards=shards, locality_groups=locality_groups,
-        num_nodes=num_nodes, net_base_latency=net_base_latency,
-        fabric_credits=fabric_credits,
-        extra_out=extra, info=info)
-
-    mode = extra.get("shard_mode")
-    shard_events = info.get("shard_events", [])
-    sharded_wall = info.get("wall_seconds", 0.0)
-    aggregate_eps = (sum(shard_events) / sharded_wall
-                     if sharded_wall else 0.0)
     # Simulated work per host second: unlike events/s, no change to
     # how many engine events a message costs (parked spins) moves it.
     messages_sent = serial_metrics.messages_sent
+
+    def one_run():
+        extra: dict = {}
+        info: dict = {}
+        sharded_metrics = run_synth(
+            group_size, t_betw, seed=seed,
+            messages_per_node=messages_per_node, timeslice=timeslice,
+            shards=shards, locality_groups=locality_groups,
+            num_nodes=num_nodes, net_base_latency=net_base_latency,
+            fabric_credits=fabric_credits,
+            extra_out=extra, info=info)
+        return (messages_sent, info.get("wall_seconds", 0.0),
+                (sharded_metrics, extra, info))
+
+    calibrated, calibs, walls, results = _calibrated_runs(
+        runs, one_run, cpus=shards)
+    _metrics, extra, info = results[-1]
+    mode = extra.get("shard_mode")
+    shard_events = info.get("shard_events", [])
+    sharded_wall = statistics.median(walls)
+    aggregate_eps = (sum(shard_events) / sharded_wall
+                     if sharded_wall else 0.0)
     messages_per_second = (messages_sent / sharded_wall
                            if sharded_wall else 0.0)
-    identical = asdict(serial_metrics) == asdict(sharded_metrics)
+    identical = all(asdict(serial_metrics) == asdict(sharded_metrics)
+                    for sharded_metrics, _e, _i in results)
     if (os.cpu_count() or 1) < 2:
         speedup_required, skip_reason = False, "single-core box"
     elif mode != expected_mode:
@@ -440,6 +510,10 @@ def _shard_leg(leg: str, shards: int, num_nodes: int,
         "aggregate_events_per_second": aggregate_eps,
         "messages_sent": messages_sent,
         "sharded_messages_per_second": messages_per_second,
+        "runs": runs,
+        "host_calib_seconds": calibs,
+        "calibrated_samples": calibrated,
+        "calibrated_messages_per_second": statistics.median(calibrated),
         "speedup": aggregate_eps / serial_eps if serial_eps else 0.0,
         "epochs": extra.get("shard_epochs"),
         "cross_shard_messages": extra.get("cross_shard_messages"),
@@ -465,8 +539,8 @@ def bench_shard(shards: int = 2,
     * ``all_to_all`` — open-loop synth traffic with *no* locality on a
       WAN-latency fabric (base latency 600k cycles, matching deep
       per-destination credits): every send may cross shards, so the
-      run exercises the windowed protocol end to end — shared-memory
-      struct exchange, adaptive bounds, barrier accounting. The large
+      run exercises the windowed protocol end to end — the pickled
+      pipe exchange, adaptive bounds, barrier accounting. The large
       lookahead is what makes winning possible: each window carries
       hundreds of events per shard, so barrier and exchange costs
       amortize away. The exact shape (sparse sends relative to
@@ -485,7 +559,7 @@ def bench_shard(shards: int = 2,
         messages_per_node=1000, locality_groups=0,
         net_base_latency=600_000, expected_mode="windowed",
         group_size=1000, t_betw=40_000, timeslice=10 ** 9,
-        fabric_credits=256)
+        fabric_credits=256, runs=A2A_RUNS)
     return {
         "rack_local": rack_local,
         "all_to_all": all_to_all,
@@ -643,8 +717,9 @@ def main(argv=None) -> int:
               f"{leg['serial_events_per_second']:,.0f} events/s, "
               f"aggregate {leg['aggregate_events_per_second']:,.0f} "
               f"events/s (speedup {leg['speedup']:.2f}x, {required}), "
-              f"{leg['sharded_messages_per_second']:,.0f} messages/s, "
-              f"identical: {leg['metrics_identical']}")
+              f"{leg['sharded_messages_per_second']:,.0f} messages/s "
+              f"({leg['calibrated_messages_per_second']:,.0f} "
+              f"calibrated), identical: {leg['metrics_identical']}")
     print(f"obs: disabled {obs['disabled_events_per_second']:,.0f} "
           f"events/s, enabled {obs['enabled_events_per_second']:,.0f} "
           f"events/s (overhead {obs['overhead_fraction']:+.1%}, "

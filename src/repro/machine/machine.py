@@ -58,12 +58,12 @@ class ShardStats:
     cross_shard_messages: int = 0
     barrier_stalls: int = 0
     serial_fallbacks: int = 0
-    #: Exchange-channel accounting: struct-record plus pickled-fallback
-    #: bytes routed between shards, and static-window barriers skipped
-    #: by the adaptive (null-message) bound.
+    #: Exchange-channel accounting: pickled bytes of the outbound
+    #: batches routed between shards, and static-window barriers
+    #: skipped by the adaptive (null-message) bound.
     bytes_exchanged: int = 0
     empty_epochs_coalesced: int = 0
-    #: Wall-clock seconds spent struct-packing outboxes, summed over
+    #: Wall-clock seconds spent encoding outboxes, summed over
     #: workers. Nondeterministic: reported via ``info``/obs (as the
     #: ``shard.encode_seconds`` gauge), never via the cacheable
     #: ``extra`` payload.

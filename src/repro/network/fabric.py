@@ -205,23 +205,9 @@ class NetworkFabric:
                 raise RuntimeError(
                     f"launch toward node {dst} without network credit"
                 )
-            engine = self.engine
-            now = engine.now
-            message.inject_time = now
             occupancy[dst] += 1
-            stats = self.stats
-            stats.messages_sent += 1
-            stats.fast_path_sends += 1
-            stats.words_carried += message.length_words
-            arrival = now + self.topology.latency(
-                message.src, dst, message.length_words
-            )
-            pair = (message.src, dst)
-            floor = self._last_arrival.get(pair, -1) + 1
-            if arrival < floor:
-                arrival = floor
-            self._last_arrival[pair] = arrival
-            engine.schedule(arrival, self._arrive_fast, message)
+            self.engine.schedule(self._stamp(message), self._arrive_fast,
+                                 message)
             return
         message.validate()
         if message.dst not in self._ports:
@@ -266,6 +252,27 @@ class NetworkFabric:
         self._schedule_arrival(message, latency,
                                unordered=decision.unordered,
                                jitter=decision.jitter)
+
+    def _stamp(self, message: Message) -> int:
+        """Fast-path send bookkeeping: stamp the inject time, count the
+        send, and return its arrival cycle, the topology latency raised
+        to the per-(src, dst) FIFO floor (which it then becomes)."""
+        now = self.engine.now
+        message.inject_time = now
+        words = message.length_words
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.fast_path_sends += 1
+        stats.words_carried += words
+        src = message.src
+        dst = message.dst
+        arrival = now + self.topology.latency(src, dst, words)
+        pair = (src, dst)
+        floor = self._last_arrival.get(pair, -1) + 1
+        if arrival < floor:
+            arrival = floor
+        self._last_arrival[pair] = arrival
+        return arrival
 
     def _schedule_arrival(self, message: Message, latency: int,
                           unordered: bool = False,

@@ -4,10 +4,9 @@ Partitions the simulated machine into per-node-group shards, each
 owning its own calendar-queue engine in a forked worker process,
 synchronized with a conservative time-window protocol whose lookahead
 is the fabric's minimum cross-shard end-to-end latency. Cross-shard
-messages are the only inter-process traffic, batched per window and
-exchanged two-case: fixed-width struct records through pre-allocated
-shared-memory segments when every field is scalar, pickled tuples over
-the ``multiprocessing`` pipe when not (see :mod:`repro.shard.channel`).
+messages are the only inter-process traffic: batched per window and
+pickled, in send order, over each worker's ``multiprocessing`` pipe
+(see :mod:`repro.shard.channel`).
 
 The package is *self-certifying*: any condition under which sharded
 timing is not provably bit-identical to the single-engine run raises a
@@ -17,10 +16,7 @@ two-case delivery. See ``docs/SIMULATION.md`` ("Sharded execution")
 and ``docs/ARCHITECTURE.md`` for the full protocol.
 """
 
-from repro.shard.channel import (
-    ExchangeSegment, decode_message, encode_message, handler_table,
-    pack_record, table_crc, unpack_record,
-)
+from repro.shard.channel import decode_message, encode_message
 from repro.shard.coordinator import ShardStats, run_sharded
 from repro.shard.fabric import ShardFabric
 from repro.shard.lookahead import (
@@ -31,9 +27,8 @@ from repro.shard.machine import ShardMachine
 from repro.shard.partition import owner_of, partition_nodes
 
 __all__ = [
-    "MIN_MESSAGE_WORDS", "ExchangeSegment", "ShardFabric",
-    "ShardMachine", "ShardStats", "decode_message", "encode_message",
-    "handler_table", "lookahead_for", "min_cross_shard_latency",
-    "next_window_bound", "owner_of", "pack_record", "partition_nodes",
-    "run_sharded", "table_crc", "unpack_record", "windows_coalesced",
+    "MIN_MESSAGE_WORDS", "ShardFabric", "ShardMachine", "ShardStats",
+    "decode_message", "encode_message", "lookahead_for",
+    "min_cross_shard_latency", "next_window_bound", "owner_of",
+    "partition_nodes", "run_sharded", "windows_coalesced",
 ]

@@ -10,26 +10,17 @@ endpoints, bare functions) is *not* encodable; the caller treats that
 as a coupling flag and falls back to serial execution rather than
 guessing.
 
-The exchange itself is two-case. The **fast case** is a pre-allocated
-``multiprocessing.shared_memory`` segment per direction per worker,
-carrying fixed-width struct-packed records: every field of the wire
-tuple is a scalar, and the handler name is interned to a small integer
-against a table each replica derives identically from its application
-classes (verified by a CRC handshake at the first barrier). One
-``struct.pack_into`` per record on the way out; the coordinator routes
-records between segments as raw byte copies without ever unpacking more
-than the destination and arrival fields. The **buffered case** is the
-original pickled-tuple path over the pipe, used for anything the fixed
-record cannot carry — oversized or non-``int`` payloads (bools, floats,
-strings), bulk bodies, segment overflow — so correctness never depends
-on the fast format.
+The exchange carries the flattened tuples as they are: each worker's
+barrier report holds one list of ``(wire, origin)`` entries in send
+order, pickled over the worker's ``multiprocessing`` pipe, and the
+coordinator forwards each entry to its owner in the same order. Every
+payload shape (bools, floats, strings, ints of any size, bulk bodies)
+round-trips because pickle carries it.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.network.message import Message
 
@@ -75,139 +66,4 @@ def decode_message(encoded: Encoded, apps_by_gid: Dict[int, Any],
     return message, arrival
 
 
-# ----------------------------------------------------------------------
-# Fast case: fixed-width struct records in shared memory
-# ----------------------------------------------------------------------
-
-#: src, dst, gid, inject_time, arrival, origin, handler_id, bulk,
-#: payload_len, then MAX_FAST_PAYLOAD signed-64 payload slots.
-RECORD_STRUCT = struct.Struct("<iiiqqiHBB14q")
-RECORD_SIZE = RECORD_STRUCT.size
-#: Payload words a record can carry. ``MAX_MESSAGE_WORDS`` caps normal
-#: messages at 14 payload words, so only bulk bodies ever exceed this.
-MAX_FAST_PAYLOAD = 14
-
-_DST_STRUCT = struct.Struct("<i")
-_DST_OFFSET = 4
-_ARRIVAL_STRUCT = struct.Struct("<q")
-_ARRIVAL_OFFSET = 20
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-
-def handler_table(apps_by_gid: Dict[int, Any]) -> List[str]:
-    """The deterministic handler-name intern table for these apps.
-
-    Every shard derives the same table from its replicas' *classes*
-    (sorted union of method names), so no table ever crosses the wire —
-    only a CRC, checked at the first barrier. A mismatch is a protocol
-    breakdown and forces the serial path.
-    """
-    names = set()
-    for app in apps_by_gid.values():
-        cls = app.__class__
-        for name in dir(cls):
-            if callable(getattr(cls, name, None)):
-                names.add(name)
-    return sorted(names)
-
-
-def table_crc(names: Sequence[str]) -> int:
-    """Order-sensitive checksum of an intern table (deterministic
-    across processes, unlike salted ``hash()``)."""
-    return zlib.crc32("\x00".join(names).encode())
-
-
-def pack_record(buf, slot: int, encoded: Encoded, origin: int,
-                index: Dict[str, int]) -> bool:
-    """Pack one encoded message into ``buf`` at ``slot``; False if the
-    record needs the pickle fallback (non-int or oversized payload,
-    bulk body, unknown handler name)."""
-    src, dst, gid, name, payload, bulk, inject_time, arrival = encoded
-    handler_id = index.get(name)
-    if handler_id is None or bulk or len(payload) > MAX_FAST_PAYLOAD:
-        return False
-    for value in payload:
-        # type() not isinstance(): bool subclasses int but must
-        # round-trip as bool, which only pickle preserves.
-        if type(value) is not int or not (
-                _INT64_MIN <= value <= _INT64_MAX):
-            return False
-    words = tuple(payload) + (0,) * (MAX_FAST_PAYLOAD - len(payload))
-    RECORD_STRUCT.pack_into(
-        buf, slot * RECORD_SIZE, src, dst, gid, inject_time, arrival,
-        origin, handler_id, 0, len(payload), *words,
-    )
-    return True
-
-
-def unpack_record(buf, slot: int,
-                  names: Sequence[str]) -> Tuple[Encoded, int]:
-    """Inverse of :func:`pack_record`: ``(encoded, origin)``."""
-    fields = RECORD_STRUCT.unpack_from(buf, slot * RECORD_SIZE)
-    src, dst, gid, inject_time, arrival, origin = fields[:6]
-    handler_id, bulk, payload_len = fields[6:9]
-    payload = fields[9:9 + payload_len]
-    encoded = (src, dst, gid, names[handler_id], payload, bool(bulk),
-               inject_time, arrival)
-    return encoded, origin
-
-
-def peek_dst(buf, slot: int) -> int:
-    """Destination node of a packed record, without a full unpack."""
-    return _DST_STRUCT.unpack_from(
-        buf, slot * RECORD_SIZE + _DST_OFFSET)[0]
-
-
-def peek_arrival(buf, slot: int) -> int:
-    """Arrival cycle of a packed record, without a full unpack."""
-    return _ARRIVAL_STRUCT.unpack_from(
-        buf, slot * RECORD_SIZE + _ARRIVAL_OFFSET)[0]
-
-
-def copy_record(src_buf, src_slot: int, dst_buf, dst_slot: int) -> None:
-    """Route one record between segments as a raw byte copy."""
-    src_off = src_slot * RECORD_SIZE
-    dst_off = dst_slot * RECORD_SIZE
-    dst_buf[dst_off:dst_off + RECORD_SIZE] = \
-        src_buf[src_off:src_off + RECORD_SIZE]
-
-
-def raw_record(buf, slot: int) -> bytes:
-    """A record's bytes, detached from its segment (overflow relay)."""
-    off = slot * RECORD_SIZE
-    return bytes(buf[off:off + RECORD_SIZE])
-
-
-class ExchangeSegment:
-    """One direction of a worker's shared-memory exchange channel.
-
-    Created by the coordinator *before* forking, so workers inherit the
-    mapping for free; only the creator unlinks. Capacity overflow is not
-    an error — excess records ride the pipe (the buffered case).
-    """
-
-    def __init__(self, slots: int) -> None:
-        from multiprocessing import shared_memory
-
-        self.slots = slots
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=slots * RECORD_SIZE)
-        self.buf = self._shm.buf
-
-    def destroy(self) -> None:
-        """Creator-side teardown (close + unlink)."""
-        self.buf = None
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-__all__ = [
-    "Encoded", "ExchangeSegment", "MAX_FAST_PAYLOAD", "RECORD_SIZE",
-    "RECORD_STRUCT", "copy_record", "decode_message", "encode_message",
-    "handler_table", "pack_record", "peek_arrival", "peek_dst",
-    "raw_record", "table_crc", "unpack_record",
-]
+__all__ = ["Encoded", "decode_message", "encode_message"]

@@ -28,20 +28,12 @@ from repro.analysis.metrics import RunMetrics, collect_metrics, derive, merge
 from repro.apps.mailbox import MailboxStats
 from repro.machine.machine import Machine, ShardStats
 from repro.runner.executor import fork_available, notice_serial_fallback
-from repro.shard.channel import (
-    RECORD_SIZE, ExchangeSegment, copy_record, peek_arrival, peek_dst,
-    raw_record,
-)
 from repro.shard.lookahead import (
     lookahead_for, next_window_bound, windows_coalesced,
 )
 from repro.shard.partition import owner_of, partition_nodes
 from repro.shard.worker import shard_worker
 from repro.stats import fold, rules
-
-#: Fixed-width records per exchange segment (~1.2 MiB each at the
-#: 148-byte record size); overflow rides the pipe, it never fails.
-EXCHANGE_SLOTS = 8_192
 
 
 def _free_run_possible(apps: Sequence[Any],
@@ -212,31 +204,19 @@ def _run_workers(config, apps, measured_index, limit, groups,
                  lookahead, stats: ShardStats):
     """Spawn one forked worker per shard and drive the barriers.
 
-    Windowed mode pre-allocates one (outbound, inbound) pair of
-    shared-memory exchange segments per worker *before* forking, so
-    children inherit the mappings; the parent alone unlinks them.
     Returns the list of per-shard harvest dicts, or an error string
     (worker traceback / protocol breakdown) meaning "fall back".
     """
     context = multiprocessing.get_context("fork")
     conns = []
     procs = []
-    exchanges: List[Optional[Tuple[ExchangeSegment, ExchangeSegment]]]
-    exchanges = [None] * len(groups)
     try:
-        if lookahead is not None:
-            exchanges = [
-                (ExchangeSegment(EXCHANGE_SLOTS),
-                 ExchangeSegment(EXCHANGE_SLOTS))
-                for _ in groups
-            ]
         for index in range(len(groups)):
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=shard_worker,
                 args=(child_conn, index, groups, config, apps,
-                      measured_index, lookahead, limit,
-                      exchanges[index]),
+                      measured_index, lookahead, limit),
                 daemon=True,
             )
             proc.start()
@@ -245,8 +225,7 @@ def _run_workers(config, apps, measured_index, limit, groups,
             procs.append(proc)
 
         if lookahead is not None:
-            error = _drive_barriers(conns, groups, exchanges,
-                                    lookahead, stats)
+            error = _drive_barriers(conns, groups, lookahead, stats)
         else:
             error = _drive_finish_alignment(conns)
         if error is not None:
@@ -270,10 +249,6 @@ def _run_workers(config, apps, measured_index, limit, groups,
             if proc.is_alive():  # pragma: no cover - cleanup path
                 proc.terminate()
                 proc.join()
-        for exchange in exchanges:
-            if exchange is not None:
-                exchange[0].destroy()
-                exchange[1].destroy()
 
 
 def _drive_finish_alignment(conns) -> Optional[str]:
@@ -302,25 +277,24 @@ def _drive_finish_alignment(conns) -> Optional[str]:
     return None
 
 
-def _drive_barriers(conns, groups, exchanges, lookahead,
+def _drive_barriers(conns, groups, lookahead,
                     stats: ShardStats) -> Optional[str]:
     """The adaptive window loop: collect outboxes, route, re-bound.
 
-    Reports carry ``(epoch, packed_records, fallback, local_done,
-    in_flight, executed, next_event, table_crc)``. Struct records are
-    routed between shared-memory segments as raw byte copies (only the
-    destination and arrival fields are unpacked); pickled fallback
-    entries ride the pipe. The next window bound is derived from the
-    earliest pending event or routed arrival anywhere plus the static
-    lookahead (see :func:`repro.shard.lookahead.next_window_bound`),
-    so consecutive windows no shard has work for collapse into one.
+    Reports carry ``(epoch, outbound, local_done, in_flight, executed,
+    next_event)``. Each ``(wire, origin)`` entry of each shard's
+    outbound list is appended to its owner's batch, shards taken in
+    index order, so every origin's entries keep their send order. The
+    next window bound is derived from the earliest pending event or
+    routed arrival anywhere plus the static lookahead (see
+    :func:`repro.shard.lookahead.next_window_bound`), so consecutive
+    windows no shard has work for collapse into one.
 
     Termination: every shard reports local completion, nothing was
     exchanged this barrier, and no shard holds in-flight traffic — so
     no future window can contain any event that touches the job.
     """
     prev_bound = lookahead - 1
-    first_barrier = True
     while True:
         reports = []
         for index, conn in enumerate(conns):
@@ -334,53 +308,29 @@ def _drive_barriers(conns, groups, exchanges, lookahead,
                 return f"shard {index} sent unexpected {message[0]!r}"
             reports.append(message)
         stats.epochs += 1
-        if first_barrier:
-            first_barrier = False
-            if len({report[8] for report in reports}) != 1:
-                # pragma: no cover - replicas derive identical tables
-                return "handler intern tables diverged across shards"
-        in_counts = [0] * len(conns)
-        fallback_in: List[List[Any]] = [[] for _ in conns]
+        batches: List[List[Any]] = [[] for _ in conns]
         exchanged = 0
         min_arrival: Optional[int] = None
-        for index, report in enumerate(reports):
-            _, _, packed, fallback, _, _, executed, _, _ = report
+        for _, _, outbound, _, _, executed, _ in reports:
             if not executed:
                 stats.barrier_stalls += 1
-            src_buf = exchanges[index][0].buf
-            for slot in range(packed):
-                dst = peek_dst(src_buf, slot)
-                arrival = peek_arrival(src_buf, slot)
-                owner = owner_of(groups, dst)
-                in_seg = exchanges[owner][1]
-                filled = in_counts[owner]
-                if filled < in_seg.slots:
-                    copy_record(src_buf, slot, in_seg.buf, filled)
-                    in_counts[owner] = filled + 1
-                else:
-                    fallback_in[owner].append(
-                        ("raw", raw_record(src_buf, slot)))
-                if min_arrival is None or arrival < min_arrival:
-                    min_arrival = arrival
-                exchanged += 1
-            stats.bytes_exchanged += packed * RECORD_SIZE
-            for wire, origin in fallback:
-                owner = owner_of(groups, wire[1])  # wire[1] is dst
-                fallback_in[owner].append(("enc", wire, origin))
+            for entry in outbound:
+                wire = entry[0]
+                batches[owner_of(groups, wire[1])].append(entry)  # dst
                 arrival = wire[7]
                 if min_arrival is None or arrival < min_arrival:
                     min_arrival = arrival
-                exchanged += 1
-            if fallback:
-                stats.bytes_exchanged += len(pickle.dumps(fallback))
+            if outbound:
+                exchanged += len(outbound)
+                stats.bytes_exchanged += len(pickle.dumps(outbound))
         stats.cross_shard_messages += exchanged
-        all_done = all(report[4] for report in reports)
-        in_flight = sum(report[5] for report in reports)
+        all_done = all(report[3] for report in reports)
+        in_flight = sum(report[4] for report in reports)
         if all_done and not exchanged and not in_flight:
             for conn in conns:
                 conn.send(("finish",))
             return None
-        next_events = [report[7] for report in reports]
+        next_events = [report[6] for report in reports]
         arrivals = [] if min_arrival is None else [min_arrival]
         bound = next_window_bound(prev_bound, next_events, arrivals,
                                   lookahead)
@@ -390,8 +340,8 @@ def _drive_barriers(conns, groups, exchanges, lookahead,
         stats.empty_epochs_coalesced += windows_coalesced(
             prev_bound, bound, lookahead)
         prev_bound = bound
-        for conn, count, batch in zip(conns, in_counts, fallback_in):
-            conn.send(("continue", count, batch, bound))
+        for conn, batch in zip(conns, batches):
+            conn.send(("continue", batch, bound))
 
 
 __all__ = ["ShardStats", "run_sharded"]

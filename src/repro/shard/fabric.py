@@ -75,30 +75,15 @@ class ShardFabric(NetworkFabric):
                 self._note_arrival(dst, arrival, self.shard_index)
                 self.occ_injects[dst].append(message.inject_time)
             return
-        # Cross-shard: replicate the monolithic fast path's send-side
-        # bookkeeping exactly — except the occupancy bump, which the
-        # owning shard performs at injection (see inject_remote). The
-        # arrival cycle, including the FIFO floor, is fully determined
+        # Cross-shard: the monolithic fast path's send-side bookkeeping
+        # (the arrival cycle, FIFO floor included, is fully determined
         # here because this shard launches *all* traffic on this
-        # (src, dst) pair.
-        engine = self.engine
-        now = engine.now
-        message.inject_time = now
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.fast_path_sends += 1
-        stats.words_carried += message.length_words
-        arrival = now + self.topology.latency(
-            message.src, dst, message.length_words
-        )
-        pair = (message.src, dst)
-        floor = self._last_arrival.get(pair, -1) + 1
-        if arrival < floor:
-            arrival = floor
-        self._last_arrival[pair] = arrival
+        # (src, dst) pair), minus the occupancy bump, which the owning
+        # shard performs at injection (see inject_remote).
+        arrival = self._stamp(message)
         self.cross_shard_sends += 1
         if self.track_identity:
-            self.occ_injects[dst].append(now)
+            self.occ_injects[dst].append(message.inject_time)
         self.outbox.append((arrival, message))
 
     def take_outbox(self) -> List[Tuple[int, Message]]:

@@ -93,19 +93,28 @@ def _with_a2a(engine_eps, messages_per_s, required=True, **leg):
 
 def test_all_to_all_leg_ratchets_messages_not_events(
         tmp_path, monkeypatch, capsys):
-    # The committed side had far more events/s; only messages/s counts.
+    # The committed side had far more events/s and raw messages/s; only
+    # the calibrated messages/s counts.
     monkeypatch.setattr(gate, "committed_baseline", lambda path=None:
                         _with_a2a(1_000_000, 10_000,
-                                  aggregate_events_per_second=900_000))
+                                  aggregate_events_per_second=900_000,
+                                  sharded_messages_per_second=50_000))
     same = _write(tmp_path / "same.json", _with_a2a(
-        1_000_000, 10_500, aggregate_events_per_second=300_000))
+        1_000_000, 10_500, aggregate_events_per_second=300_000,
+        sharded_messages_per_second=5_000))
     assert gate.main(["--fresh", same]) == 0
-    assert "shard all-to-all messages/s" in capsys.readouterr().out
-
-    slow = _write(tmp_path / "slow.json", _with_a2a(1_000_000, 7_000))
-    assert gate.main(["--fresh", slow]) == 1
-    assert "FAIL: shard all-to-all messages/s regressed" in \
+    assert "shard all-to-all calibrated messages/s" in \
         capsys.readouterr().out
+
+    # The floor is narrowed to A2A_THRESHOLD even at --threshold 0.2.
+    below = 10_000 * (1 - gate.A2A_THRESHOLD) * 0.99
+    slow = _write(tmp_path / "slow.json", _with_a2a(1_000_000, below))
+    assert gate.main(["--fresh", slow, "--threshold", "0.2"]) == 1
+    assert "FAIL: shard all-to-all calibrated messages/s regressed" in \
+        capsys.readouterr().out
+    above = 10_000 * (1 - gate.A2A_THRESHOLD) * 1.01
+    assert gate.main(["--fresh", _write(tmp_path / "above.json",
+                                        _with_a2a(1_000_000, above))]) == 0
 
     fast = _write(tmp_path / "fast.json", _with_a2a(1_000_000, 13_000))
     assert gate.main(["--fresh", fast]) == 1

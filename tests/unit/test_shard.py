@@ -7,6 +7,7 @@ plans, fork unavailable, coupling flags). The whole-run bit-identity
 properties live in ``tests/property/test_prop_shard.py``.
 """
 
+import pickle
 from dataclasses import asdict
 
 import pytest
@@ -20,15 +21,9 @@ from repro.machine.machine import Machine
 from repro.network.message import Message
 from repro.network.topology import MeshTopology
 from repro.shard import (
-    MIN_MESSAGE_WORDS, ExchangeSegment, ShardMachine, decode_message,
-    encode_message, handler_table, lookahead_for,
-    min_cross_shard_latency, next_window_bound, owner_of, pack_record,
-    partition_nodes, run_sharded, table_crc, unpack_record,
-    windows_coalesced,
-)
-from repro.shard.channel import (
-    MAX_FAST_PAYLOAD, RECORD_SIZE, copy_record, peek_arrival, peek_dst,
-    raw_record,
+    MIN_MESSAGE_WORDS, ShardMachine, decode_message, encode_message,
+    lookahead_for, min_cross_shard_latency, next_window_bound, owner_of,
+    partition_nodes, run_sharded, windows_coalesced,
 )
 from repro.shard.coordinator import _occupancy_exceeded
 
@@ -101,6 +96,28 @@ class TestLookahead:
         assert lookahead == topology.latency(0, 1, MIN_MESSAGE_WORDS)
 
 
+def _through_pipe(app, replica, payload, bulk=False):
+    """Encode one message, pickle it as the worker pipe does, decode it
+    against ``replica`` and check every field came back exactly."""
+    message = Message(dst=2, handler=app._h_request, payload=payload,
+                      src=0, gid=5, bulk=bulk)
+    message.inject_time = 123
+    wire = encode_message(message, 456, {5: app})
+    assert wire is not None
+    wire = pickle.loads(pickle.dumps(wire))
+    decoded = decode_message(wire, {5: replica})
+    assert decoded is not None
+    rebuilt, arrival = decoded
+    assert arrival == 456
+    assert rebuilt.inject_time == 123
+    assert (rebuilt.src, rebuilt.dst, rebuilt.gid) == (0, 2, 5)
+    assert rebuilt.payload == payload
+    assert [type(v) for v in rebuilt.payload] == \
+        [type(v) for v in payload]
+    assert rebuilt.bulk is bulk
+    return rebuilt
+
+
 class TestChannel:
     def _apps(self):
         app = SynthApplication(num_nodes=4)
@@ -109,21 +126,20 @@ class TestChannel:
 
     def test_round_trip_rebinds_against_replica(self):
         app, replica = self._apps()
-        message = Message(dst=2, handler=app._h_request,
-                          payload=(0, 17), src=0, gid=5)
-        message.inject_time = 123
-        wire = encode_message(message, 456, {5: app})
-        assert wire is not None
-        decoded = decode_message(wire, {5: replica})
-        assert decoded is not None
-        rebuilt, arrival = decoded
-        assert arrival == 456
-        assert rebuilt.inject_time == 123
-        assert (rebuilt.src, rebuilt.dst, rebuilt.gid) == (0, 2, 5)
-        assert rebuilt.payload == (0, 17)
-        # The handler is the *replica's* bound method, not the source's.
-        assert rebuilt.handler.__self__ is replica
-        assert rebuilt.handler.__func__ is app._h_request.__func__
+        shapes = [
+            ((0, 17), False),
+            ((), False),
+            ((True, False, 1), False),      # bools stay bools
+            ((1.5, "gateway"), False),      # a float and a string
+            ((1 << 63, -(1 << 70)), False),  # ints beyond 64 bits
+            (tuple(range(40)), True),       # a bulk body
+        ]
+        for payload, bulk in shapes:
+            rebuilt = _through_pipe(app, replica, payload, bulk)
+            # The handler is the *replica's* bound method, not the
+            # source's.
+            assert rebuilt.handler.__self__ is replica
+            assert rebuilt.handler.__func__ is app._h_request.__func__
 
     def test_unregistered_gid_is_unresolvable(self):
         app, _ = self._apps()
@@ -145,6 +161,61 @@ class TestChannel:
         message = Message(dst=1, handler=lambda rt, msg: None,
                           payload=(), src=0, gid=5)
         assert encode_message(message, 10, {5: app}) is None
+
+
+class TestStructCodec:
+    """The payload shapes the fixed-width struct records once carried,
+    and the ones they refused. The exchange now has one pickled case,
+    so every shape must come through it unchanged."""
+
+    def _apps(self):
+        return SynthApplication(num_nodes=4), SynthApplication(num_nodes=4)
+
+    def test_round_trip(self):
+        # A barrier report is one list of (wire, origin) in send order;
+        # the pipe must hand it over entry for entry.
+        app, replica = self._apps()
+        batch = []
+        for origin, payload in enumerate([(0, 17), (1, 2), (3,)]):
+            message = Message(dst=2, handler=app._h_request,
+                              payload=payload, src=0, gid=5)
+            message.inject_time = 100 + origin
+            batch.append((encode_message(message, 456 + origin,
+                                         {5: app}), origin))
+        carried = pickle.loads(pickle.dumps(batch))
+        assert carried == batch
+        for (wire, origin), (sent, _) in zip(carried, batch):
+            rebuilt, arrival = decode_message(wire, {5: replica})
+            assert arrival == 456 + origin
+            assert rebuilt.inject_time == 100 + origin
+            assert rebuilt.payload == sent[4]
+
+    def test_empty_and_full_payloads(self):
+        app, replica = self._apps()
+        for payload in ((), tuple(range(1000))):
+            _through_pipe(app, replica, payload)
+
+    def test_int64_extremes_round_trip(self):
+        app, replica = self._apps()
+        _through_pipe(app, replica, (-(1 << 63), (1 << 63) - 1))
+        _through_pipe(app, replica, (-(1 << 63) - 1, 1 << 63, 1 << 200))
+
+    def test_fallback_shapes_refuse_the_fast_case(self):
+        # No fast case is left to refuse them: each shape rides the one
+        # pickled case with its type intact.
+        app, replica = self._apps()
+        for payload, bulk in [
+            ((True,), False),          # bool stays bool, not int
+            ((1.5,), False),           # float
+            (("gateway",), False),     # string
+            ((1 << 63,), False),       # past int64
+            ((7, 8, 9), True),         # bulk body
+        ]:
+            _through_pipe(app, replica, payload, bulk)
+        # A handler the replica does not have is still refused.
+        wire = (0, 2, 5, "not_a_handler", (), False, 123, 456)
+        assert decode_message(pickle.loads(pickle.dumps(wire)),
+                              {5: replica}) is None
 
 
 class TestAdaptiveLookahead:
@@ -177,97 +248,6 @@ class TestAdaptiveLookahead:
         assert windows_coalesced(0, 199, 100) == 0
         assert windows_coalesced(0, 200, 100) == 1
         assert windows_coalesced(0, 1000, 100) == 9
-
-
-class TestStructCodec:
-    def _wire(self, payload=(0, 17), bulk=False, name="_h_request"):
-        # (src, dst, gid, handler_name, payload, bulk, inject, arrival)
-        return (0, 2, 5, name, payload, bulk, 123, 456)
-
-    def _table(self):
-        app = SynthApplication(num_nodes=4)
-        names = handler_table({5: app})
-        return names, {name: i for i, name in enumerate(names)}
-
-    def test_round_trip(self):
-        names, index = self._table()
-        buf = bytearray(4 * RECORD_SIZE)
-        wire = self._wire()
-        assert pack_record(buf, 2, wire, origin=1, index=index)
-        encoded, origin = unpack_record(buf, 2, names)
-        assert encoded == wire
-        assert origin == 1
-        assert peek_dst(buf, 2) == 2
-        assert peek_arrival(buf, 2) == 456
-
-    def test_empty_and_full_payloads(self):
-        names, index = self._table()
-        buf = bytearray(2 * RECORD_SIZE)
-        for slot, payload in ((0, ()),
-                              (1, tuple(range(MAX_FAST_PAYLOAD)))):
-            wire = self._wire(payload=payload)
-            assert pack_record(buf, slot, wire, origin=0, index=index)
-            assert unpack_record(buf, slot, names)[0] == wire
-
-    def test_int64_extremes_round_trip(self):
-        names, index = self._table()
-        buf = bytearray(RECORD_SIZE)
-        wire = self._wire(payload=(-(1 << 63), (1 << 63) - 1))
-        assert pack_record(buf, 0, wire, origin=0, index=index)
-        assert unpack_record(buf, 0, names)[0] == wire
-
-    def test_fallback_shapes_refuse_the_fast_case(self):
-        names, index = self._table()
-        buf = bytearray(RECORD_SIZE)
-        rejects = [
-            self._wire(payload=(True,)),       # bool is not int here
-            self._wire(payload=(1.5,)),        # float
-            self._wire(payload=("gateway",)),  # string
-            self._wire(payload=(1 << 63,)),    # overflows int64
-            self._wire(payload=tuple(range(MAX_FAST_PAYLOAD + 1))),
-            self._wire(bulk=True),             # bulk body rides the pipe
-            self._wire(name="not_a_handler"),  # unknown to the table
-        ]
-        for wire in rejects:
-            assert not pack_record(buf, 0, wire, origin=0, index=index)
-
-    def test_handler_table_is_deterministic_across_replicas(self):
-        app = SynthApplication(num_nodes=4)
-        replica = SynthApplication(num_nodes=8, seed=9)
-        table_a = handler_table({5: app, 7: NullApplication()})
-        table_b = handler_table({5: replica, 7: NullApplication()})
-        assert table_a == table_b
-        assert table_a == sorted(table_a)
-        assert table_crc(table_a) == table_crc(table_b)
-
-    def test_crc_is_order_and_content_sensitive(self):
-        assert table_crc(["a", "b"]) != table_crc(["b", "a"])
-        assert table_crc(["a", "b"]) != table_crc(["ab"])
-        assert table_crc(["a", "b"]) != table_crc(["a", "b", "c"])
-
-    def test_copy_and_raw_record_preserve_bytes(self):
-        names, index = self._table()
-        src_buf = bytearray(RECORD_SIZE)
-        dst_buf = bytearray(3 * RECORD_SIZE)
-        wire = self._wire(payload=(7, 8, 9))
-        assert pack_record(src_buf, 0, wire, origin=1, index=index)
-        copy_record(src_buf, 0, dst_buf, 1)
-        assert unpack_record(dst_buf, 1, names) == (wire, 1)
-        detached = raw_record(src_buf, 0)
-        assert detached == bytes(src_buf[:RECORD_SIZE])
-        assert isinstance(detached, bytes)
-
-    def test_exchange_segment_lifecycle(self):
-        names, index = self._table()
-        segment = ExchangeSegment(slots=4)
-        try:
-            wire = self._wire()
-            assert pack_record(segment.buf, 3, wire, origin=0,
-                               index=index)
-            assert unpack_record(segment.buf, 3, names) == (wire, 0)
-        finally:
-            segment.destroy()
-        assert segment.buf is None
 
 
 class TestCrossShardFifo:
@@ -304,6 +284,73 @@ class TestCrossShardFifo:
                                   payload=(), src=0, gid=1))
         assert shard.fabric.take_outbox() == []
         assert shard.fabric.cross_shard_sends == 0
+
+
+class TestCrossShardFerry:
+    """One window's outbox carried from shard 0 to shard 1 the way the
+    worker and coordinator carry it (encode, pickle, decode, inject),
+    without processes: every delivery cycle must match the monolithic
+    machine's."""
+
+    #: (src, dst, payload) on 4 nodes split (0, 1) | (2, 3): a
+    #: long-then-short burst on 0 -> 2 that only the FIFO floor keeps
+    #: in order, then a burst from both shard-0 nodes into node 3 whose
+    #: last two messages arrive in the same cycle behind one already
+    #: queued, so send order alone decides which of them blocks.
+    SENDS = ((0, 2, tuple(range(10))), (0, 2, ()), (0, 2, (1,)),
+             (1, 3, ()), (0, 3, ()), (1, 3, (1, 2)))
+
+    def _deliveries(self, messages):
+        return {(m.src, m.dst, m.payload): m.deliver_time
+                for m in messages}
+
+    def _send_all(self, machine):
+        app = SynthApplication(num_nodes=4)
+        gid = machine.add_job(app).gid
+        sent = []
+        for src, dst, payload in self.SENDS:
+            message = Message(dst=dst, handler=app._h_request,
+                              payload=payload, src=src, gid=gid)
+            machine.fabric.send(message)
+            sent.append(message)
+        return sent
+
+    def _monolithic(self):
+        machine = Machine(SimulationConfig(num_nodes=4, seed=1))
+        sent = self._send_all(machine)
+        machine.engine.run()
+        return self._deliveries(sent)
+
+    def _ferried(self, reverse=False):
+        config = SimulationConfig(num_nodes=4, seed=1)
+        groups = partition_nodes(4, 2)
+        source = ShardMachine(config, groups, 0)
+        owner = ShardMachine(config, groups, 1)
+        self._send_all(source)
+        owner.add_job(SynthApplication(num_nodes=4))
+        outbound = [(encode_message(message, arrival, source.apps_by_gid), 0)
+                    for arrival, message in source.fabric.take_outbox()]
+        batch = pickle.loads(pickle.dumps(outbound))
+        if reverse:
+            batch.reverse()
+        ferried = []
+        for wire, origin in batch:
+            message, arrival = decode_message(wire, owner.apps_by_gid)
+            owner.fabric.inject_remote(message, arrival, origin)
+            ferried.append(message)
+        owner.engine.run()
+        assert not owner.fabric.flags
+        return self._deliveries(ferried)
+
+    def test_ferried_deliveries_match_monolithic(self):
+        expected = self._monolithic()
+        assert None not in expected.values()
+        assert self._ferried() == expected
+
+    def test_reversed_batch_breaks_identity(self):
+        # Send order is the whole contract: the same entries injected
+        # in reverse order deliver at different cycles.
+        assert self._ferried(reverse=True) != self._monolithic()
 
 
 def _synth_apps(**kwargs):
