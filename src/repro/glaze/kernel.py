@@ -460,7 +460,8 @@ class NodeKernel:
             state.drain_active = False
             return
         if self.processor.in_kernel:
-            self.engine.call_after(1, self._try_push_drain, state)
+            self.engine.schedule(self.engine.now + 1, self._try_push_drain,
+                                 state)
             return
         frame = Frame(
             state.runtime.drain_loop(),

@@ -55,7 +55,8 @@ import enum
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from repro.sim.engine import Engine, SimulationError, flyweight_table
+from repro.sim.engine import (Deadline, Engine, SimulationError,
+                              flyweight_table)
 from repro.sim.events import Event
 
 
@@ -140,7 +141,7 @@ class Frame:
 
     __slots__ = (
         "gen", "name", "kernel", "state", "on_done",
-        "_delay_end", "_remaining", "_wake", "_wait_event",
+        "_delay_end", "_remaining", "_wait_event",
         "_ready_value", "_has_ready_value", "result", "job_gid",
         "_spin", "_park_origin",
     )
@@ -156,7 +157,6 @@ class Frame:
         self.job_gid = job_gid
         self._delay_end = 0
         self._remaining = 0
-        self._wake = None
         self._wait_event: Optional[Event] = None
         self._ready_value: Any = None
         self._has_ready_value = False
@@ -192,7 +192,10 @@ class Processor:
         self.user_cycles = 0
         self.kernel_cycles = 0
         self._busy_since: Optional[int] = None
-        # Bound once: every compute wake schedules it.
+        #: The top frame's compute or spin wake. Only the top frame can
+        #: be in DELAY, so one re-armable deadline serves every frame.
+        self._wake = Deadline(engine)
+        # Bound once: every compute wake arms one of them.
         self._bound_delay_done = self._delay_done
         self._bound_spin_wake = self._spin_wake
 
@@ -355,11 +358,9 @@ class Processor:
                 if cycles == 0:
                     value = None
                     continue
-                engine = self.engine
                 frame.state = _DELAY
-                end = frame._delay_end = engine.now + cycles
-                frame._wake = engine.call_at(end, self._bound_delay_done,
-                                             frame)
+                end = frame._delay_end = self.engine.now + cycles
+                self._wake.arm(end, self._bound_delay_done, frame)
                 if frame.kernel:
                     self.kernel_cycles += cycles
                 else:
@@ -385,9 +386,8 @@ class Processor:
             )
 
     def _delay_done(self, frame: Frame) -> None:
-        # The wake is cancelled on suspend, so arriving here means the
+        # The wake is cleared on suspend, so arriving here means the
         # frame is on top and its compute interval completed.
-        frame._wake = None
         stack = self._stack
         if not stack or stack[-1] is not frame:
             raise SimulationError(
@@ -403,12 +403,11 @@ class Processor:
         frame.state = _DELAY
         frame._park_origin = now
         frame._delay_end = now + span
-        frame._wake = engine.call_at(now + span, self._bound_spin_wake, frame)
+        self._wake.arm(now + span, self._bound_spin_wake, frame)
         self._charge(frame, span)
 
     def _spin_wake(self, frame: Frame) -> None:
         """A spin's chunk boundary: exit if ``done()``, else park again."""
-        frame._wake = None
         stack = self._stack
         if not stack or stack[-1] is not frame:
             raise SimulationError(
@@ -457,8 +456,7 @@ class Processor:
 
     def _suspend(self, frame: Frame) -> None:
         if frame.state is _DELAY:
-            frame._wake.cancel()
-            frame._wake = None
+            self._wake.clear()
             now = self.engine.now
             # Uncharge everything charged ahead of now; the remainder
             # is re-charged on resume.
@@ -487,7 +485,7 @@ class Processor:
             frame.state = _DELAY
             frame._delay_end = self.engine.now + frame._remaining
             self._charge(frame, frame._remaining)
-            frame._wake = self.engine.call_at(
+            self._wake.arm(
                 frame._delay_end,
                 self._bound_delay_done if frame._spin is None
                 else self._bound_spin_wake,

@@ -13,15 +13,17 @@ Hardware behaviour being modelled:
   progress on the message queue restarts the countdown.
 
 Because the counter is preset whenever disabled, enabling always starts
-a full countdown; the event-driven model is therefore a cancellable
-scheduled timeout rather than a per-cycle decrement.
+a full countdown; the event-driven model is therefore one re-armable
+engine :class:`~repro.sim.engine.Deadline` rather than a per-cycle
+decrement. Enable, restart and disable re-arm or clear it in place,
+allocating nothing, as presetting the hardware register costs nothing.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Deadline, Engine
 
 
 class AtomicityTimer:
@@ -34,16 +36,16 @@ class AtomicityTimer:
         self.engine = engine
         self.preset = preset
         self.on_timeout = on_timeout
-        self._entry = None
+        self._wake = Deadline(engine)
         self.timeouts = 0
 
     @property
     def enabled(self) -> bool:
-        return self._entry is not None
+        return self._wake.armed
 
     @property
     def deadline(self) -> Optional[int]:
-        return self._entry.time if self._entry is not None else None
+        return self._wake.time
 
     def set_preset(self, preset: int) -> None:
         """Kernel write of the *atomicity-timeout* register.
@@ -57,20 +59,19 @@ class AtomicityTimer:
 
     def enable(self) -> None:
         """Start the countdown if not already running."""
-        if self._entry is None:
-            self._entry = self.engine.call_after(self.preset, self._fire)
+        wake = self._wake
+        if not wake.armed:
+            wake.arm(self.engine.now + self.preset, self._fire)
 
     def disable(self) -> None:
         """Stop the countdown and preset the counter."""
-        if self._entry is not None:
-            self._entry.cancel()
-            self._entry = None
+        self._wake.clear()
 
     def restart(self) -> None:
         """Dispose semantics: preset, then resume counting if enabled."""
-        if self._entry is not None:
-            self._entry.cancel()
-            self._entry = self.engine.call_after(self.preset, self._fire)
+        wake = self._wake
+        if wake.armed:
+            wake.arm(self.engine.now + self.preset, self._fire)
 
     def update(self, should_enable: bool) -> None:
         """Drive the enable condition from NI state."""
@@ -80,7 +81,6 @@ class AtomicityTimer:
             self.disable()
 
     def _fire(self) -> None:
-        self._entry = None
         self.timeouts += 1
         self.on_timeout()
 

@@ -157,8 +157,8 @@ class Observatory:
         # the engine run queue stays hot — the counters exist to show
         # exactly that two-case trade-off.
         total("engine.runq_events", engine.runq_events)
-        # Calendar-queue tiers: bucket hits vs far-future overflow-heap
-        # entries, and how coarse the per-cycle batching ran.
+        # Heap events, the per-cycle batch count, and the overflow tier
+        # counter the one-heap engine keeps at 0 (see OBSERVABILITY.md).
         total("engine.ring_events", engine.ring_events)
         total("engine.overflow_scheduled", engine.overflow_scheduled)
         total("engine.cycle_batches", engine.cycle_batches)

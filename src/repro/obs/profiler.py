@@ -1,10 +1,12 @@
 """Opt-in wall-clock profiler for the engine hot loop.
 
-Attaching an :class:`EngineProfiler` shadows ``engine.call_at`` with a
-wrapper that times every executed callback and buckets the wall-clock
-cost by the callback's defining subsystem (the first two components of
-its ``__module__``, e.g. ``repro.sim``, ``repro.glaze``). Detaching
-restores the original method.
+Attaching an :class:`EngineProfiler` shadows ``engine.call_at``,
+``engine.schedule`` and the ``arm`` of every
+:class:`~repro.sim.engine.Deadline` built on the engine with wrappers
+that time every executed callback and bucket the wall-clock cost by
+the callback's defining subsystem (the first two components of its
+``__module__``, e.g. ``repro.sim``, ``repro.glaze``). Detaching
+restores the original methods.
 
 This is strictly a wall-clock instrument: it never touches simulated
 time, event ordering or any simulation state, so profiled runs produce
@@ -44,8 +46,8 @@ class EngineProfiler:
 
     # ------------------------------------------------------------------
     def attach(self) -> "EngineProfiler":
-        """Shadow ``engine.call_at`` and ``engine.schedule`` with the
-        timing wrappers."""
+        """Shadow ``engine.call_at``, ``engine.schedule`` and each
+        deadline's ``arm`` with the timing wrappers."""
         if self._attached:
             return self
         original_call_at = self.engine.call_at    # bound class methods
@@ -76,12 +78,19 @@ class EngineProfiler:
         def profiled_schedule(when: int, fn: Callable, arg: Any = _NO_ARG):
             return original_schedule(when, wrap(fn, arg))
 
+        def profiled_arm(original_arm):
+            def arm(when: int, fn: Callable, arg: Any = _NO_ARG) -> None:
+                original_arm(when, wrap(fn, arg))
+            return arm
+
         # Instance attributes shadow the class methods; everything that
         # schedules through this engine (call_after, call_soon, timeout,
-        # process resumes) funnels into one of these two, so the pair
-        # covers the machine.
+        # process resumes, processor and timer wakes) funnels into one
+        # of these, so they cover the machine.
         self.engine.call_at = profiled_call_at
         self.engine.schedule = profiled_schedule
+        for deadline in self.engine._deadlines:
+            deadline.arm = profiled_arm(deadline.arm)
         self._attached = True
         return self
 
@@ -89,6 +98,8 @@ class EngineProfiler:
         if self._attached:
             del self.engine.call_at  # un-shadow the class methods
             del self.engine.schedule
+            for deadline in self.engine._deadlines:
+                del deadline.arm
             self._attached = False
 
     def __enter__(self) -> "EngineProfiler":

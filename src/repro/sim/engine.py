@@ -1,4 +1,4 @@
-"""The discrete-event engine: clock, calendar queue and generator processes.
+"""The discrete-event engine: clock, event heap and generator processes.
 
 The engine is deliberately small. All simulation behaviour above it is
 expressed either as scheduled callbacks or as *processes* — Python
@@ -12,87 +12,85 @@ Processes may also raise ``StopIteration`` (returning a value) which
 triggers the process's ``done`` event, so processes can wait for each
 other by yielding ``other_process.done``.
 
-Two-case scheduling
--------------------
+Scheduling primitives
+---------------------
 
-The engine itself exploits the paper's two-case idea: the common case
-(a callback that needs no cancellation handle, or one scheduled a small
-constant number of cycles ahead) pays for none of the machinery the
-uncommon case needs.
+The engine exploits the paper's two-case idea: the common case pays for
+none of the machinery the uncommon case needs.
 
-* :meth:`Engine.schedule` is the fast case — no ``_ScheduledCall``
-  handle is allocated.
+* :meth:`Engine.schedule` is the fast case — no handle is allocated.
 * :meth:`Engine.call_at` is the general case — it returns a cancellable
-  handle, at the cost of one fresh ``_ScheduledCall`` per call. Handles
-  are never recycled: a caller may hold one past its firing, and a
-  ``cancel()`` through a stale handle must not reach a later callback.
-* Callbacks for the current cycle bypass timed storage entirely: they
-  go on a same-cycle **run queue** (a plain FIFO) drained after the
-  cycle's timed entries.
+  ``_ScheduledCall``, one fresh handle per call. Handles are never
+  recycled: a caller may hold one past its firing, and a ``cancel()``
+  through a stale handle must not reach a later callback.
+* A :class:`Deadline` is a re-armable single-shot callback for owners
+  that keep re-timing one wake: a processor's compute wake, an
+  atomicity timer. ``arm`` and ``clear`` allocate nothing in the
+  common case, yet dispatch exactly like cancel + ``call_at``.
+* Callbacks for the current cycle bypass timed storage: they go on a
+  same-cycle **run queue** (a plain FIFO) drained after the cycle's
+  timed entries.
 
-Calendar queue
---------------
+Event heap
+----------
 
-Timed storage is a classic calendar (bucket) queue keyed on the integer
-cycle clock, not a binary heap. Almost every delay charged by the
-simulator is a small constant from :mod:`repro.core.costs`, so the
-engine keeps a power-of-two ring of per-cycle buckets covering the
-sliding window ``[now, now + window)`` — window sized at import time to
-cover the largest per-message cost constant — and schedules into bucket
-``time & (window - 1)`` in O(1). The rare far-future entry (long
-timeout, scheduler timeslice, page-out) goes to a heap-backed
-**overflow tier** ordered by ``(time, seq)`` tuple comparison.
+Timed storage is one binary heap of ``(time, seq, x, marker)`` tuples.
+Every heap push and every ``Deadline.arm`` for a later cycle takes the
+next ``seq``, so ``seq`` is unique and tuple comparison never reaches
+``x``. The heap
+pops in global ``(time, seq)`` order: same-time entries run in schedule
+order. The run queue keeps that order: while the clock reads ``T``,
+every timed entry at ``T`` was pushed while ``now < T``, before any
+same-cycle schedule made at ``T``, so draining the heap's ``T`` entries
+first and the run queue second is ``(time, seq)`` order.
 
-Ordering is exactly the heap engine's global ``(time, seq)`` FIFO:
+A :class:`Deadline` keeps its live key ``(time, seq)`` on itself and
+*carriers* — heap tuples naming it — in the heap. ``arm`` reserves the
+``seq`` a ``call_at`` would take at that moment and pushes a carrier
+only when none of its carriers is queued at or before the new time;
+``clear`` only marks the deadline idle. A carrier that reaches the heap
+top (in the drain or in :meth:`Engine.peek_time`) fires only if its key
+is still the live key. Otherwise it is dropped, or re-pushed under the
+live key unless another of the deadline's carriers is queued at or
+before the live time.
+Exactness follows from two facts:
 
-* a bucket is only ever populated with entries for one absolute time
-  (everything in the ring lies within one window of ``now``), so
-  bucket append order is schedule order;
-* overflow entries at time ``T`` can only exist while ``T >= now +
-  window``, and direct ring inserts at ``T`` only happen once ``now >
-  T - window`` — strictly later. The overflow tier is pulled into the
-  ring *eagerly at every clock advance* (before any callback at the
-  new ``now`` runs), so pulled entries land in their bucket ahead of
-  any later direct insert, in heap ``(time, seq)`` order. Append order
-  therefore equals global schedule order in every bucket.
+* the live key is never below the deadline's earliest carrier (a
+  carrier is pushed whenever the new time precedes them all), so a
+  carrier reaches the top at or before the live key and the re-push
+  lands exactly where a fresh ``call_at`` entry would sit;
+* the live key's ``seq`` was reserved when the matching ``call_at``
+  would have run, so it ties with other entries at that time exactly
+  as that entry would.
 
-Clock advance never probes empty buckets. An **occupied-time index**
-(a min-heap of times) gets a time pushed whenever an append lands in
-an empty bucket; advancing pops it, skipping stale times (at or before
-``now``, or a bucket a compaction has since emptied). A time in the
-index that is still ahead of ``now`` names a bucket that can only hold
-entries for that one time, so the index chooses *which* bucket drains
-next and never touches the order within a bucket: the ordering
-argument above is unchanged. Sparse timelines (a WAN fabric, a long
-compute) would otherwise pay one probe per empty cycle, up to a whole
-window per advance — the known weak spot of Brown's calendar queue.
+Dispatch order, ``events_executed``, ``pending`` (which counts live
+entries only) and ``peek_time()`` therefore equal those of cancel +
+``call_at``. A deadline's carrier times strictly decrease in push
+order, so they form a stack whose top is the earliest. A carrier that
+a re-arm made redundant stays queued until its time, a bounded cost:
+a deadline pushes a second carrier only when re-armed earlier than its
+first (a kernel frame's wake under a suspended user frame's).
 
 One loop dispatches every callback: ``_run_bounded``. ``run()`` passes
 its ``until`` and ``max_events`` bounds straight through (``None`` for
 no bound), and ``step()`` is the same drain with a budget of one event.
-The loop drains a cycle's bucket, then the run queue, with per-event
-budget and stop checks, and tells the three callback shapes — bare
-callable, ``(fn, arg)`` pair, cancellable entry — apart by exact class
-check. It bumps ``events_executed`` per event (a timeline sampler reads
-it from inside a bucket) but flushes the secondary counters (ring and
-run-queue events, cycle batches) once per drain, so a stepped ring
-event counts as one cycle batch. In whole-machine runs the hottest
-shape is the cancellable entry: the processor's compute wake (see
-:mod:`repro.machine.processor`) is most of the events dispatched. A
-process started with :meth:`Engine.process` resumes from a ``Delay``
-through :meth:`Engine.schedule` like any other callback.
+The loop pops a cycle's heap entries, then drains the run queue, with
+per-event budget and stop checks. It bumps ``events_executed`` per
+event (a timeline sampler reads it from inside a callback) but flushes
+the secondary counters (heap and run-queue events, cycle batches) once
+per drain, so a stepped heap event counts as one cycle batch.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
-time) disables the same-cycle run queue: same-cycle schedules then
-append to the live bucket instead, which the drain loop picks up in the
-same order. The property suite uses this to prove the fast paths never
-change simulation results.
+time) disables the same-cycle run queue: same-cycle schedules then push
+onto the heap under the next ``seq``, which the drain at the current
+cycle pops in the same order. The property suite uses this to prove the
+fast paths never change simulation results.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
+from heapq import heapify, heappop, heappush
 from collections import deque
 from typing import Any, Callable, Generator, List, Optional
 
@@ -115,8 +113,10 @@ class _Sentinel:
 
 #: "No argument" marker: ``fn()`` is called instead of ``fn(arg)``.
 _NO_ARG = _Sentinel("no-arg")
-#: Overflow-heap marker in slot 3: slot 2 holds a cancellable entry.
+#: Heap marker in slot 3: slot 2 holds a cancellable entry.
 _ENTRY = _Sentinel("entry")
+#: Heap marker in slot 3: slot 2 holds a :class:`Deadline` (a carrier).
+_CARRIER = _Sentinel("carrier")
 
 
 class Delay:
@@ -126,7 +126,7 @@ class Delay:
     returns a shared immutable instance (the cost-model constants that
     dominate simulation delays all fall in this range, and a process
     yields one ``Delay`` per resumption — the allocation is measurable
-    at calendar-queue dispatch speeds). Never mutate ``cycles``.
+    at whole-machine dispatch speeds). Never mutate ``cycles``.
     """
 
     __slots__ = ("cycles",)
@@ -163,16 +163,14 @@ class _ScheduledCall:
     """Public cancellable handle for one scheduled callback;
     ``cancelled`` makes removal O(1) (lazy deletion).
 
-    This is *only* a handle: ordering lives in the calendar ring's
-    bucket positions and, for overflow entries, in the heap's
-    ``(time, seq, entry, _ENTRY)`` tuples — ``seq`` is unique, so tuple
-    comparison never reaches the entry object. Entries keep a
-    back-reference to their engine so cancellation can be counted: when
-    cancelled entries dominate the pending set the engine compacts them
-    away in one pass instead of dragging dead weight to its timestamp.
-    Every dispatch loop detaches the handle (``engine = None``) as it
-    fires it, so a ``cancel()`` after firing counts nothing: the entry
-    is no longer pending.
+    This is *only* a handle: ordering lives in the heap's
+    ``(time, seq, entry, _ENTRY)`` tuple, or in run-queue position for
+    a same-cycle entry. Entries keep a back-reference to their engine
+    so cancellation can be counted: when cancelled entries dominate the
+    pending set the engine compacts them away in one pass instead of
+    dragging dead weight to its timestamp. The dispatch loop detaches
+    the handle (``engine = None``) as it fires it, so a ``cancel()``
+    after firing counts nothing: the entry is no longer pending.
     """
 
     __slots__ = ("time", "fn", "arg", "cancelled", "engine")
@@ -191,6 +189,99 @@ class _ScheduledCall:
             self.cancelled = True
             if self.engine is not None:
                 self.engine._note_cancelled()
+
+
+class Deadline:
+    """A re-armable single-shot callback on one engine.
+
+    ``arm(time, fn, arg)`` (re)sets the one pending firing of
+    ``fn(arg)`` and ``clear()`` withdraws it; the deadline behaves
+    exactly like holding the handle of the latest ``call_at(time, fn,
+    arg)`` and cancelling it before each re-arm (see the module
+    docstring for the carrier scheme that makes this exact). Arming
+    for the current cycle takes a plain ``call_at`` handle, since that
+    entry belongs on the run queue.
+    """
+
+    __slots__ = ("_engine", "_time", "_seq", "_fn", "_arg", "_stack",
+                 "_soon", "__dict__")
+
+    def __init__(self, engine: "Engine") -> None:
+        self._engine = engine
+        #: Live firing time; meaningful while armed.
+        self._time = 0
+        #: Live key ``seq``, or 0 when no carrier stands for a firing.
+        self._seq = 0
+        self._fn: Optional[Callable[..., None]] = None
+        self._arg: Any = _NO_ARG
+        #: Times of the carriers in the heap, strictly decreasing: the
+        #: last one is the earliest and reaches the heap top first.
+        self._stack: List[int] = []
+        #: The ``call_at`` handle of a same-cycle arm, or None.
+        self._soon: Optional[_ScheduledCall] = None
+        engine._deadlines.append(self)
+
+    @property
+    def armed(self) -> bool:
+        return self._seq != 0 or self._soon is not None
+
+    @property
+    def time(self) -> Optional[int]:
+        """The pending firing time, or None when idle."""
+        return self._time if self.armed else None
+
+    def arm(self, time: int, fn: Callable[..., None],
+            arg: Any = _NO_ARG) -> None:
+        """Fire ``fn()`` (or ``fn(arg)``) at ``time`` (>= now), replacing
+        any pending firing."""
+        engine = self._engine
+        if time <= engine.now:
+            # Same cycle: a plain handle, which joins the run queue
+            # (call_at rejects a past time before anything changes).
+            soon = engine.call_at(time, self._fire_soon)
+            self.clear()
+            self._soon = soon
+        else:
+            if self._soon is not None:
+                self._soon.cancel()
+                self._soon = None
+            seq = engine._seq = engine._seq + 1
+            stack = self._stack
+            if stack and stack[-1] <= time:
+                # An earlier carrier will reach the top first and
+                # re-push under the live key; if the deadline was idle
+                # that carrier stops being dead weight.
+                if not self._seq:
+                    engine._dead_carriers -= 1
+            else:
+                heappush(engine._heap, (time, seq, self, _CARRIER))
+                stack.append(time)
+                if self._seq:
+                    engine._dead_carriers += 1
+            self._seq = seq
+        self._time = time
+        self._fn = fn
+        self._arg = arg
+
+    def _fire_soon(self) -> None:
+        self._soon = None
+        if self._arg is _NO_ARG:
+            self._fn()
+        else:
+            self._fn(self._arg)
+
+    def clear(self) -> None:
+        """Withdraw the pending firing, if any."""
+        if self._seq:
+            self._seq = 0
+            self._engine._dead_carriers += 1
+        elif self._soon is not None:
+            self._soon.cancel()
+            self._soon = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = f"t={self._time}" if self.armed else "idle"
+        return f"<Deadline {state} carriers={len(self._stack)}>"
 
 
 ProcessGen = Generator[Any, Any, Any]
@@ -216,7 +307,7 @@ class Process:
         self._waiting_on: Optional[Event] = None
         # Bound methods are cached once: every Delay resumption schedules
         # `_step`, and creating a fresh bound-method object per event is
-        # measurable at calendar-queue speeds.
+        # measurable at whole-machine dispatch speeds.
         self._bound_step = self._step
         self._bound_on_event = self._on_event
         self._gen_send = gen.send
@@ -276,35 +367,6 @@ class Process:
         return f"<Process {self.name} {state}>"
 
 
-def _window_from_costs() -> int:
-    """Calendar window: smallest power of two (>= 1024) strictly larger
-    than every per-message cost constant in :mod:`repro.core.costs`.
-
-    ``page_out`` and the scheduler timeslice are deliberately excluded:
-    they occur per page-out / per quantum, not per message, and belong
-    on the overflow tier.
-    """
-    from repro.core.costs import BufferedPathCosts, KernelCosts
-
-    longest = max(
-        BufferedPathCosts.insert_with_vmalloc,
-        KernelCosts.context_switch,
-        KernelCosts.mode_transition,
-        KernelCosts.mismatch_entry,
-        KernelCosts.trap_overhead,
-        KernelCosts.hardware_demux,
-        KernelCosts.pinned_retry_delay,
-    )
-    window = 1024
-    while window <= longest:
-        window *= 2
-    return window
-
-
-#: Ring size for every engine unless overridden (4096 with the stock
-#: cost model: one bucket per cycle over [now, now + 4096)).
-_DEFAULT_WINDOW = _window_from_costs()
-
 #: Compact when at least this many entries are cancelled *and*
 #: cancellations make up at least half of everything pending. Small
 #: enough to bound memory under cancellation storms, large enough that
@@ -317,58 +379,41 @@ _UNBOUNDED = float("inf")
 
 
 class Engine:
-    """The calendar queue, same-cycle run queue, overflow heap and
-    simulated clock (integer cycles)."""
+    """The event heap, same-cycle run queue and simulated clock
+    (integer cycles)."""
 
-    def __init__(self, window: Optional[int] = None) -> None:
-        if window is None:
-            window = _DEFAULT_WINDOW
-        elif window < 2 or window & (window - 1):
-            raise ValueError(f"window must be a power of two >= 2: {window}")
+    def __init__(self) -> None:
         self.now: int = 0
-        #: Calendar ring: bucket ``time & _mask`` holds every pending
-        #: entry at ``time`` for ``now <= time < now + window``. Items
-        #: are bare callables, ``(fn, arg)`` pairs or ``_ScheduledCall``
-        #: entries, in schedule order.
-        self._window: int = window
-        self._mask: int = window - 1
-        self._ring: List[list] = [[] for _ in range(window)]
-        #: Total items in the ring (live + lazily-cancelled).
-        self._ring_count: int = 0
-        #: Occupied-time index: min-heap of the times whose bucket an
-        #: append found empty. Every nonempty bucket after ``now`` has
-        #: its time here; entries at or before ``now``, or whose bucket
-        #: was since emptied (compaction, front cleaning), are stale and
-        #: popped at the next clock advance.
-        self._times: List[int] = []
-        #: Overflow tier for times >= now + window: heap of
-        #: ``(time, seq, entry, _ENTRY)`` (cancellable) or
-        #: ``(time, seq, fn, arg)`` (handle-free) tuples.
+        #: Timed storage: heap of ``(time, seq, fn, arg)`` (handle-free),
+        #: ``(time, seq, entry, _ENTRY)`` (cancellable) and
+        #: ``(time, seq, deadline, _CARRIER)`` (deadline carrier) tuples.
         self._heap: List[tuple] = []
-        #: Same-cycle FIFO: items due at ``self.now``, same encodings as
-        #: a ring bucket.
+        #: Same-cycle FIFO: items due at ``self.now`` — bare callables,
+        #: ``(fn, arg)`` pairs or ``_ScheduledCall`` entries.
         self._runq: deque = deque()
-        #: Tie-break for overflow-heap tuples only; the ring needs none.
+        #: Heap tie-break; also reserved by every ``Deadline.arm``.
         self._seq: int = 0
+        #: Every Deadline built on this engine (for the profiler).
+        self._deadlines: List[Deadline] = []
         self._events_executed: int = 0
-        #: Events that ran out of a calendar bucket.
+        #: Events popped off the heap.
         self._ring_executed: int = 0
         #: Events that ran off the run queue (fast-path hit counter).
         self._runq_executed: int = 0
-        #: Entries that took the overflow heap at schedule time.
-        self._overflow_scheduled: int = 0
-        #: Bucket drains that executed at least one event (batch count).
+        #: Heap drains that executed at least one event (batch count).
         self._cycle_batches: int = 0
-        #: Cancelled entries still pending in ring, heap or run queue
-        #: (lazy deletion).
+        #: Cancelled entries still pending in heap or run queue (lazy
+        #: deletion).
         self._cancelled_pending: int = 0
+        #: Carriers in the heap that stand for no live firing.
+        self._dead_carriers: int = 0
         #: Times the pending set was swept to drop cancelled entries.
         self._compactions: int = 0
         #: Cooperative stop flag: set by :meth:`stop`, cleared by
         #: :meth:`run` and :meth:`step`, checked between events.
         self._stop: bool = False
-        #: False forces same-cycle schedules into the live bucket (set
-        #: from the REPRO_NO_FASTPATH environment variable).
+        #: False sends same-cycle schedules to the heap (set from the
+        #: REPRO_NO_FASTPATH environment variable).
         self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
 
     # ------------------------------------------------------------------
@@ -379,38 +424,20 @@ class Engine:
         # Compact on the cancellation that crosses the threshold, not on
         # every schedule: keeps the check off the scheduling hot path.
         if (cancelled >= _COMPACT_MIN_CANCELLED
-                and cancelled * 2 >= (len(self._heap) + self._ring_count
-                                      + len(self._runq))):
+                and cancelled * 2 >= len(self._heap) + len(self._runq)):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from heap, ring and run queue in one
-        O(n) sweep, with exact removal accounting.
-
-        The live bucket (``ring[now & mask]``) is skipped: the drain
-        loop may be mid-iteration over it, and its cancelled items are
-        skipped (and accounted) at drain anyway.
-        """
-        removed = 0
-        # In place: run()'s loops hold references to these containers.
+        """Drop cancelled entries from heap and run queue in one O(n)
+        sweep, with exact removal accounting. Carriers stay: each
+        deadline has few, and each leaves at its time."""
+        # In place: the dispatch loop holds references to these.
         heap = self._heap
         live = [item for item in heap
                 if item[3] is not _ENTRY or not item[2].cancelled]
-        removed += len(heap) - len(live)
+        removed = len(heap) - len(live)
         heap[:] = live
-        heapq.heapify(heap)
-        active = self._ring[self.now & self._mask]
-        for bucket in self._ring:
-            if not bucket or bucket is active:
-                continue
-            kept = [item for item in bucket
-                    if item.__class__ is not _ScheduledCall
-                    or not item.cancelled]
-            dropped = len(bucket) - len(kept)
-            if dropped:
-                bucket[:] = kept
-                self._ring_count -= dropped
-                removed += dropped
+        heapify(heap)
         runq = self._runq
         if runq:
             kept = [item for item in runq
@@ -436,22 +463,11 @@ class Engine:
                 f"cannot schedule in the past: {time} < now {now}"
             )
         entry = _ScheduledCall(time, fn, arg, self)
-        if now < time:
-            if time - now < self._window:
-                bucket = self._ring[time & self._mask]
-                if not bucket:
-                    heapq.heappush(self._times, time)
-                bucket.append(entry)
-                self._ring_count += 1
-            else:
-                self._seq += 1
-                heapq.heappush(self._heap, (time, self._seq, entry, _ENTRY))
-                self._overflow_scheduled += 1
-        elif self.fastpath:
-            self._runq.append(entry)
+        if now < time or not self.fastpath:
+            seq = self._seq = self._seq + 1
+            heappush(self._heap, (time, seq, entry, _ENTRY))
         else:
-            self._ring[time & self._mask].append(entry)
-            self._ring_count += 1
+            self._runq.append(entry)
         return entry
 
     def call_after(self, delay: int, fn: Callable[..., None],
@@ -466,24 +482,11 @@ class Engine:
         now = self.now
         if type(time) is not int:
             time = int(time)
-        if now < time:
-            if time - now < self._window:
-                bucket = self._ring[time & self._mask]
-                if not bucket:
-                    heapq.heappush(self._times, time)
-                bucket.append(fn if arg is _NO_ARG else (fn, arg))
-                self._ring_count += 1
-            else:
-                self._seq += 1
-                heapq.heappush(self._heap, (time, self._seq, fn, arg))
-                self._overflow_scheduled += 1
+        if now < time or (time == now and not self.fastpath):
+            seq = self._seq = self._seq + 1
+            heappush(self._heap, (time, seq, fn, arg))
         elif time == now:
-            if self.fastpath:
-                self._runq.append(fn if arg is _NO_ARG else (fn, arg))
-            else:
-                self._ring[time & self._mask].append(
-                    fn if arg is _NO_ARG else (fn, arg))
-                self._ring_count += 1
+            self._runq.append(fn if arg is _NO_ARG else (fn, arg))
         else:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {now}"
@@ -512,91 +515,40 @@ class Engine:
     # ------------------------------------------------------------------
     # Queue maintenance
     # ------------------------------------------------------------------
-    def _pull_overflow(self, horizon: int) -> None:
-        """Move overflow-heap entries with ``time < horizon`` into their
-        ring buckets, in ``(time, seq)`` order.
-
-        Called at every clock advance (and after an ``until`` clamp)
-        with ``horizon = now + window``, *before* any callback at the
-        new ``now`` runs — this eager pull is what makes bucket append
-        order equal global schedule order (see the module docstring's
-        ordering argument).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        ring = self._ring
-        mask = self._mask
-        times = self._times
-        pulled = 0
-        while heap and heap[0][0] < horizon:
-            time, _seq, x, marker = heappop(heap)
-            if marker is _ENTRY:
-                if x.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-            elif marker is not _NO_ARG:
-                x = (x, marker)
-            bucket = ring[time & mask]
-            if not bucket:
-                heapq.heappush(times, time)
-            bucket.append(x)
-            pulled += 1
-        self._ring_count += pulled
+    def _reseat(self, deadline: Deadline) -> None:
+        """Handle a carrier of ``deadline`` just popped off the heap top
+        whose key is not the live one: drop it, or re-push it under the
+        live key when no other carrier of the deadline precedes that."""
+        stack = deadline._stack
+        stack.pop()
+        if not deadline._seq:
+            self._dead_carriers -= 1
+            return
+        time = deadline._time
+        if stack and stack[-1] <= time:
+            # The next carrier now stands for the firing.
+            self._dead_carriers -= 1
+            return
+        heappush(self._heap, (time, deadline._seq, deadline, _CARRIER))
+        stack.append(time)
 
     def _next_live_heap_time(self) -> Optional[int]:
-        """Earliest live overflow entry time (pops cancelled heads)."""
+        """Earliest live heap entry time, settling dead entries (cancelled
+        handles, stale carriers) off the top; None when none remain."""
         heap = self._heap
         while heap:
-            item = heap[0]
-            if item[3] is _ENTRY and item[2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
+            time, seq, x, marker = heap[0]
+            if marker is _ENTRY:
+                if x.cancelled:
+                    heappop(heap)
+                    self._cancelled_pending -= 1
+                    continue
+            elif marker is _CARRIER and x._seq != seq:
+                heappop(heap)
+                self._reseat(x)
                 continue
-            return item[0]
+            return time
         return None
-
-    def _next_ring_time(self) -> Optional[int]:
-        """Earliest time after ``now`` with a nonempty bucket, or None.
-
-        Pops stale index entries (at or before ``now``, or whose bucket
-        has been emptied) off the occupied-time index; the returned time
-        stays indexed until the clock passes it. Every clock advance
-        goes through here, so no loop ever probes empty buckets.
-        """
-        times = self._times
-        ring = self._ring
-        mask = self._mask
-        now = self.now
-        while times:
-            t = times[0]
-            if t > now and ring[t & mask]:
-                return t
-            heapq.heappop(times)
-        if self._ring_count > len(ring[now & mask]):
-            raise SimulationError(
-                "calendar ring accounting corrupt: "
-                f"{self._ring_count} items, none indexed after {now}"
-            )
-        return None
-
-    def _next_timed_time(self) -> Optional[int]:
-        """Earliest live ring or overflow entry time, cleaning cancelled
-        entries off bucket fronts; ``None`` when nothing timed remains.
-        Does not advance the clock."""
-        ring = self._ring
-        t = self.now
-        while t is not None:
-            bucket = ring[t & self._mask]
-            while bucket:
-                item = bucket[0]
-                if (item.__class__ is not _ScheduledCall
-                        or not item.cancelled):
-                    return t
-                del bucket[0]
-                self._ring_count -= 1
-                self._cancelled_pending -= 1
-            t = self._next_ring_time()
-        return self._next_live_heap_time()
 
     def peek_time(self) -> Optional[int]:
         """Earliest pending event time, or None when nothing is pending."""
@@ -607,15 +559,7 @@ class Engine:
                 return self.now
             runq.popleft()
             self._cancelled_pending -= 1
-        return self._next_timed_time()
-
-    def _clamp_to(self, until: int) -> None:
-        """Advance the clock to ``until`` without running anything,
-        restoring the overflow invariant (heap times >= now + window)."""
-        self.now = until
-        heap = self._heap
-        if heap and heap[0][0] < until + self._window:
-            self._pull_overflow(until + self._window)
+        return self._next_live_heap_time()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -648,62 +592,57 @@ class Engine:
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:
         """The dispatch loop: per-event budget/stop checks, partial
-        bucket consumption on early exit; ``None`` means no bound.
+        drains on early exit; ``None`` means no bound.
 
         ``events_executed`` is bumped per event because timeline
-        samplers read it from inside a bucket; the secondary counters
+        samplers read it from inside a callback; the secondary counters
         (``ring_events``, ``runq_events``, ``cycle_batches``) are
-        flushed once per bucket drain and once per run-queue drain,
-        early exits included, so they are exact whenever control is
-        back outside the drain."""
+        flushed once per heap drain and once per run-queue drain, early
+        exits included, so they are exact whenever control is back
+        outside the drain."""
         now = self.now
         if until is not None and until < now:
             return now
-        ring = self._ring
-        mask = self._mask
-        runq = self._runq
         heap = self._heap
-        window = self._window
+        runq = self._runq
         entry_cls = _ScheduledCall
         tuple_cls = tuple
         no_arg = _NO_ARG
+        entry_mark = _ENTRY
+        carrier_mark = _CARRIER
         stop_bound = _UNBOUNDED if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         executed = 0
         while True:
-            bucket = ring[now & mask]
-            if bucket:
-                i = 0
-                drained_from = executed
-                while i < len(bucket):
-                    if executed >= budget or self._stop:
-                        break
-                    item = bucket[i]
-                    i += 1
-                    cls = item.__class__
-                    if cls is tuple_cls:
-                        fn, arg = item
-                    elif cls is entry_cls:
-                        if item.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        fn = item.fn
-                        item.engine = None
-                        arg = item.arg
-                    else:
-                        fn = item
-                        arg = no_arg
-                    executed += 1
-                    self._events_executed += 1
-                    if arg is no_arg:
-                        fn()
-                    else:
-                        fn(arg)
-                del bucket[:i]
-                self._ring_count -= i
-                if executed > drained_from:
-                    self._ring_executed += executed - drained_from
-                    self._cycle_batches += 1
+            drained_from = executed
+            while heap and heap[0][0] == now:
+                if executed >= budget or self._stop:
+                    break
+                _time, seq, fn, arg = heappop(heap)
+                if arg is carrier_mark:
+                    if fn._seq != seq:
+                        self._reseat(fn)
+                        continue
+                    fn._stack.pop()
+                    fn._seq = 0
+                    arg = fn._arg
+                    fn = fn._fn
+                elif arg is entry_mark:
+                    if fn.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    fn.engine = None
+                    arg = fn.arg
+                    fn = fn.fn
+                executed += 1
+                self._events_executed += 1
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
+            if executed > drained_from:
+                self._ring_executed += executed - drained_from
+                self._cycle_batches += 1
             drained_from = executed
             while runq:
                 if executed >= budget or self._stop:
@@ -738,22 +677,17 @@ class Engine:
                     self.now = until
                     return until
                 return now
-            # Advance: nearest nonempty bucket, else the overflow tier.
-            t = self._next_ring_time()
+            t = self._next_live_heap_time()
             if t is None:
-                t = self._next_live_heap_time()
-                if t is None:
-                    if until is not None and now < until:
-                        self.now = until
-                        return until
-                    return now
+                if until is not None and now < until:
+                    self.now = until
+                    return until
+                return now
             if t > stop_bound:
-                self._clamp_to(until)
+                self.now = until
                 return until
             now = t
             self.now = t
-            if heap and heap[0][0] < t + window:
-                self._pull_overflow(t + window)
 
     @property
     def events_executed(self) -> int:
@@ -761,7 +695,7 @@ class Engine:
 
     @property
     def ring_events(self) -> int:
-        """Events that ran out of a calendar bucket (bucket hits)."""
+        """Events that ran off the heap (timed events)."""
         return self._ring_executed
 
     @property
@@ -772,12 +706,12 @@ class Engine:
 
     @property
     def overflow_scheduled(self) -> int:
-        """Entries that landed on the overflow heap at schedule time."""
-        return self._overflow_scheduled
+        """Always 0: the engine has one timed tier and no overflow."""
+        return 0
 
     @property
     def cycle_batches(self) -> int:
-        """Bucket drains that executed at least one event."""
+        """Heap drains that executed at least one event."""
         return self._cycle_batches
 
     @property
@@ -787,12 +721,10 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Live (non-cancelled) entries still scheduled."""
-        return (len(self._heap) + self._ring_count + len(self._runq)
-                - self._cancelled_pending)
+        """Live entries still scheduled (not cancelled handles, not
+        carriers that stand for no firing)."""
+        return (len(self._heap) + len(self._runq)
+                - self._cancelled_pending - self._dead_carriers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Engine t={self.now} "
-            f"pending={len(self._heap) + self._ring_count + len(self._runq)}>"
-        )
+        return f"<Engine t={self.now} pending={self.pending}>"

@@ -1,19 +1,19 @@
-"""Property tests: calendar-queue engine vs a reference heap engine.
+"""Property tests: the engine vs a reference heap engine.
 
 The reference engine below *is* the ordering spec: one binary heap of
 ``(time, seq)`` tuples with ``seq`` incremented on every schedule, so
-execution order is exactly global ``(time, seq)`` FIFO. The calendar
-engine's two timed tiers (bucket ring + overflow heap) and same-cycle
-run queue must reproduce that order bit-identically — including
-far-future entries that cross the overflow boundary, entries that
-migrate from the overflow heap into the ring as the window slides,
-and lazy-deleted cancellations — with identical ``events_executed``
-and (for pre-run cancellation storms) ``compactions`` accounting.
-Sparse timelines stress the occupied-time index that drives clock
-advance: wide gaps, ``until`` clamps between occupied times, and
-mid-run compactions that empty buckets the index still names.
-The random program also drives the calendar engine by ``step()`` and
-by ``max_events`` chunks, which must not change the order either.
+execution order is exactly global ``(time, seq)`` FIFO, and its
+deadline is a held ``call_at`` handle cancelled before every re-arm.
+The engine's heap, same-cycle run queue and lazily re-keyed
+``Deadline`` carriers must reproduce that order bit-identically —
+near and far entries, lazy-deleted cancellations, deadlines re-armed
+earlier, later, at the current cycle or cleared — with identical
+``events_executed``, ``pending`` and ``peek_time()``, and (for
+pre-run cancellation storms) ``compactions`` accounting. Sparse
+timelines stress clock advance: wide gaps, ``until`` clamps between
+occupied times, and mid-run compactions. The random programs also
+drive the engine by ``step()`` and by ``max_events`` chunks, which
+must not change the order either.
 """
 
 import heapq
@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 import repro.sim.engine as engine_mod
 from repro.sim.engine import Engine
 
-#: Small window so ordinary random delays regularly cross the
-#: ring/overflow boundary.
+#: Delay scale of the random programs: delays fall in bands of a few
+#: multiples of it, so same-time collisions are common.
 WINDOW = 16
 
 
@@ -53,7 +53,7 @@ class ReferenceEngine:
 
     Mirrors the public scheduling API (``call_at``/``call_after``/
     ``schedule``/``call_soon``/``run``) and the cancellation +
-    compaction accounting rules, with none of the calendar machinery.
+    compaction accounting rules, with no run queue and no carriers.
     """
 
     def __init__(self, compact_min=None):
@@ -157,9 +157,8 @@ DRIVES = st.one_of(st.sampled_from(["run", "step"]),
 def _random_program(engine, seed, size, drive="run"):
     """A seeded self-rescheduling workload mixing every primitive.
 
-    Delays are drawn from three bands: same-cycle, inside the calendar
-    window, and far past it (overflow tier); handles are cancelled at
-    random, including handles for already-pulled overflow entries.
+    Delays are drawn from three bands: same-cycle, near, and far;
+    handles are cancelled at random, near and far ones alike.
     ``drive`` (see :func:`_drain`) picks how the engine is run.
     """
     order = []
@@ -199,9 +198,9 @@ def _random_program(engine, seed, size, drive="run"):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), drive=DRIVES)
 @settings(max_examples=60, deadline=None)
 def test_calendar_matches_reference_heap_order(seed, drive):
-    calendar = _random_program(Engine(window=WINDOW), seed, 400, drive)
+    actual = _random_program(Engine(), seed, 400, drive)
     reference = _random_program(ReferenceEngine(), seed, 400)
-    assert calendar == reference
+    assert actual == reference
 
 
 def _with_env_mode(general, build):
@@ -227,11 +226,11 @@ def _with_env_mode(general, build):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), drive=DRIVES)
 @settings(max_examples=60, deadline=None)
 def test_general_mode_matches_reference_heap_order(seed, drive):
-    calendar = _with_env_mode(
+    actual = _with_env_mode(
         True,
-        lambda: _random_program(Engine(window=WINDOW), seed, 400, drive))
+        lambda: _random_program(Engine(), seed, 400, drive))
     reference = _random_program(ReferenceEngine(), seed, 400)
-    assert calendar == reference
+    assert actual == reference
 
 
 @given(
@@ -243,7 +242,7 @@ def test_general_mode_matches_reference_heap_order(seed, drive):
 def test_cancellation_storm_compaction_accounting(delays, cancel_mask):
     """Pre-run cancellation storms compact identically: the trigger
     rule counts every pending entry the same way in both engines."""
-    fired = {"calendar": [], "reference": []}
+    fired = {"actual": [], "reference": []}
 
     def load(engine, key):
         handles = [engine.call_after(d, fired[key].append, i)
@@ -256,28 +255,27 @@ def test_cancellation_storm_compaction_accounting(delays, cancel_mask):
     saved = engine_mod._COMPACT_MIN_CANCELLED
     engine_mod._COMPACT_MIN_CANCELLED = 16
     try:
-        calendar = load(Engine(window=WINDOW), "calendar")
+        actual = load(Engine(), "actual")
     finally:
         engine_mod._COMPACT_MIN_CANCELLED = saved
     reference = load(ReferenceEngine(compact_min=16), "reference")
-    assert calendar.compactions == reference.compactions
-    assert calendar.pending == reference.pending
-    calendar.run()
+    assert actual.compactions == reference.compactions
+    assert actual.pending == reference.pending
+    actual.run()
     reference.run()
-    assert fired["calendar"] == fired["reference"]
-    assert calendar.events_executed == reference.events_executed
-    assert calendar.compactions == reference.compactions
+    assert fired["actual"] == fired["reference"]
+    assert actual.events_executed == reference.events_executed
+    assert actual.compactions == reference.compactions
 
 
 def _sparse_program(engine, seed, size):
     """A sparse timeline driven in ``until`` slices.
 
-    Each event schedules one or two successors, mostly far inside the
-    window (gaps up to ``WINDOW - 1``, so consecutive occupied times
-    sit many empty buckets apart) and sometimes past it (overflow
-    pulls). The run advances in random ``until`` slices whose clamps
-    land between occupied times; after each slice the clock and
-    ``peek_time()`` are recorded.
+    Each event schedules one or two successors, mostly at gaps up to
+    ``WINDOW - 1`` (so consecutive occupied times sit many empty cycles
+    apart) and sometimes further. The run advances in random ``until``
+    slices whose clamps land between occupied times; after each slice
+    the clock and ``peek_time()`` are recorded.
     """
     order = []
     rng = random.Random(seed)
@@ -318,20 +316,19 @@ def _sparse_program(engine, seed, size):
        general=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_sparse_timeline_with_until_clamps_matches_reference(seed, general):
-    calendar = _with_env_mode(
-        general, lambda: _sparse_program(Engine(window=WINDOW), seed, 300))
+    actual = _with_env_mode(
+        general, lambda: _sparse_program(Engine(), seed, 300))
     reference = _sparse_program(ReferenceEngine(), seed, 300)
-    assert calendar == reference
+    assert actual == reference
 
 
 def _storm_program(engine, seed, sliced):
-    """Cancellation storms over sparse buckets, mid-run.
+    """Cancellation storms over sparse times, mid-run.
 
-    Each storm books a burst of cancellable entries on scattered times
-    inside the window and then cancels most of them, so compaction
-    empties buckets whose times are still in the occupied-time index.
-    Some of those times are then booked again (re-occupying an emptied
-    bucket), and a few entries go to the overflow tier.
+    Each storm books a burst of cancellable entries on scattered near
+    times and then cancels most of them, so compaction sweeps every
+    entry some times held. Some of those times are then booked again,
+    and a few entries go further out.
     """
     order = []
     rng = random.Random(seed)
@@ -377,10 +374,115 @@ def test_midrun_compaction_of_indexed_buckets_matches_reference(
     saved = engine_mod._COMPACT_MIN_CANCELLED
     engine_mod._COMPACT_MIN_CANCELLED = 8
     try:
-        engine = _with_env_mode(general, lambda: Engine(window=WINDOW))
-        calendar = _storm_program(engine, seed, sliced)
+        engine = _with_env_mode(general, lambda: Engine())
+        actual = _storm_program(engine, seed, sliced)
     finally:
         engine_mod._COMPACT_MIN_CANCELLED = saved
     reference = _storm_program(ReferenceEngine(), seed, sliced)
     assert engine.compactions > 0
-    assert calendar == reference
+    assert actual == reference
+
+
+class ReferenceDeadline:
+    """The spec a :class:`~repro.sim.engine.Deadline` must match: hold
+    the latest ``call_at`` handle, cancel it before every re-arm."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.handle = None
+
+    def arm(self, time, fn, arg=engine_mod._NO_ARG):
+        self.clear()
+        self.handle = self.engine.call_at(time, self._fire, (fn, arg))
+
+    def clear(self):
+        if self.handle is not None:
+            self.handle.cancel()
+            self.handle = None
+
+    def _fire(self, pair):
+        self.handle = None
+        fn, arg = pair
+        if arg is engine_mod._NO_ARG:
+            fn()
+        else:
+            fn(arg)
+
+
+def _deadline_program(engine, make_deadline, seed, size, drive):
+    """Random arm/clear/re-arm traffic on a few deadlines, mixed with
+    ordinary schedules and cancels.
+
+    Every callback records the clock, its tag, ``pending`` and
+    ``peek_time()``. Re-arms land earlier, later, at the same time or
+    at the current cycle; clears hit armed and idle deadlines. ``drive``
+    is ``"run"``, ``"step"``, an int ``k`` (``max_events`` chunks) or
+    ``"until"`` (random ``until`` slices, recording the clock,
+    ``pending`` and ``peek_time()`` after each).
+    """
+    order = []
+    rng = random.Random(seed)
+    handles = deque()
+    deadlines = [make_deadline(engine) for _ in range(3)]
+
+    def delay():
+        band = rng.random()
+        if band < 0.25:
+            return 0
+        if band < 0.8:
+            return rng.randrange(1, WINDOW)
+        return rng.randrange(WINDOW, WINDOW * 8)
+
+    def work(tag):
+        order.append((engine.now, tag, engine.pending, engine.peek_time()))
+        if len(order) >= size:
+            return
+        for k in range(rng.randrange(4)):
+            tag2 = f"{tag}.{k}"
+            action = rng.random()
+            if action < 0.4:
+                i = rng.randrange(len(deadlines))
+                deadlines[i].arm(engine.now + delay(), work, f"{tag2}/d{i}")
+            elif action < 0.55:
+                deadlines[rng.randrange(len(deadlines))].clear()
+            elif action < 0.75:
+                engine.schedule(engine.now + delay(), work, tag2)
+            elif action < 0.8:
+                engine.call_soon(work, tag2)
+            else:
+                handles.append(engine.call_after(delay(), work, tag2))
+        if handles and rng.random() < 0.25:
+            handles.rotate(rng.randrange(len(handles)))
+            handles.popleft().cancel()
+
+    for i in range(3):
+        engine.schedule(rng.randrange(3), work, str(i))
+    deadlines[0].arm(rng.randrange(1, WINDOW), work, "d0")
+    slices = []
+    if drive == "until":
+        until = 0
+        while engine.peek_time() is not None:
+            until += rng.randrange(1, WINDOW * 2)
+            engine.run(until=until)
+            slices.append((engine.now, engine.pending, engine.peek_time()))
+    else:
+        _drain(engine, drive)
+    return (order, slices, engine.events_executed, engine.pending,
+            engine.peek_time())
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       drive=st.one_of(st.sampled_from(["run", "step", "until"]),
+                       st.integers(min_value=1, max_value=40)),
+       general=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_deadline_matches_cancel_and_call_at(seed, drive, general):
+    actual = _with_env_mode(
+        general, lambda: _deadline_program(
+            Engine(), engine_mod.Deadline, seed, 300, drive))
+    # The reference has no step(): a stepped or chunked engine run is
+    # compared with one reference run (same callbacks, same records).
+    reference = _deadline_program(
+        ReferenceEngine(), ReferenceDeadline, seed, 300,
+        "until" if drive == "until" else "run")
+    assert actual == reference

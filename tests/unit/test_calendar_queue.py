@@ -1,49 +1,66 @@
-"""Unit tests for the calendar (bucket) queue engine core.
+"""Unit tests for the engine's timed storage: one ``(time, seq)`` heap
+plus re-armable :class:`~repro.sim.engine.Deadline` wakes.
 
-Covers the two timed tiers — the per-cycle bucket ring over
-``[now, now + window)`` and the far-future overflow heap — plus the
-ordering contract at the window boundary, cancellation and compaction
-accounting per tier, the new tier counters, cooperative ``stop()``
-and custom window sizes.
+The classes up to ``TestCustomWindow`` keep the names they had when
+timed storage was a calendar ring with an overflow heap: "ring" means
+a near-future timed entry (still counted by ``ring_events``),
+"overflow" a far-future one, and "window" the ring's old 4096-cycle
+span. Their bodies check the same behaviours on the single heap:
+order across near and far entries, cancellation, compaction
+accounting, the counters (``overflow_scheduled`` now always reads 0)
+and ``stop()``. The later classes cover the heap's order directly and
+the ``Deadline`` carrier scheme: re-arming earlier and later,
+clear-then-re-arm, and ``pending``/``peek_time`` while stale carriers
+sit at the heap top.
 """
 
 import pytest
 
-from repro.sim.engine import (_DEFAULT_WINDOW, Delay, Engine,
-                              SimulationError)
+import repro.sim.engine as engine_mod
+from repro.sim.engine import Deadline, Delay, Engine, SimulationError
+
+#: The calendar ring's span, kept as a distance scale: entries this far
+#: out used to take the overflow tier.
+OLD_WINDOW = 4096
 
 
 class TestTiering:
-    def test_default_window_covers_cost_constants(self):
-        from repro.core.costs import BufferedPathCosts, KernelCosts
-
-        assert _DEFAULT_WINDOW >= 1024
-        assert _DEFAULT_WINDOW & (_DEFAULT_WINDOW - 1) == 0
-        assert BufferedPathCosts.insert_with_vmalloc < _DEFAULT_WINDOW
-        assert KernelCosts.context_switch < _DEFAULT_WINDOW
-
     def test_near_future_takes_ring(self):
         engine = Engine()
-        engine.call_after(engine._window - 1, lambda: None)
-        assert engine._ring_count == 1
-        assert len(engine._heap) == 0
+        engine.call_after(OLD_WINDOW - 1, lambda: None)
+        assert engine.pending == 1
+        assert engine.peek_time() == OLD_WINDOW - 1
+        engine.run()
+        assert engine.ring_events == 1
+        assert engine.runq_events == 0
 
     def test_window_boundary_takes_overflow_heap(self):
+        """Far-future entries take the one heap; nothing counts as an
+        overflow insert any more."""
         engine = Engine()
-        engine.call_after(engine._window, lambda: None)
-        assert engine._ring_count == 0
-        assert len(engine._heap) == 1
-        assert engine.overflow_scheduled == 1
+        engine.call_after(OLD_WINDOW, lambda: None)
+        engine.call_after(OLD_WINDOW * 100, lambda: None)
+        assert engine.pending == 2
+        assert engine.overflow_scheduled == 0
+        engine.run()
+        assert engine.ring_events == 2
+        assert engine.now == OLD_WINDOW * 100
+        assert engine.overflow_scheduled == 0
 
     def test_schedule_tiers_like_call_at(self):
+        """``schedule`` and ``call_at`` entries share one order."""
         engine = Engine()
-        engine.schedule(engine._window - 1, lambda: None)
-        engine.schedule(engine._window, lambda: None)
-        assert engine._ring_count == 1
-        assert len(engine._heap) == 1
+        fired = []
+        engine.schedule(OLD_WINDOW, fired.append, "schedule-far")
+        engine.call_at(OLD_WINDOW - 1, fired.append, "call_at-near")
+        engine.call_at(OLD_WINDOW, fired.append, "call_at-far")
+        engine.schedule(OLD_WINDOW - 1, fired.append, "schedule-near")
+        engine.run()
+        assert fired == ["call_at-near", "schedule-near",
+                         "schedule-far", "call_at-far"]
 
     def test_overflow_entries_execute_in_order(self):
-        engine = Engine(window=16)
+        engine = Engine()
         fired = []
         # Far-future entries, scheduled out of order.
         for t in (300, 100, 200, 100):
@@ -52,40 +69,38 @@ class TestTiering:
         engine.run()
         assert fired == [3, 100, 100, 200, 300]
         assert engine.now == 300
-        assert engine.overflow_scheduled == 4
+        assert engine.overflow_scheduled == 0
         assert engine.ring_events == 5
 
     def test_overflow_pull_precedes_direct_inserts_at_same_time(self):
-        """An overflow entry at time T runs before anything scheduled
-        for T after the window slid over it — (time, seq) FIFO."""
-        engine = Engine(window=16)
+        """An entry at time T scheduled long before runs before one
+        scheduled for T later on — (time, seq) FIFO."""
+        engine = Engine()
         order = []
         target = 40
-        engine.schedule(target, order.append, "overflow")
+        engine.schedule(target, order.append, "early")
 
         def late_inserter():
-            # now == 30: target is now inside the window, so this is a
-            # direct ring insert at the same absolute time.
-            engine.schedule(target, order.append, "direct")
+            engine.schedule(target, order.append, "late")
 
         engine.schedule(30, late_inserter)
         engine.run()
-        assert order == ["overflow", "direct"]
+        assert order == ["early", "late"]
 
     def test_delay_beyond_window_rides_overflow(self):
-        engine = Engine(window=16)
+        engine = Engine()
         trace = []
 
         def proc():
             yield Delay(2)
             trace.append(engine.now)
-            yield Delay(1000)
+            yield Delay(OLD_WINDOW * 3)
             trace.append(engine.now)
 
         engine.process(proc())
         engine.run()
-        assert trace == [2, 1002]
-        assert engine.overflow_scheduled == 1
+        assert trace == [2, 2 + OLD_WINDOW * 3]
+        assert engine.overflow_scheduled == 0
 
 
 class TestCancellationPerTier:
@@ -100,9 +115,9 @@ class TestCancellationPerTier:
         assert engine.events_executed == 0
 
     def test_cancel_overflow_entry(self):
-        engine = Engine(window=16)
+        engine = Engine()
         ran = []
-        entry = engine.call_after(1000, ran.append, 1)
+        entry = engine.call_after(OLD_WINDOW * 2, ran.append, 1)
         engine.call_after(3, ran.append, 2)
         entry.cancel()
         assert engine.pending == 1
@@ -111,36 +126,30 @@ class TestCancellationPerTier:
         assert engine.now == 3
 
     def test_cancel_pulled_overflow_entry(self):
-        """Cancelling after the entry migrated from heap to ring."""
-        engine = Engine(window=16)
+        """Cancelling a far entry once the clock has come close."""
+        engine = Engine()
         ran = []
-        entry = engine.call_at(40, ran.append, "cancelled")
-        holder = {"entry": entry}
-
-        def canceller():
-            holder["entry"].cancel()
-
-        engine.call_at(35, canceller)  # after the pull at t>=25
+        entry = engine.call_at(OLD_WINDOW + 40, ran.append, "cancelled")
+        engine.call_at(OLD_WINDOW + 35, entry.cancel)
         engine.run()
         assert ran == []
         assert engine.events_executed == 1
+        assert engine.now == OLD_WINDOW + 35
 
     def test_peek_time_skips_cancelled_per_tier(self):
-        engine = Engine(window=16)
-        ring_entry = engine.call_after(3, lambda: None)
-        heap_entry = engine.call_after(1000, lambda: None)
+        engine = Engine()
+        near = engine.call_after(3, lambda: None)
+        far = engine.call_after(OLD_WINDOW * 2, lambda: None)
         assert engine.peek_time() == 3
-        ring_entry.cancel()
-        assert engine.peek_time() == 1000
-        heap_entry.cancel()
+        near.cancel()
+        assert engine.peek_time() == OLD_WINDOW * 2
+        far.cancel()
         assert engine.peek_time() is None
 
     def test_compaction_exact_accounting_across_tiers(self):
-        import repro.sim.engine as engine_mod
-
-        engine = Engine(window=16)
-        keep_ring = engine.call_after(5, lambda: None)
-        keep_heap = engine.call_after(5000, lambda: None)
+        engine = Engine()
+        keep_near = engine.call_after(5, lambda: None)
+        keep_far = engine.call_after(OLD_WINDOW * 2, lambda: None)
         cancelled = []
         for i in range(600):
             cancelled.append(engine.call_after(1000 + i, lambda: None))
@@ -154,24 +163,29 @@ class TestCancellationPerTier:
         threshold = engine_mod._COMPACT_MIN_CANCELLED
         assert engine._cancelled_pending == 600 - threshold
         assert engine.pending == 2
-        assert not keep_ring.cancelled and not keep_heap.cancelled
+        assert not keep_near.cancelled and not keep_far.cancelled
         engine.run()
         assert engine.events_executed == 2
 
 
 class TestCountersAndStop:
     def test_tier_counters_partition_events(self):
-        engine = Engine(window=16)
-        engine.call_soon(lambda: None)           # runq
-        engine.call_after(3, lambda: None)       # ring
-        engine.call_after(1000, lambda: None)    # overflow -> ring
+        engine = Engine()
+        engine.call_soon(lambda: None)
+        engine.call_after(3, lambda: None)
+        engine.call_after(OLD_WINDOW * 2, lambda: None)
         engine.run()
         assert engine.events_executed == 3
-        assert engine.runq_events == 1
-        assert engine.ring_events == 2
-        assert engine.overflow_scheduled == 1
+        assert engine.overflow_scheduled == 0
         assert engine.ring_events + engine.runq_events == \
             engine.events_executed
+        if engine.fastpath:
+            assert engine.runq_events == 1
+            assert engine.ring_events == 2
+        else:
+            # General mode: the same-cycle schedule took the heap.
+            assert engine.runq_events == 0
+            assert engine.ring_events == 3
 
     def test_cycle_batches_count_bucket_drains(self):
         engine = Engine()
@@ -213,20 +227,19 @@ class TestCountersAndStop:
 
         engine.process(proc())
         engine.run()
-        # first step (runq) + one Delay resume (ring bucket).
-        assert engine.runq_events == 1
-        assert engine.ring_events == 1
+        if engine.fastpath:
+            # first step (runq) + one Delay resume (heap).
+            assert engine.runq_events == 1
+            assert engine.ring_events == 1
+        else:
+            assert engine.runq_events == 0
+            assert engine.ring_events == 2
+        assert engine.cycle_batches == 1 + (not engine.fastpath)
 
 
 class TestCustomWindow:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            Engine(window=48)
-        with pytest.raises(ValueError):
-            Engine(window=1)
-
     def test_tiny_window_still_correct(self):
-        engine = Engine(window=2)
+        engine = Engine()
         fired = []
         for t in (9, 4, 4, 100, 1):
             engine.schedule(t, fired.append, t)
@@ -234,13 +247,201 @@ class TestCustomWindow:
         assert fired == [1, 4, 4, 9, 100]
 
     def test_step_walks_both_tiers(self):
-        engine = Engine(window=16)
+        engine = Engine()
         fired = []
         engine.call_soon(fired.append, "now")
-        engine.call_after(3, fired.append, "ring")
-        engine.call_after(1000, fired.append, "overflow")
+        engine.call_after(3, fired.append, "near")
+        engine.call_after(OLD_WINDOW * 2, fired.append, "far")
         while engine.step():
             pass
-        assert fired == ["now", "ring", "overflow"]
-        assert engine.now == 1000
+        assert fired == ["now", "near", "far"]
+        assert engine.now == OLD_WINDOW * 2
         assert engine.step() is False
+
+
+class TestHeapOrder:
+    def test_same_time_runs_in_schedule_order_across_kinds(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        engine.schedule(10, fired.append, "a")
+        engine.call_at(10, fired.append, "b")
+        dl.arm(10, fired.append, "deadline")
+        engine.schedule(10, fired.append, "c")
+        engine.run()
+        assert fired == ["a", "b", "deadline", "c"]
+
+    def test_deadline_in_the_past_rejected(self):
+        engine = Engine()
+        engine.call_after(5, lambda: None)
+        engine.run()
+        deadline = Deadline(engine)
+        with pytest.raises(SimulationError):
+            deadline.arm(4, lambda: None)
+        assert not deadline.armed
+        assert engine.pending == 0
+
+
+class TestDeadline:
+    def test_fires_once_with_arg(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        assert not dl.armed and dl.time is None
+        dl.arm(20, fired.append, "x")
+        assert dl.armed and dl.time == 20
+        assert engine.pending == 1
+        engine.run()
+        assert fired == ["x"]
+        assert engine.now == 20
+        assert not dl.armed and dl.time is None
+        assert engine.events_executed == 1
+
+    def test_rearm_later_fires_at_new_time_in_new_seq_slot(self):
+        """Re-arming later keeps the old carrier; it re-pushes under
+        the live key, which sorts after entries scheduled in between."""
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(10, fired.append, "first")
+        engine.schedule(30, fired.append, "before")
+        dl.arm(30, fired.append, "deadline")
+        engine.schedule(30, fired.append, "after")
+        assert engine.pending == 3
+        assert engine.peek_time() == 30
+        engine.run()
+        assert fired == ["before", "deadline", "after"]
+        assert engine.events_executed == 3
+        assert engine.pending == 0
+
+    def test_rearm_earlier_pushes_a_second_carrier(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(100, fired.append, "late")
+        dl.arm(40, fired.append, "early")
+        assert engine.pending == 1
+        assert engine.peek_time() == 40
+        engine.run()
+        assert fired == ["early"]
+        assert engine.now == 40
+        assert engine.pending == 0
+        assert engine.events_executed == 1
+
+    def test_rearm_to_the_same_time_takes_a_new_seq(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(10, fired.append, "deadline")
+        engine.schedule(10, fired.append, "between")
+        dl.arm(10, fired.append, "deadline")
+        engine.run()
+        assert fired == ["between", "deadline"]
+
+    def test_clear_then_rearm(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(10, fired.append, "cleared")
+        dl.clear()
+        assert not dl.armed
+        assert engine.pending == 0
+        assert engine.peek_time() is None
+        dl.arm(10, fired.append, "rearmed")
+        assert engine.pending == 1
+        dl.clear()
+        dl.arm(25, fired.append, "later")
+        engine.run()
+        assert fired == ["later"]
+        assert engine.now == 25
+
+    def test_cleared_deadline_leaves_clock_alone(self):
+        engine = Engine()
+        dl = Deadline(engine)
+        dl.arm(1000, lambda: None)
+        engine.call_after(5, dl.clear)
+        assert engine.run() == 5
+        assert engine.events_executed == 1
+
+    def test_stale_carriers_at_heap_top(self):
+        """``pending`` and ``peek_time`` look past stale carriers."""
+        engine = Engine()
+        a, b = Deadline(engine), Deadline(engine)
+        a.arm(5, lambda: None)
+        b.arm(6, lambda: None)
+        engine.schedule(50, lambda: None)
+        a.arm(70, lambda: None)   # carrier at 5 now stale (re-armed)
+        b.clear()                 # carrier at 6 now dead
+        assert engine.pending == 2
+        assert engine.peek_time() == 50
+        assert engine.pending == 2
+        assert engine.run(until=60) == 60
+        assert engine.events_executed == 1
+        assert engine.peek_time() == 70
+        engine.run()
+        assert engine.events_executed == 2
+        assert engine.pending == 0
+
+    def test_arm_at_now_joins_this_cycle(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+
+        def at_five():
+            engine.call_soon(fired.append, "soon")
+            dl.arm(engine.now, fired.append, "deadline")
+            engine.call_soon(fired.append, "after")
+
+        engine.schedule(5, at_five)
+        dl.arm(9, fired.append, "replaced")
+        engine.run()
+        assert fired == ["soon", "deadline", "after"]
+        assert engine.now == 5
+        assert engine.pending == 0
+
+    def test_rearm_from_its_own_callback(self):
+        engine = Engine()
+        times = []
+        dl = Deadline(engine)
+
+        def tick():
+            times.append(engine.now)
+            if len(times) < 4:
+                dl.arm(engine.now + 3, tick)
+
+        dl.arm(3, tick)
+        engine.run()
+        assert times == [3, 6, 9, 12]
+        assert engine.events_executed == 4
+
+    def test_step_skips_stale_carriers(self):
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(5, fired.append, "stale")
+        dl.arm(20, fired.append, "live")
+        engine.schedule(10, fired.append, "other")
+        assert engine.step()
+        assert fired == ["other"] and engine.now == 10
+        assert engine.step()
+        assert fired == ["other", "live"] and engine.now == 20
+        assert engine.step() is False
+
+    def test_compaction_under_cancellation_storm(self):
+        """A storm of cancelled handles compacts around live and stale
+        carriers without disturbing them."""
+        engine = Engine()
+        fired = []
+        dl = Deadline(engine)
+        dl.arm(3000, fired.append, "stale")
+        dl.arm(2500, fired.append, "deadline")
+        entries = [engine.call_at(100 + i, fired.append, i)
+                   for i in range(2000)]
+        for i, entry in enumerate(entries):
+            if i % 40:
+                entry.cancel()
+        assert engine.compactions >= 1
+        assert engine.pending == 50 + 1
+        engine.run()
+        assert fired == list(range(0, 2000, 40)) + ["deadline"]
+        assert engine.pending == 0

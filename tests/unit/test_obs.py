@@ -15,7 +15,7 @@ from repro.obs import (
     sparkline, write_jsonl,
 )
 from repro.obs.snapshots import TimelineSampler, take_sample
-from repro.sim.engine import Engine
+from repro.sim.engine import Deadline, Engine
 from repro.stats import metric, rules
 
 
@@ -173,6 +173,19 @@ class TestEngineProfiler:
         assert report["subsystems"][0]["subsystem"] == "tests.unit"
         assert report["subsystems"][0]["share"] == 1.0
         assert report["cycles_per_second"] == engine.now / 0.5
+
+    def test_times_deadline_wakes_and_detaches(self):
+        engine = Engine()
+        deadline = Deadline(engine)
+        profiler = EngineProfiler(engine)
+        with profiler:
+            deadline.arm(5, lambda: None)
+            deadline.arm(8, lambda: None)
+            engine.run()
+        assert profiler.calls == {"tests.unit": 1}
+        assert engine.now == 8
+        # detach() removed the deadline's instance shadow too.
+        assert "arm" not in vars(deadline)
 
     def test_profiling_does_not_change_execution_order(self):
         def run(profiled):

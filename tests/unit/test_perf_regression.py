@@ -137,3 +137,24 @@ def test_all_to_all_leg_is_neutral_without_a_comparable_figure(
     assert gate.main(["--fresh", unshared]) == 0
     assert "fresh gate skipped (single-core box); neutral" in \
         capsys.readouterr().out
+
+
+def test_obs_gate_fails_only_on_a_confident_overhead():
+    """The obs gate reads the bootstrap lower bound, not the median: a
+    noisy unchanged-tree sample whose median overhead is 11% passes,
+    pair ratios of a 20% injected slowdown fail."""
+    import statistics
+
+    from benchmarks import perf_smoke
+
+    limit = perf_smoke.OBS_OVERHEAD_LIMIT
+    noisy = [0.70, 0.78, 0.84, 0.86, 0.87, 0.88, 0.89, 0.89, 0.93, 0.96,
+             0.99, 1.02, 1.06, 1.12, 1.18]
+    assert 1.0 - statistics.median(noisy) > limit
+    assert perf_smoke.overhead_lower_bound(noisy) <= limit
+    slowed = [0.628, 0.647, 0.682, 0.714, 0.715, 0.72, 0.734, 0.738,
+              0.739, 0.748, 0.77, 0.801, 0.816, 0.859, 1.017]
+    assert perf_smoke.overhead_lower_bound(slowed) > limit
+    # Seeded resampling: the bound is a function of the ratios alone.
+    assert (perf_smoke.overhead_lower_bound(noisy)
+            == perf_smoke.overhead_lower_bound(list(noisy)))

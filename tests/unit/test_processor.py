@@ -325,13 +325,17 @@ class TestRepeatedPreemption:
         engine.run(until=60)
 
         assert frame.state is FrameState.DELAY
-        assert not frame._wake.cancelled
-        assert frame._wake.time == 110
+        assert proc.current is frame
         assert engine.pending == 1
         assert engine.peek_time() == 110
 
-        engine.run()
+        # The one pending event is the wake, due at 110: a single step
+        # finishes the frame there.
+        assert engine.step()
+        assert engine.now == 110
         assert trace == [("user", 110)]
+        assert frame.state is FrameState.DONE
+        assert engine.step() is False
         assert proc.user_cycles == 100
         assert proc.kernel_cycles == 10
         assert engine.pending == 0
