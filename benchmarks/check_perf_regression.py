@@ -9,8 +9,8 @@ a silent pass. The engine figure is
 ``fastpath.calibrated_events_per_second``: the median over
 whole-machine runs (which dispatch through the loop every real run
 uses) of events per second, rescaled by the e2e benchmark's host
-calibration kernel timed in the same process. The ``engine_events``
-micro-bench is informational and not gated. The ratchet is two-sided:
+calibration kernel timed in the same process. The ratchet is
+two-sided:
 
 * fail when the fresh figure drops more than ``--threshold`` (default
   20%, but never more than ``ENGINE_THRESHOLD`` on the engine figure)

@@ -3,11 +3,9 @@
 Times six things and writes ``BENCH_runner.json`` plus
 ``BENCH_obs.json``:
 
-* **engine microbenchmark** (informational, not gated) — raw
-  discrete-event throughput (events/second, best of 3) on a
-  process-churn loop — with the event heap's counters (heap events,
-  per-cycle batch sizes; ``overflow_scheduled`` is always 0) — and on
-  a cancellation-heavy loop (the lazy-deletion/compaction path);
+* **engine cancellation** (informational, not gated) — wall-clock of
+  a cancellation-heavy schedule (the lazy-deletion/compaction path,
+  which the mailbox workload's transport retries reach);
 * **runner sweep, serial vs parallel vs auto** — a small fixed
   multiprogrammed sweep through :func:`repro.runner.run_specs` at
   ``jobs=1``, forced ``mode="parallel"`` at ``jobs=N``, and
@@ -45,9 +43,8 @@ Times six things and writes ``BENCH_runner.json`` plus
   :class:`~repro.obs.Observatory` disabled vs enabled (interleaved
   pairs), asserting the metrics stay bit-identical and failing only
   when the bootstrap 95% lower bound of the events/sec regression
-  clears 10%, plus an
-  :class:`~repro.obs.EngineProfiler` breakdown of where engine time
-  goes (``BENCH_obs.json``).
+  clears 10% (``BENCH_obs.json``). Per-layer wall-clock attribution
+  is ``python3 -m benchmarks.e2e --trace 1``'s job.
 
 Run it from the repo root::
 
@@ -75,10 +72,9 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.multiprog import multiprog_spec
 from repro.experiments.workloads import make_workload
 from repro.machine.machine import Machine
-from repro.obs import EngineProfiler
 from repro.runner import ResultCache, default_jobs, run_specs
 from repro.runner.executor import fork_available
-from repro.sim.engine import _NO_ARG, Delay, Engine
+from repro.sim.engine import _NO_ARG, Engine
 
 # The repository root, so the e2e benchmark's calibration kernel is
 # importable when this file runs as a script.
@@ -109,46 +105,6 @@ SMOKE_SPECS = [
     for skew in (0.0, 0.1)
     for seed in (1, 2)
 ]
-
-
-def bench_engine_events(n_procs: int = 50, steps: int = 2000,
-                        repeats: int = 3) -> dict:
-    """Events/second on a many-process Delay loop, best of ``repeats``.
-
-    Also records the engine counters from the fastest run: heap
-    events vs run-queue events, how coarse the per-cycle batching ran,
-    and ``overflow_scheduled`` (always 0 on the one-heap engine).
-    """
-
-    def one_run():
-        engine = Engine()
-
-        def proc(i):
-            for _ in range(steps):
-                yield Delay(3 + (i % 7))
-
-        for i in range(n_procs):
-            engine.process(proc(i), name=f"p{i}")
-        start = time.perf_counter()
-        engine.run()
-        wall = time.perf_counter() - start
-        return engine, wall
-
-    engine, wall = min((one_run() for _ in range(repeats)),
-                       key=lambda pair: pair[1])
-    batches = engine.cycle_batches
-    return {
-        "repeats": repeats,
-        "events": engine.events_executed,
-        "wall_seconds": wall,
-        "events_per_second": engine.events_executed / wall,
-        "ring_events": engine.ring_events,
-        "runq_events": engine.runq_events,
-        "overflow_scheduled": engine.overflow_scheduled,
-        "cycle_batches": batches,
-        "mean_batch_events": (engine.ring_events / batches
-                              if batches else 0.0),
-    }
 
 
 def bench_engine_cancellation(total: int = 200_000,
@@ -584,10 +540,10 @@ def bench_shard(shards: int = 2,
     }
 
 
-def _obs_run(obs_interval=None, profile=False):
+def _obs_run(obs_interval=None):
     """One multiprogrammed barrier-vs-null run, timed.
 
-    Returns ``(metrics, events_executed, wall_seconds, profiler)``.
+    Returns ``(metrics, events_executed, wall_seconds)``.
     The workload matches the obs e2e tests: 8 nodes, 10% skew, fast
     scale — long enough to time, short enough for CI.
     """
@@ -600,20 +556,14 @@ def _obs_run(obs_interval=None, profile=False):
     observatory = None
     if obs_interval is not None:
         observatory = machine.enable_observability(obs_interval)
-    profiler = None
-    if profile:
-        profiler = EngineProfiler(machine.engine)
-        profiler.attach()
     machine.start()
     start = time.perf_counter()
     machine.run_until_job_done(job, limit=50_000_000_000)
     wall = time.perf_counter() - start
-    if profiler is not None:
-        profiler.detach()
     metrics = collect_metrics(machine, job)
     if observatory is not None:
         observatory.finalize()
-    return metrics, machine.engine.events_executed, wall, profiler
+    return metrics, machine.engine.events_executed, wall
 
 
 def overhead_lower_bound(ratios, resamples: int = OBS_BOOTSTRAP_RESAMPLES,
@@ -654,11 +604,11 @@ def bench_obs(repeats: int = OBS_PAIRS) -> dict:
     base_metrics = asdict(disabled[0][0])
     metrics_identical = all(
         asdict(m) == base_metrics
-        for m, _e, _w, _p in disabled[1:] + enabled
+        for m, _e, _w in disabled[1:] + enabled
     )
 
     def eps(run):
-        _m, events, wall, _p = run
+        _m, events, wall = run
         return events / wall
 
     ratios = sorted(eps(on) / eps(off)
@@ -666,7 +616,6 @@ def bench_obs(repeats: int = OBS_PAIRS) -> dict:
     overhead = 1.0 - statistics.median(ratios)
     lower = overhead_lower_bound(ratios)
 
-    _m, events, wall, profiler = _obs_run(profile=True)
     return {
         "repeats": repeats,
         "disabled_events_per_second": statistics.median(
@@ -679,7 +628,6 @@ def bench_obs(repeats: int = OBS_PAIRS) -> dict:
         "overhead_limit": OBS_OVERHEAD_LIMIT,
         "metrics_identical": metrics_identical,
         "gate_ok": metrics_identical and lower <= OBS_OVERHEAD_LIMIT,
-        "profile": profiler.report(wall_seconds=wall),
     }
 
 
@@ -701,7 +649,6 @@ def main(argv=None) -> int:
         "benchmark": "runner+engine perf smoke",
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
-        "engine_events": bench_engine_events(),
         "engine_cancellation": bench_engine_cancellation(),
         "sweep": bench_sweep(jobs),
         "fastpath": bench_fastpath(),
@@ -722,11 +669,13 @@ def main(argv=None) -> int:
         json.dump(obs_report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    events = report["engine_events"]["events_per_second"]
     sweep = report["sweep"]
     fastpath = report["fastpath"]
     shard = report["shard"]
-    print(f"engine: {events:,.0f} events/s (micro-bench, informational)")
+    cancellation = report["engine_cancellation"]
+    print(f"engine cancellation: {cancellation['scheduled']:,} scheduled, "
+          f"{cancellation['compactions']} compactions, "
+          f"{cancellation['wall_seconds']:.3f}s (informational)")
     print(f"sweep ({sweep['runs']} runs): serial "
           f"{sweep['serial_wall_seconds']:.2f}s, jobs={sweep['jobs']} "
           f"{sweep['parallel_wall_seconds']:.2f}s "
@@ -764,9 +713,6 @@ def main(argv=None) -> int:
           f"lower bound {obs['overhead_lower_bound']:+.1%}, limit "
           f"{obs['overhead_limit']:.0%}), metrics identical: "
           f"{obs['metrics_identical']}")
-    top = obs["profile"]["subsystems"][:3]
-    print("profile: " + ", ".join(
-        f"{s['subsystem']} {s['share']:.0%}" for s in top))
     print(f"wrote {args.out} and {args.obs_out}")
     return 0 if (sweep["serial_parallel_identical"]
                  and sweep["cache_replay_identical"]

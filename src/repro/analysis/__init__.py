@@ -4,7 +4,6 @@ from repro.analysis.metrics import RunMetrics, collect_metrics, mean
 from repro.analysis.plot import render_ascii_plot
 from repro.analysis.report import render_table, render_series, format_count
 from repro.analysis.trace import MessageTracer, TraceEvent
-from repro.analysis.machine_report import render_machine_report
 
 __all__ = [
     "RunMetrics",
@@ -16,5 +15,4 @@ __all__ = [
     "format_count",
     "MessageTracer",
     "TraceEvent",
-    "render_machine_report",
 ]

@@ -21,7 +21,6 @@ from repro.glaze.jobs import Job, JobNodeState
 from repro.glaze.kernel import NodeKernel
 from repro.glaze.scheduler import GangScheduler
 from repro.glaze.overflow import OverflowControl, OverflowPolicy
-from repro.glaze.threads import THREAD_YIELD, Thread, UserThreadLib
 
 __all__ = [
     "PageFramePool",
@@ -36,7 +35,4 @@ __all__ = [
     "GangScheduler",
     "OverflowControl",
     "OverflowPolicy",
-    "THREAD_YIELD",
-    "Thread",
-    "UserThreadLib",
 ]

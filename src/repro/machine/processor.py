@@ -63,10 +63,10 @@ from repro.sim.events import Event
 class Compute:
     """Yielded by a frame to consume ``cycles`` of processor time.
 
-    Interned like :class:`~repro.sim.engine.Delay`: ``Compute(c)`` for
-    ``0 <= c < 1024`` returns a shared immutable instance (most charges,
-    the cost-model constants and poll intervals, fall in this range, and
-    every compute wake yields one). Subclasses are never interned. Never
+    Interned through :func:`~repro.sim.engine.flyweight_table`:
+    ``Compute(c)`` for ``0 <= c < 1024`` returns a shared immutable
+    instance (most charges, the cost-model constants and poll intervals,
+    fall in this range, and every compute wake yields one). Subclasses are never interned. Never
     mutate ``cycles``.
     """
 

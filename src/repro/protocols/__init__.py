@@ -1,29 +1,10 @@
-"""Higher-level protocols built on UDM.
+"""Protocols built on UDM.
 
-Section 3 positions UDM as "an efficient target for a programmer, for a
-compiler or as a building block for other protocols (e.g., send/receive,
-RPC) in a library". This package is that library:
-
-* :mod:`repro.protocols.rpc` — request/response with correlation,
-  blocking calls and registered server procedures;
-* :mod:`repro.protocols.sendrecv` — MPI-style tagged send/receive with
-  eager delivery and unexpected-message queues;
-* :mod:`repro.protocols.channels` — ordered, flow-controlled streams
-  between node pairs.
-
-All of them use only the public UDM runtime API (inject, handlers,
-dispose) — no protocol reaches into the NI or the kernel — so every
-message they exchange enjoys two-case delivery unchanged.
+Section 3 positions UDM as "a building block for other protocols". The
+one protocol the simulator runs is :mod:`repro.protocols.reliable`: a
+sequenced, acknowledged transport with retransmission and duplicate
+suppression, which keeps the mailbox and fault-injection runs exact
+over a lossy fabric. It uses only the public UDM runtime API (inject,
+handlers, dispose), so every message it exchanges enjoys two-case
+delivery unchanged.
 """
-
-from repro.protocols.rpc import RpcEndpoint, RpcError
-from repro.protocols.sendrecv import SendRecv
-from repro.protocols.channels import Channel, ChannelSet
-
-__all__ = [
-    "RpcEndpoint",
-    "RpcError",
-    "SendRecv",
-    "Channel",
-    "ChannelSet",
-]

@@ -1,7 +1,7 @@
 """Exactly-once, in-order messaging over an unreliable fabric.
 
-The base UDM fabric is reliable and FIFO, so the protocol layers above
-it (sendrecv, RPC, channels) never needed sequencing. Fault injection
+The base UDM fabric is reliable and FIFO, so applications on it need no
+sequencing. Fault injection
 (:mod:`repro.faults`) breaks that assumption: messages may be dropped,
 duplicated or reordered. :class:`ReliableTransport` restores
 exactly-once, per-(src, dst) in-order delivery on top of the lossy

@@ -1,16 +1,8 @@
-"""The discrete-event engine: clock, event heap and generator processes.
+"""The discrete-event engine: clock, event heap and same-cycle run queue.
 
 The engine is deliberately small. All simulation behaviour above it is
-expressed either as scheduled callbacks or as *processes* — Python
-generators that yield:
-
-* ``Delay(cycles)`` — resume after ``cycles`` simulated cycles;
-* an :class:`~repro.sim.events.Event` — resume when it triggers, with
-  ``event.value`` sent into the generator.
-
-Processes may also raise ``StopIteration`` (returning a value) which
-triggers the process's ``done`` event, so processes can wait for each
-other by yielding ``other_process.done``.
+expressed as scheduled callbacks; the processor model drives its
+generator frames on top of them (see :mod:`repro.machine.processor`).
 
 Scheduling primitives
 ---------------------
@@ -92,9 +84,7 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional
-
-from repro.sim.events import Event
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -119,44 +109,16 @@ _ENTRY = _Sentinel("entry")
 _CARRIER = _Sentinel("carrier")
 
 
-class Delay:
-    """Yielded by a process to advance simulated time by ``cycles``.
-
-    Small delays are interned: ``Delay(c)`` for ``0 <= c < 1024``
-    returns a shared immutable instance (the cost-model constants that
-    dominate simulation delays all fall in this range, and a process
-    yields one ``Delay`` per resumption — the allocation is measurable
-    at whole-machine dispatch speeds). Never mutate ``cycles``.
-    """
-
-    __slots__ = ("cycles",)
-
-    def __new__(cls, cycles: int) -> "Delay":
-        if cls is Delay and type(cycles) is int and 0 <= cycles < 1024:
-            return _DELAY_CACHE[cycles]
-        self = object.__new__(cls)
-        if cycles < 0:
-            raise ValueError(f"negative delay: {cycles}")
-        self.cycles = cycles if type(cycles) is int else int(cycles)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.cycles})"
-
-
 def flyweight_table(cls: type) -> list:
     """Shared instances of ``cls`` with ``cycles`` 0..1023, built
-    without running ``cls.__new__``: the intern table behind
-    :class:`Delay` and the processor's ``Compute``."""
+    without running ``cls.__new__``: the intern table behind the
+    processor's ``Compute``."""
     table = []
     for cycles in range(1024):
         obj = object.__new__(cls)
         obj.cycles = cycles
         table.append(obj)
     return table
-
-
-_DELAY_CACHE = flyweight_table(Delay)
 
 
 class _ScheduledCall:
@@ -284,89 +246,6 @@ class Deadline:
         return f"<Deadline {state} carriers={len(self._stack)}>"
 
 
-ProcessGen = Generator[Any, Any, Any]
-
-
-class Process:
-    """A generator coroutine driven by the engine.
-
-    The process finishes when the generator returns; its return value is
-    delivered on the ``done`` event. Uncaught exceptions in a process are
-    re-raised out of :meth:`Engine.run` — silent process death hides
-    bugs.
-    """
-
-    __slots__ = ("engine", "gen", "name", "done", "_waiting_on",
-                 "_bound_step", "_bound_on_event", "_gen_send")
-
-    def __init__(self, engine: "Engine", gen: ProcessGen, name: str = "") -> None:
-        self.engine = engine
-        self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
-        self.done = Event(f"{self.name}.done")
-        self._waiting_on: Optional[Event] = None
-        # Bound methods are cached once: every Delay resumption schedules
-        # `_step`, and creating a fresh bound-method object per event is
-        # measurable at whole-machine dispatch speeds.
-        self._bound_step = self._step
-        self._bound_on_event = self._on_event
-        self._gen_send = gen.send
-
-    @property
-    def finished(self) -> bool:
-        return self.done.triggered
-
-    def _step(self, send_value: Any = None) -> None:
-        try:
-            target = self._gen_send(send_value)
-        except StopIteration as stop:
-            self.done.trigger(stop.value)
-            return
-        self._dispatch(target)
-
-    def _dispatch(self, target: Any) -> None:
-        """Suspend on whatever the generator yielded: a Delay resumes
-        through a handle-free :meth:`Engine.schedule`; an Event (or a
-        Process's ``done``) resumes on its trigger."""
-        if isinstance(target, Delay):
-            engine = self.engine
-            engine.schedule(engine.now + target.cycles, self._bound_step)
-            return
-        if isinstance(target, Process):
-            target = target.done
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name} yielded unsupported {target!r}"
-            )
-        self._waiting_on = target
-        target.subscribe(self._bound_on_event)
-
-    def _on_event(self, value: Any) -> None:
-        self._waiting_on = None
-        self._step(value)
-
-    def interrupt_wait(self) -> bool:
-        """Detach the process from the event it is waiting on.
-
-        Used by preemption machinery (the processor model) to steal a
-        process back from a wait. Returns True if a wait was cancelled.
-        The caller becomes responsible for stepping the process again.
-        """
-        if self._waiting_on is None:
-            return False
-        self._waiting_on.unsubscribe(self._bound_on_event)
-        self._waiting_on = None
-        return True
-
-    def resume(self, send_value: Any = None) -> None:
-        """Step the process immediately (used after ``interrupt_wait``)."""
-        self._step(send_value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.finished else "running"
-        return f"<Process {self.name} {state}>"
-
-
 #: Compact when at least this many entries are cancelled *and*
 #: cancellations make up at least half of everything pending. Small
 #: enough to bound memory under cancellation storms, large enough that
@@ -393,7 +272,8 @@ class Engine:
         self._runq: deque = deque()
         #: Heap tie-break; also reserved by every ``Deadline.arm``.
         self._seq: int = 0
-        #: Every Deadline built on this engine (for the profiler).
+        #: Every Deadline built on this engine, so instrumentation can
+        #: shadow each one's ``arm``.
         self._deadlines: List[Deadline] = []
         self._events_executed: int = 0
         #: Events popped off the heap.
@@ -496,21 +376,6 @@ class Engine:
         """Run ``fn`` this cycle, after already-pending same-cycle
         events (handle-free)."""
         self.schedule(self.now, fn, arg)
-
-    def timeout(self, delay: int, event: Event, value: Any = None) -> _ScheduledCall:
-        """Trigger ``event`` with ``value`` after ``delay`` cycles."""
-        return self.call_at(self.now + delay, event.trigger, value)
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
-        """Start driving generator ``gen`` as a process (first step now)."""
-        proc = Process(self, gen, name)
-        # Defer the first step to the event loop so that creation order
-        # does not interleave half-started coroutines.
-        self.schedule(self.now, proc._bound_step)
-        return proc
 
     # ------------------------------------------------------------------
     # Queue maintenance

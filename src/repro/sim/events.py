@@ -1,7 +1,7 @@
 """One-shot events for the simulation kernel.
 
-An :class:`Event` is the basic synchronization primitive: processes wait
-on it (by yielding it), callbacks subscribe to it, and exactly one
+An :class:`Event` is the basic synchronization primitive: processor frames
+wait on it (by yielding it), callbacks subscribe to it, and exactly one
 ``trigger`` delivers a value to all waiters at the current simulation
 time.
 """

@@ -12,6 +12,7 @@ from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
 from repro.machine.processor import Compute
 from repro.sim.engine import Engine
+from repro.sim.events import Event
 
 
 @pytest.fixture
@@ -34,6 +35,23 @@ def make_machine(num_nodes: int = 2, **overrides) -> Machine:
     """A small machine with test-friendly defaults."""
     config = SimulationConfig(num_nodes=num_nodes, **overrides)
     return Machine(config)
+
+
+def collect_deliveries(transport, expected):
+    """Bind a delivery callback that records ``(src, payload)`` per
+    node; returns the records and a per-node event that triggers once
+    the node has received ``expected[node]`` messages."""
+    received = {n: [] for n in expected}
+    complete = {n: Event(f"complete-{n}") for n in expected}
+
+    def deliver(rt, src, payload):
+        node = rt.node_index
+        received[node].append((src, payload))
+        if len(received[node]) == expected[node]:
+            complete[node].trigger()
+
+    transport.bind(deliver)
+    return received, complete
 
 
 class ScriptedApplication(Application):

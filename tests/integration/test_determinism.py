@@ -3,11 +3,9 @@
 The entire evaluation methodology (averaging trials, comparing
 configurations) rests on the simulator being a deterministic function
 of (configuration, seed). These tests pin that property for the
-messaging core, a CRL workload and the synthetic sweeps, plus the
-machine report rendering.
+messaging core, a CRL workload and the synthetic sweeps.
 """
 
-from repro.analysis.machine_report import render_machine_report
 from repro.analysis.metrics import collect_metrics
 from repro.apps.null_app import NullApplication
 from repro.apps.synth import SynthApplication
@@ -68,13 +66,3 @@ class TestDeterminism:
             return fingerprint(machine, job)
 
         assert run() == run()
-
-    def test_machine_report_is_stable_text(self):
-        machine_a, job_a = run_synth_pair(seed=9)
-        machine_b, job_b = run_synth_pair(seed=9)
-        assert (render_machine_report(machine_a)
-                == render_machine_report(machine_b))
-        report = render_machine_report(machine_a)
-        assert "Per-node activity" in report
-        assert "Interconnect" in report
-        assert "synth-50" in report

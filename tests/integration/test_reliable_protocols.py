@@ -1,10 +1,9 @@
-"""The protocol library over a faulty fabric, via ReliableTransport.
+"""ReliableTransport over a faulty fabric.
 
-Each protocol (two-sided sendrecv, RPC, flow-controlled channels) is
-exercised end-to-end over a fabric that drops, duplicates or reorders
-messages; the reliable layer must preserve each protocol's semantics
-— exactly-once, correct answers, stream order — and the invariant
-checker must come back clean.
+The transport is driven directly (``bind`` a delivery callback, then
+``send``) over a fabric that drops, duplicates or reorders messages:
+it must deliver every message exactly once, in per-pair send order,
+and the invariant checker must come back clean.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ from __future__ import annotations
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
 from repro.machine.processor import Compute
-from repro.protocols.channels import ChannelSet
 from repro.protocols.reliable import ReliableTransport
-from repro.protocols.rpc import RpcEndpoint
-from repro.protocols.sendrecv import SendRecv
 
-from tests.conftest import ScriptedApplication
+from tests.conftest import ScriptedApplication, collect_deliveries
 
 
 def _faulty_machine(num_nodes: int, faults: str, seed: int = 1) -> Machine:
@@ -35,74 +31,41 @@ def _run(machine, app, transport, limit=2_000_000_000):
     assert violations == [], [str(v) for v in violations]
 
 
-def test_sendrecv_exactly_once_over_lossy_fabric():
+def test_transport_exactly_once_over_lossy_fabric():
     machine = _faulty_machine(3, "drop=0.1,duplicate=0.1,seed=5")
     transport = ReliableTransport(3)
-    sr = SendRecv(3, transport=transport)
-    received = {n: [] for n in range(3)}
+    received, complete = collect_deliveries(transport,
+                                            {n: 3 for n in range(3)})
 
     def script(app, rt, idx):
         for seq in range(3):
-            dst = (idx + 1) % 3
-            yield from sr.send(rt, dst, tag=seq % 2, payload=(idx, seq))
+            yield from transport.send(rt, (idx + 1) % 3, (idx, seq))
             yield Compute(100)
-        for _ in range(3):
-            result = yield from sr.recv(rt)
-            received[idx].append(result)
+        if len(received[idx]) < 3:
+            yield complete[idx]
 
     _run(machine, ScriptedApplication(script), transport)
-    total = sum(len(v) for v in received.values())
-    assert total == 9
-    # FIFO within each (source, tag) match class.
-    for msgs in received.values():
-        last = {}
-        for source, tag, payload in msgs:
-            sender, seq = payload
-            assert last.get((sender, tag), -1) < seq
-            last[(sender, tag)] = seq
+    for node, msgs in received.items():
+        sender = (node - 1) % 3
+        assert msgs == [(sender, (sender, seq)) for seq in range(3)]
     assert transport.retransmissions > 0 or \
         transport.duplicates_suppressed > 0
 
 
-def test_rpc_correct_answers_over_lossy_fabric():
-    machine = _faulty_machine(2, "drop=0.15,seed=8")
-    transport = ReliableTransport(2)
-    rpc = RpcEndpoint(2, transport=transport)
-    rpc.register("add", lambda rt, a, b: a + b)
-    results = []
-
-    def script(app, rt, idx):
-        if idx != 0:
-            yield Compute(50)
-            return
-        for i in range(6):
-            value = yield from rpc.call(rt, server=1, proc="add",
-                                        args=(i, 10))
-            results.append(value)
-
-    _run(machine, ScriptedApplication(script), transport)
-    assert results == [i + 10 for i in range(6)]
-    assert rpc.calls_served == 6
-
-
-def test_channels_preserve_stream_order_over_reordering_fabric():
+def test_transport_resequences_over_reordering_fabric():
     machine = _faulty_machine(2, "drop=0.1,reorder=50,seed=2")
     transport = ReliableTransport(2)
-    channels = ChannelSet(2, transport=transport)
-    channels.create(1, producer=0, consumer=1, window=4)
-    taken = []
+    received, complete = collect_deliveries(transport, {0: 0, 1: 10})
 
     def script(app, rt, idx):
         if idx == 0:
             for i in range(10):
-                yield from channels.put(rt, 1, i)
-        else:
-            for _ in range(10):
-                item = yield from channels.take(rt, 1)
-                taken.append(item)
+                yield from transport.send(rt, 1, (i,))
+        elif len(received[1]) < 10:
+            yield complete[1]
 
     _run(machine, ScriptedApplication(script), transport)
-    assert taken == list(range(10))  # in order, exactly once
+    assert received[1] == [(0, (i,)) for i in range(10)]  # in order, once
 
 
 def test_transport_gives_up_when_budget_exhausted():

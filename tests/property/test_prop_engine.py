@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine.processor import Compute, Frame, Processor
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRng
 
 
@@ -25,16 +25,19 @@ def test_callbacks_fire_in_nondecreasing_time_order(delays):
 @given(chunks=st.lists(st.integers(min_value=0, max_value=200),
                        min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
-def test_process_delay_sum_equals_final_time(chunks):
+def test_chained_delay_sum_equals_final_time(chunks):
     engine = Engine()
+    remaining = iter(chunks)
 
-    def proc():
-        for c in chunks:
-            yield Delay(c)
+    def step():
+        c = next(remaining, None)
+        if c is not None:
+            engine.schedule(engine.now + c, step)
 
-    engine.process(proc())
+    engine.schedule(engine.now, step)
     engine.run()
     assert engine.now == sum(chunks)
+    assert engine.events_executed == len(chunks) + 1
 
 
 @given(

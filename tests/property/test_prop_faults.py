@@ -14,9 +14,8 @@ from repro.faults.plan import FaultPlan
 from repro.faults.runner import faulted_spec, run_faulted
 from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
-from repro.protocols.sendrecv import SendRecv
 
-from tests.conftest import ScriptedApplication
+from tests.conftest import ScriptedApplication, collect_deliveries
 
 #: Random-but-survivable fault plans: probabilities stay moderate so
 #: the retry budget always suffices and runs stay short.
@@ -157,14 +156,12 @@ def test_fault_free_experiment_specs_keep_historical_keys():
                                        faults="drop=0.01")))
 
 
-#: (destination, tag, pre-send delay) per message, per node — the same
-#: shape as test_prop_protocols, now over a lossy, duplicating fabric.
+#: (destination, pre-send delay) per message, per node.
 NODES = 3
 lossy_plan_strategy = st.lists(
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=NODES - 1),
-            st.integers(min_value=0, max_value=2),
             st.integers(min_value=0, max_value=300),
         ),
         max_size=5,
@@ -176,11 +173,11 @@ lossy_plan_strategy = st.lists(
 @given(plan=lossy_plan_strategy,
        fault_seed=st.integers(min_value=0, max_value=1_000))
 @settings(max_examples=25, deadline=None)
-def test_sendrecv_fifo_within_match_class_over_lossy_fabric(
+def test_transport_exactly_once_fifo_per_pair_over_lossy_fabric(
         plan, fault_seed):
-    """Random interleavings over drop+duplicate faults: the two-sided
-    layer still delivers everything exactly once, FIFO per (source,
-    tag) match class."""
+    """Random interleavings over drop+duplicate faults: the transport
+    delivers everything exactly once, FIFO per (source, destination)
+    pair."""
     from repro.experiments.config import SimulationConfig
     from repro.machine.machine import Machine
 
@@ -188,23 +185,20 @@ def test_sendrecv_fifo_within_match_class_over_lossy_fabric(
         f"seed={fault_seed},drop=0.15,duplicate=0.15")
     machine = Machine(config)
     transport = ReliableTransport(NODES)
-    sr = SendRecv(NODES, transport=transport)
-    expected = {n: 0 for n in range(NODES)}
-    for sends in plan:
-        for dst, _tag, _delay in sends:
-            expected[dst] += 1
-    received = {n: [] for n in range(NODES)}
+    expected = {n: [] for n in range(NODES)}
+    for src, sends in enumerate(plan):
+        for seq, (dst, _delay) in enumerate(sends):
+            expected[dst].append((src, seq))
+    received, complete = collect_deliveries(
+        transport, {n: len(sends) for n, sends in expected.items()})
 
     def script(app, rt, idx):
-        seq = 0
-        for dst, tag, delay in plan[idx]:
+        for seq, (dst, delay) in enumerate(plan[idx]):
             if delay:
                 yield Compute(delay)
-            yield from sr.send(rt, dst, tag, payload=(idx, seq))
-            seq += 1
-        while len(received[idx]) < expected[idx]:
-            result = yield from sr.recv(rt)
-            received[idx].append(result)
+            yield from transport.send(rt, dst, (seq,))
+        if len(received[idx]) < len(expected[idx]):
+            yield complete[idx]
 
     app = ScriptedApplication(script)
     job = machine.add_job(app)
@@ -212,14 +206,13 @@ def test_sendrecv_fifo_within_match_class_over_lossy_fabric(
     machine.start()
     machine.run_until_job_done(job, limit=2_000_000_000)
 
-    total = sum(len(msgs) for msgs in received.values())
-    assert total == sum(expected.values())
-    for _node, msgs in received.items():
-        last_seq = {}
-        for source, tag, payload in msgs:
-            sender, seq = payload
-            key = (sender, tag)
-            assert last_seq.get(key, -1) < seq  # exactly-once + FIFO
-            last_seq[key] = seq
+    for node, msgs in received.items():
+        # Exactly once: the same multiset as was sent to this node.
+        assert sorted((src, seq) for src, (seq,) in msgs) == \
+            sorted(expected[node])
+        # FIFO per pair: each source's messages arrive in send order.
+        for src in range(NODES):
+            seqs = [seq for s, (seq,) in msgs if s == src]
+            assert seqs == sorted(seqs)
     violations = checker.check(transports=[transport])
     assert violations == [], [str(v) for v in violations]

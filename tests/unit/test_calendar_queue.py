@@ -17,7 +17,7 @@ sit at the heap top.
 import pytest
 
 import repro.sim.engine as engine_mod
-from repro.sim.engine import Deadline, Delay, Engine, SimulationError
+from repro.sim.engine import Deadline, Engine, SimulationError
 
 #: The calendar ring's span, kept as a distance scale: entries this far
 #: out used to take the overflow tier.
@@ -91,13 +91,14 @@ class TestTiering:
         engine = Engine()
         trace = []
 
-        def proc():
-            yield Delay(2)
-            trace.append(engine.now)
-            yield Delay(OLD_WINDOW * 3)
+        def far():
             trace.append(engine.now)
 
-        engine.process(proc())
+        def near():
+            trace.append(engine.now)
+            engine.schedule(engine.now + OLD_WINDOW * 3, far)
+
+        engine.schedule(2, near)
         engine.run()
         assert trace == [2, 2 + OLD_WINDOW * 3]
         assert engine.overflow_scheduled == 0
@@ -219,16 +220,16 @@ class TestCountersAndStop:
         engine.run()
         assert engine.now == 5
 
-    def test_process_resume_counts_as_ring_event(self):
+    def test_timed_follow_up_counts_as_ring_event(self):
         engine = Engine()
 
-        def proc():
-            yield Delay(7)
+        def start():
+            engine.schedule(engine.now + 7, lambda: None)
 
-        engine.process(proc())
+        engine.schedule(engine.now, start)
         engine.run()
         if engine.fastpath:
-            # first step (runq) + one Delay resume (heap).
+            # the start (runq) + one timed follow-up (heap).
             assert engine.runq_events == 1
             assert engine.ring_events == 1
         else:

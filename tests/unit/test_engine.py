@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Delay, Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, EventAlreadyTriggered
 
 
@@ -84,85 +84,6 @@ class TestScheduling:
         engine.call_after(9, lambda: None)
         entry.cancel()
         assert engine.peek_time() == 9
-
-
-class TestProcesses:
-    def test_process_delays_advance_time(self, engine):
-        trace = []
-
-        def proc():
-            trace.append(engine.now)
-            yield Delay(10)
-            trace.append(engine.now)
-            yield Delay(5)
-            trace.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert trace == [0, 10, 15]
-
-    def test_process_waits_on_event(self, engine):
-        event = Event("go")
-        got = []
-
-        def waiter():
-            value = yield event
-            got.append((engine.now, value))
-
-        engine.process(waiter())
-        engine.timeout(25, event, "payload")
-        engine.run()
-        assert got == [(25, "payload")]
-
-    def test_process_return_value_on_done(self, engine):
-        def proc():
-            yield Delay(1)
-            return 42
-
-        p = engine.process(proc())
-        engine.run()
-        assert p.finished
-        assert p.done.value == 42
-
-    def test_process_can_wait_for_process(self, engine):
-        def inner():
-            yield Delay(7)
-            return "inner-result"
-
-        results = []
-
-        def outer():
-            value = yield engine.process(inner())
-            results.append((engine.now, value))
-
-        engine.process(outer())
-        engine.run()
-        assert results == [(7, "inner-result")]
-
-    def test_already_triggered_event_resumes_immediately(self, engine):
-        event = Event()
-        event.trigger("early")
-        got = []
-
-        def proc():
-            value = yield event
-            got.append(value)
-
-        engine.process(proc())
-        engine.run()
-        assert got == ["early"]
-
-    def test_yielding_garbage_raises(self, engine):
-        def proc():
-            yield "nonsense"
-
-        engine.process(proc())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Delay(-1)
 
 
 class TestEvents:

@@ -11,11 +11,11 @@ from repro.experiments.config import SimulationConfig
 from repro.glaze.kernel import KernelStats
 from repro.machine.machine import Machine, stats_sources
 from repro.obs import (
-    DuplicateMetric, EngineProfiler, MetricRegistry, Observatory,
+    DuplicateMetric, MetricRegistry, Observatory,
     sparkline, write_jsonl,
 )
 from repro.obs.snapshots import TimelineSampler, take_sample
-from repro.sim.engine import Deadline, Engine
+from repro.sim.engine import Engine
 from repro.stats import metric, rules
 
 
@@ -152,56 +152,6 @@ class TestTimelineSampler:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             TimelineSampler(_engine_with_machine_stub(), interval=0)
-
-
-class TestEngineProfiler:
-    def test_buckets_by_subsystem_and_detaches(self):
-        engine = Engine()
-        profiler = EngineProfiler(engine)
-        with profiler:
-            for t in (5, 10, 15):
-                engine.call_at(t, lambda: None)
-            engine.run()
-        # Test-local lambdas bucket under this module's first two
-        # module-path components.
-        assert profiler.calls == {"tests.unit": 3}
-        assert profiler.seconds["tests.unit"] >= 0.0
-        # detach() removed the instance shadow: call_at is the class
-        # method again.
-        assert "call_at" not in vars(engine)
-        report = profiler.report(wall_seconds=0.5)
-        assert report["subsystems"][0]["subsystem"] == "tests.unit"
-        assert report["subsystems"][0]["share"] == 1.0
-        assert report["cycles_per_second"] == engine.now / 0.5
-
-    def test_times_deadline_wakes_and_detaches(self):
-        engine = Engine()
-        deadline = Deadline(engine)
-        profiler = EngineProfiler(engine)
-        with profiler:
-            deadline.arm(5, lambda: None)
-            deadline.arm(8, lambda: None)
-            engine.run()
-        assert profiler.calls == {"tests.unit": 1}
-        assert engine.now == 8
-        # detach() removed the deadline's instance shadow too.
-        assert "arm" not in vars(deadline)
-
-    def test_profiling_does_not_change_execution_order(self):
-        def run(profiled):
-            engine = Engine()
-            order = []
-            profiler = EngineProfiler(engine) if profiled else None
-            if profiler:
-                profiler.attach()
-            for i, t in enumerate((30, 10, 20)):
-                engine.call_at(t, lambda i=i: order.append(i))
-            engine.run()
-            if profiler:
-                profiler.detach()
-            return order, engine.now
-
-        assert run(False) == run(True)
 
 
 class TestObservatory:

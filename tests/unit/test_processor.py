@@ -86,7 +86,7 @@ class TestBasicExecution:
             got.append((engine.now, value))
 
         proc.push_frame(Frame(gen(), "w"))
-        engine.timeout(30, event, "data")
+        engine.call_at(engine.now + 30, event.trigger, "data")
         engine.run()
         assert got == [(30, "data")]
 
@@ -213,7 +213,7 @@ class TestPreemption:
         proc.push_frame(Frame(base(), "base"))
         engine.call_after(5, lambda: proc.raise_kernel(
             lambda: Frame(kernel(), "k", kernel=True)))
-        engine.timeout(20, event, "late")  # fires mid-kernel
+        engine.call_at(engine.now + 20, event.trigger, "late")  # mid-kernel
         engine.run()
         assert trace == [("late", 55)]
 

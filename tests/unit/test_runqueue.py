@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Delay, Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 
 @pytest.fixture
@@ -152,23 +152,28 @@ class TestHeapVsRunQueueOrdering:
         assert engine.ring_events == 2
         assert engine.cycle_batches == 1
 
-    def test_process_first_steps_preserve_creation_order(self, monkeypatch):
+    def test_same_cycle_starts_preserve_creation_order(self, monkeypatch):
         def program(engine):
             order = []
 
-            def proc(i):
+            def start(i):
                 order.append(("start", i, engine.now))
-                yield Delay(i + 1)
+                engine.schedule(engine.now + i + 1, end, i)
+
+            def end(i):
                 order.append(("end", i, engine.now))
 
             for i in range(4):
-                engine.process(proc(i))
+                engine.schedule(engine.now, start, i)
             engine.run()
             return order
 
         fast = program(Engine())
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert fast == program(Engine())
+        general = program(Engine())
+        assert fast == general
+        assert fast[:4] == [("start", i, 0) for i in range(4)]
+        assert fast[4:] == [("end", i, i + 1) for i in range(4)]
 
 
 class TestRunQueueCancellation:
