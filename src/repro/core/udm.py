@@ -49,6 +49,7 @@ class UdmRuntime:
         self.state: "JobNodeState" = job.node_states[node.node_id]
         self.node_index = node.node_id
         self.num_nodes = machine.config.num_nodes
+        self._upcall_name = f"upcall:{job.name}@{node.node_id}"
         # Handler bookkeeping.
         self._dispose_done = True
         self.sends = 0
@@ -267,12 +268,6 @@ class UdmRuntime:
                 return message
             yield Compute(poll_interval)
 
-    def _after_buffered_receive(self) -> None:
-        """Hook: a polled buffered receive may have drained the buffer;
-        the poller exits buffered mode through the kernel on its next
-        poll (handled in drain/poll paths by the empty check)."""
-        # Exit handled lazily by poll paths via maybe_exit_buffered.
-
     def maybe_exit_buffered(self) -> Generator:
         """Leave buffered mode if this job drained its buffer.
 
@@ -307,7 +302,7 @@ class UdmRuntime:
             return None
         return Frame(
             self._upcall_gen(),
-            name=f"upcall:{self.job.name}@{self.node.node_id}",
+            name=self._upcall_name,
             kernel=False,
             job_gid=self.job.gid,
         )
@@ -403,18 +398,6 @@ class UdmRuntime:
                 # always-buffered ablation): terminate; the kernel
                 # respawns a drain thread when messages arrive.
                 return
-
-    # ------------------------------------------------------------------
-    # Two-case transparency hooks (the "base register" swap)
-    # ------------------------------------------------------------------
-    def on_enter_buffered(self) -> None:
-        """The input window now points at the software buffer."""
-        # peek()/dispose_current() consult the mode on every access, so
-        # the swap needs no per-runtime state; the hook exists for
-        # symmetry and instrumentation.
-
-    def on_exit_buffered(self) -> None:
-        """The input window points back at the NI hardware."""
 
     # ------------------------------------------------------------------
     # Faults and helpers

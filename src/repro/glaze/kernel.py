@@ -382,8 +382,6 @@ class NodeKernel:
         if obs is not None:
             obs.note_event("mode-enter", node=self.node.node_id,
                            gid=state.gid, reason=reason.value)
-        if state.runtime is not None:
-            state.runtime.on_enter_buffered()
         if state is self.scheduled:
             self.ni.set_divert_mode(True)
 
@@ -411,8 +409,6 @@ class NodeKernel:
             obs.note_event("mode-exit", node=self.node.node_id,
                            gid=state.gid, reason="drained")
         self.ni.set_kernel_uac(atomicity_extend=False)
-        if state.runtime is not None:
-            state.runtime.on_exit_buffered()
         if state is self.scheduled:
             self.ni.set_divert_mode(False)
         return True

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -30,24 +31,19 @@ class MeshTopology:
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
 
-    @property
+    @cached_property
     def width(self) -> int:
         return max(1, math.isqrt(self.num_nodes))
 
-    @property
-    def height(self) -> int:
-        return (self.num_nodes + self.width - 1) // self.width
-
-    def coordinates(self, node: int) -> tuple[int, int]:
-        """(x, y) position of a node id."""
-        self._check(node)
-        return node % self.width, node // self.width
-
     def hops(self, src: int, dst: int) -> int:
         """Dimension-order hop count between two nodes."""
-        sx, sy = self.coordinates(src)
-        dx, dy = self.coordinates(dst)
-        return abs(sx - dx) + abs(sy - dy)
+        num_nodes = self.num_nodes
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            self._check(src)
+            self._check(dst)
+        width = self.width
+        return (abs(src % width - dst % width)
+                + abs(src // width - dst // width))
 
     def latency(self, src: int, dst: int, length_words: int) -> int:
         """End-to-end network transit latency in cycles."""

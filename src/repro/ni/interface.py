@@ -178,24 +178,19 @@ class NetworkInterface:
     @property
     def message_available(self) -> bool:
         """The user-visible *message-available* flag."""
-        head = self.head
-        return (
-            head is not None
-            and not head.is_kernel
-            and not self.registers.divert_mode
-            and head.gid == self.registers.current_gid
-        )
+        if not self._input:
+            return False
+        gid = self._input[0].gid
+        registers = self.registers
+        return (not registers.divert_mode and gid == registers.current_gid
+                and gid != KERNEL_GID)
 
     @property
     def mismatch_pending(self) -> bool:
         """Head message needs kernel attention: divert-mode, a GID
-        mismatch, or an operating-system (kernel-GID) message."""
-        head = self.head
-        return head is not None and (
-            self.registers.divert_mode
-            or head.is_kernel
-            or head.gid != self.registers.current_gid
-        )
+        mismatch, or an operating-system (kernel-GID) message. With a
+        head present, exactly ``not message_available``."""
+        return bool(self._input) and not self.message_available
 
     @property
     def input_queue_length(self) -> int:
@@ -420,21 +415,39 @@ class NetworkInterface:
         self._update()
 
     def _update(self) -> None:
+        """Re-evaluate every interrupt line in one pass: with a head
+        present, mismatch-available is exactly not message-available."""
+        uac = self.uac
+        registers = self.registers
+        disable = uac.interrupt_disable
+        force = uac.timer_force
+        divert = registers.divert_mode
+        current_gid = registers.current_gid
+        deliver_upcall = self.deliver_message_available
         # Recompute the fast-path gate: every mutation of the GID,
         # divert-mode, UAC bits or delivery hooks funnels through here
         # before the event loop runs the next delivery.
-        uac = self.uac
-        registers = self.registers
         self._fast_ok = (
             self._fast_base
-            and not uac.interrupt_disable
-            and not uac.timer_force
-            and not registers.divert_mode
-            and registers.current_gid != KERNEL_GID
-            and self.deliver_message_available is not None
+            and not disable
+            and not force
+            and not divert
+            and current_gid != KERNEL_GID
+            and deliver_upcall is not None
         )
-        self.timer.update(self._timer_condition())
-        if self.mismatch_pending:
+        queue = self._input
+        if queue:
+            gid = queue[0].gid
+            available = (not divert and gid == current_gid
+                         and gid != KERNEL_GID)
+        else:
+            available = False
+        # Table 3: interrupt-disable with a message pending, or
+        # timer-force, enables the atomicity timer.
+        self.timer.update(force or (disable and available))
+        if not queue:
+            return
+        if not available:
             if not self._mismatch_in_service and \
                     self.deliver_mismatch_available is not None:
                 self._mismatch_in_service = True
@@ -442,22 +455,14 @@ class NetworkInterface:
                 self.deliver_mismatch_available()
             return
         if (
-            self.message_available
-            and not self.uac.interrupt_disable
+            not disable
             and not self._upcall_in_service
-            and self.deliver_message_available is not None
+            and deliver_upcall is not None
             and self.user_level_ready()
         ):
             self._upcall_in_service = True
             self.stats.message_available_upcalls += 1
-            self.deliver_message_available()
-
-    def _timer_condition(self) -> bool:
-        """Table 3: interrupt-disable with a message pending, or
-        timer-force, enables the atomicity timer."""
-        if self.uac.timer_force:
-            return True
-        return self.uac.interrupt_disable and self.message_available
+            deliver_upcall()
 
     def _timeout_fired(self) -> None:
         self.stats.atomicity_timeouts += 1

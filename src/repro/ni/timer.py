@@ -57,16 +57,6 @@ class AtomicityTimer:
             raise ValueError("atomicity timeout preset must be positive")
         self.preset = preset
 
-    def enable(self) -> None:
-        """Start the countdown if not already running."""
-        wake = self._wake
-        if not wake.armed:
-            wake.arm(self.engine.now + self.preset, self._fire)
-
-    def disable(self) -> None:
-        """Stop the countdown and preset the counter."""
-        self._wake.clear()
-
     def restart(self) -> None:
         """Dispose semantics: preset, then resume counting if enabled."""
         wake = self._wake
@@ -74,11 +64,13 @@ class AtomicityTimer:
             wake.arm(self.engine.now + self.preset, self._fire)
 
     def update(self, should_enable: bool) -> None:
-        """Drive the enable condition from NI state."""
-        if should_enable:
-            self.enable()
-        else:
-            self.disable()
+        """Drive the enable condition from NI state: start the countdown
+        if it is not running, or stop it and preset the counter."""
+        wake = self._wake
+        if not should_enable:
+            wake.clear()
+        elif not wake.armed:
+            wake.arm(self.engine.now + self.preset, self._fire)
 
     def _fire(self) -> None:
         self.timeouts += 1

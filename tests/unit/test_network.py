@@ -74,6 +74,10 @@ class TestTopology:
         mesh = MeshTopology(4)
         with pytest.raises(ValueError):
             mesh.hops(0, 7)
+        with pytest.raises(ValueError, match="node -1 out of range"):
+            mesh.hops(-1, 0)
+        with pytest.raises(ValueError, match="node 4 out of range"):
+            mesh.hops(4, 9)
 
 
 def build_fabric(num_nodes=2, capacity=100, credits=16):

@@ -59,7 +59,7 @@ class TestAtomicityTimer:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.enable()
+        timer.update(True)
         engine.run()
         assert fired == [100]
 
@@ -67,8 +67,8 @@ class TestAtomicityTimer:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(1))
-        timer.enable()
-        timer.disable()
+        timer.update(True)
+        timer.update(False)
         engine.run()
         assert fired == []
 
@@ -76,7 +76,7 @@ class TestAtomicityTimer:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.enable()
+        timer.update(True)
         engine.run(until=60)
         timer.restart()  # dispose-style preset
         engine.run()
@@ -285,9 +285,9 @@ class TestTimerExpiryRearmRaces:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.enable()
+        timer.update(True)
         engine.run(until=60)
-        timer.enable()  # already counting: must NOT restart
+        timer.update(True)  # already counting: must NOT restart
         engine.run()
         assert fired == [100]
 
@@ -295,12 +295,12 @@ class TestTimerExpiryRearmRaces:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.enable()
+        timer.update(True)
         engine.run(until=10)
         timer.set_preset(1_000)  # takes effect at the *next* enable
         engine.run()
         assert fired == [100]
-        timer.enable()
+        timer.update(True)
         engine.run()
         assert fired == [100, 1_100]
 
@@ -310,9 +310,9 @@ class TestTimerExpiryRearmRaces:
         timer = AtomicityTimer(engine, 100, lambda: None)
         timer.on_timeout = lambda: (
             fired.append(engine.now),
-            timer.enable() if len(fired) < 3 else None,
+            timer.update(True) if len(fired) < 3 else None,
         )
-        timer.enable()
+        timer.update(True)
         engine.run()
         assert fired == [100, 200, 300]
         assert timer.timeouts == 3
@@ -330,11 +330,11 @@ class TestTimerExpiryRearmRaces:
         engine = Engine()
         fired = []
         timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.enable()
+        timer.update(True)
         engine.run(until=100)  # fires exactly at t=100
         assert fired == [100]
-        timer.disable()        # already idle: must be a no-op
-        timer.enable()         # full fresh countdown
+        timer.update(False)        # already idle: must be a no-op
+        timer.update(True)         # full fresh countdown
         engine.run()
         assert fired == [100, 200]
         assert timer.timeouts == 2
@@ -359,7 +359,7 @@ class TestTimerExpiryRearmRaces:
         ni = nis[1]
         hits = []
         ni.deliver_atomicity_timeout = lambda: hits.append(engine.now)
-        ni.timer.enable()
+        ni.timer.update(True)
         engine.run(until=30)
         ni.force_timeout()
         assert ni.timer.enabled  # countdown survives the forced fire
