@@ -2,15 +2,16 @@
 
 The benchmarks and ``repro report`` measure the same artifacts through
 the same registry (:mod:`repro.validate.artifacts`): each ``test_*``
-file produces its artifact via the shared session
-:class:`~repro.validate.ReportContext` and asserts every quantity
-against the committed ``goldens/paper.json`` instead of ad-hoc
-constants — so drift trips the suite and ``repro report --check``
-identically.
+file folds its artifact via the shared session
+:class:`~repro.validate.ReportContext`, which first runs the
+artifact's planned runs it has not fetched yet, and asserts every
+quantity against the committed ``goldens/paper.json`` instead of
+ad-hoc constants — so drift trips the suite and ``repro report
+--check`` identically.
 
-Figures 7 and 8 are two views of the *same* runs; the context memoizes
-the sweep so both benchmarks render from one execution. Runs fan out
-over worker processes (``REPRO_BENCH_JOBS`` overrides the worker
+Figures 7 and 8 are two folds of the *same* runs; the context keeps
+every fetched result, so both benchmarks fold one execution. Runs fan
+out over worker processes (``REPRO_BENCH_JOBS`` overrides the worker
 count) and land in the persistent on-disk result cache
 (``.repro_cache/``, override with ``REPRO_CACHE_DIR``), so a repeated
 benchmark invocation replays memoized metrics instead of
@@ -21,17 +22,11 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.runner import ResultCache
 from repro.validate import (
     ARTIFACTS, ReportContext, compare_artifact, default_goldens_path,
     golden_artifact, golden_values, load_goldens,
 )
-
-#: Skews used by the Figure 7/8 benchmarks (= the registry's sweep).
-BENCH_SKEWS = (0.0, 0.01, 0.02, 0.05, 0.10, 0.20)
-BENCH_TRIALS = 3
 
 _session = {}
 
@@ -57,13 +52,8 @@ def bench_context() -> ReportContext:
 
 
 def produce(artifact_id: str):
-    """Regenerate one artifact through the session context."""
+    """Fold one artifact through the session context."""
     return bench_context().produce(artifact_id)
-
-
-def get_full_sweep():
-    """The Figures 7/8 skew sweep (runs once per session)."""
-    return bench_context().full_sweep()
 
 
 def assert_matches_goldens(run) -> None:
@@ -79,8 +69,3 @@ def assert_matches_goldens(run) -> None:
         "tolerance (if intentional, re-stamp with `python -m repro "
         "report --update-goldens`):\n" + "\n".join(drifted)
     )
-
-
-@pytest.fixture(scope="session")
-def sweep_results():
-    return get_full_sweep()

@@ -24,10 +24,13 @@ def _cache(args):
     return None if args.no_cache else ResultCache()
 
 
-def _runner_kwargs(args) -> dict:
-    """jobs/cache keywords for sweep commands (see ``--jobs``,
-    ``--no-cache``)."""
-    return {"jobs": args.jobs, "cache": _cache(args)}
+def _run_specs(args, specs):
+    """Run ``specs`` under the command's ``--jobs`` and ``--no-cache``
+    (Tables 4 and 5 take no ``--jobs``)."""
+    from repro.runner import run_specs
+
+    return run_specs(specs, jobs=getattr(args, "jobs", None),
+                     cache=_cache(args))
 
 
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
@@ -53,9 +56,9 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_table4(args) -> None:
-    from repro.experiments.micro import table4_results
+    from repro.experiments.micro import table4_fold, table4_specs
 
-    results = table4_results(rounds=args.rounds, cache=_cache(args))
+    results = table4_fold(_run_specs(args, table4_specs(args.rounds)))
     rows = []
     for r in results:
         fast = r.model.fast
@@ -72,9 +75,10 @@ def _cmd_table4(args) -> None:
 
 
 def _cmd_table5(args) -> None:
-    from repro.experiments.micro import table5_result
+    from repro.experiments.micro import buffered_path_spec, table5_fold
 
-    result = table5_result(count=args.rounds, cache=_cache(args))
+    result = table5_fold(_run_specs(args,
+                                    [buffered_path_spec(args.rounds)]))
     print(render_table(
         "Table 5: software-buffer overheads (cycles)",
         ["item", "paper", "measured"],
@@ -92,10 +96,10 @@ def _cmd_table5(args) -> None:
 
 
 def _cmd_table6(args) -> None:
-    from repro.experiments.standalone import table6_rows
+    from repro.experiments.standalone import table6_fold, table6_specs
 
-    rows = table6_rows(scale=args.scale, faults=args.faults,
-                       **_runner_kwargs(args))
+    rows = table6_fold(_run_specs(
+        args, table6_specs(scale=args.scale, faults=args.faults)))
     print(render_table(
         "Table 6: standalone application characteristics (8 nodes)",
         ["app", "model", "cycles", "msgs", "T_betw", "T_betw(paper)",
@@ -108,11 +112,13 @@ def _cmd_table6(args) -> None:
 
 
 def _sweep(args):
-    from repro.experiments.multiprog import full_sweep
+    from repro.experiments.multiprog import (
+        full_sweep_fold, full_sweep_specs,
+    )
 
-    return full_sweep(skews=tuple(args.skews), trials=args.trials,
-                      scale=args.scale, faults=args.faults,
-                      **_runner_kwargs(args))
+    return full_sweep_fold(_run_specs(args, full_sweep_specs(
+        skews=tuple(args.skews), trials=args.trials, scale=args.scale,
+        faults=args.faults)))
 
 
 def _cmd_fig7(args) -> None:
@@ -144,12 +150,13 @@ def _cmd_fig8(args) -> None:
 
 
 def _cmd_fig9(args) -> None:
-    from repro.experiments.synth_sweeps import interval_sweep
+    from repro.experiments.synth_sweeps import (
+        interval_fold, interval_specs,
+    )
 
-    result = interval_sweep(trials=args.trials,
-                            messages_per_node=args.messages,
-                            shards=args.shards,
-                            **_runner_kwargs(args))
+    result = interval_fold(_run_specs(args, interval_specs(
+        trials=args.trials, messages_per_node=args.messages,
+        shards=args.shards)))
     print(render_series(
         "Figure 9: % buffered vs send interval (synth-N, 1% skew)",
         result.x_label, result.xs, result.series_pairs(),
@@ -158,12 +165,13 @@ def _cmd_fig9(args) -> None:
 
 
 def _cmd_fig10(args) -> None:
-    from repro.experiments.synth_sweeps import buffer_cost_sweep
+    from repro.experiments.synth_sweeps import (
+        buffer_cost_fold, buffer_cost_specs,
+    )
 
-    result = buffer_cost_sweep(trials=args.trials,
-                               messages_per_node=args.messages,
-                               shards=args.shards,
-                               **_runner_kwargs(args))
+    result = buffer_cost_fold(_run_specs(args, buffer_cost_specs(
+        trials=args.trials, messages_per_node=args.messages,
+        shards=args.shards)))
     print(render_series(
         "Figure 10: % buffered vs buffered-path cost (T_betw=275)",
         result.x_label, result.xs, result.series_pairs(),
@@ -231,13 +239,10 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_ablations(args) -> None:
-    from repro.experiments.ablations import (
-        architecture_comparison, bulk_transfer_ablation,
-        queue_depth_ablation, timeout_ablation, two_case_ablation,
-    )
+    from repro.experiments.ablations import ablation_points, ablation_specs
 
-    kwargs = _runner_kwargs(args)
-    points = two_case_ablation(**kwargs)
+    studies = ablation_points(_run_specs(args, ablation_specs()))
+    points = studies["ablate_two_case"]
     print(render_table(
         "Two-case vs always-buffered (barrier)",
         ["config", "runtime", "buffered %"],
@@ -245,7 +250,7 @@ def _cmd_ablations(args) -> None:
           f"{p.metrics.buffered_fraction:.0%}"] for p in points],
     ))
     print()
-    points = timeout_ablation(**kwargs)
+    points = studies["ablate_timeout"]
     print(render_table(
         "Atomicity-timeout sweep (barnes vs null, 5% skew)",
         ["config", "runtime", "buffered %", "revocations"],
@@ -254,7 +259,7 @@ def _cmd_ablations(args) -> None:
           p.metrics.revocations] for p in points],
     ))
     print()
-    points = queue_depth_ablation(**kwargs)
+    points = studies["ablate_queue_depth"]
     print(render_table(
         "NI input-queue depth (synth-100)",
         ["config", "runtime", "max backlog", "sender blocks"],
@@ -263,7 +268,7 @@ def _cmd_ablations(args) -> None:
           int(p.extra["sender_blocks"])] for p in points],
     ))
     print()
-    points = architecture_comparison(**kwargs)
+    points = studies["ablate_architecture"]
     print(render_table(
         "Figure 1 architectures (barrier)",
         ["config", "runtime", "resident pages"],
@@ -271,7 +276,7 @@ def _cmd_ablations(args) -> None:
           int(p.extra["resident_buffer_pages"])] for p in points],
     ))
     print()
-    points = bulk_transfer_ablation(**kwargs)
+    points = studies["ablate_bulk"]
     print(render_table(
         "Fragmented vs bulk-DMA CRL transfers",
         ["config", "runtime", "messages"],
@@ -281,10 +286,10 @@ def _cmd_ablations(args) -> None:
 
 
 def _cmd_delivery(args) -> None:
-    from repro.experiments.ablations import delivery_comparison
+    from repro.experiments.ablations import ablation_points, delivery_specs
 
-    points = delivery_comparison(num_nodes=args.nodes,
-                                 **_runner_kwargs(args))
+    points = ablation_points(_run_specs(
+        args, delivery_specs(num_nodes=args.nodes)))["ablate_delivery"]
     print(render_table(
         "Delivery disciplines head-to-head (synth-100, overload)",
         ["discipline", "runtime", "buffered %", "pinned pages",
@@ -301,7 +306,6 @@ def _cmd_delivery(args) -> None:
 def _cmd_mailbox(args) -> int:
     from repro.experiments.mailbox_sweeps import mailbox_spec
     from repro.faults.plan import FaultPlan
-    from repro.runner import run_specs
 
     plan = FaultPlan.parse(args.faults) if args.faults else None
     canonical = plan.describe() if plan is not None else ""
@@ -324,7 +328,7 @@ def _cmd_mailbox(args) -> int:
             delivery=args.delivery, faults=canonical,
             shards=args.shards, locality_groups=args.shards,
         ))
-    results = run_specs(specs, **_runner_kwargs(args))
+    results = _run_specs(args, specs)
     result = results[0]
     metrics = result.require()
     extra = result.extra or {}
@@ -410,7 +414,6 @@ def _cmd_mailbox(args) -> int:
 def _cmd_faultdemo(args) -> None:
     from repro.faults.plan import FaultPlan
     from repro.faults.runner import faulted_spec
-    from repro.runner import run_specs
 
     plan = FaultPlan.parse(args.faults) if args.faults else None
     canonical = plan.describe() if plan is not None else ""
@@ -419,7 +422,7 @@ def _cmd_faultdemo(args) -> None:
         faults=canonical, retries=not args.no_retries,
         delivery=args.delivery,
     )
-    result = run_specs([spec], **_runner_kwargs(args))[0]
+    result = _run_specs(args, [spec])[0]
     metrics = result.require()
     extra = result.extra or {}
     print(render_table(
@@ -451,7 +454,6 @@ def _cmd_faultdemo(args) -> None:
 
 def _cmd_stats(args) -> None:
     from repro.obs import render_obs_report, write_jsonl
-    from repro.runner import run_specs
 
     if args.kind == "standalone":
         from repro.experiments.standalone import standalone_spec
@@ -471,7 +473,7 @@ def _cmd_stats(args) -> None:
                               obs_interval=args.interval)
         title = (f"multiprog {args.name} vs null (skew {args.skew:.0%}, "
                  f"{args.scale}, seed {args.seed})")
-    result = run_specs([spec], **_runner_kwargs(args))[0]
+    result = _run_specs(args, [spec])[0]
     result.require()
     payload = (result.extra or {}).get("obs")
     if payload is None:
@@ -490,7 +492,6 @@ def _cmd_report(args) -> int:
 
     from repro.validate import run_report
 
-    kwargs = _runner_kwargs(args)
     return run_report(
         only=args.only or None,
         goldens_path=Path(args.goldens) if args.goldens else None,
@@ -498,7 +499,7 @@ def _cmd_report(args) -> int:
         experiments_path=(Path(args.experiments)
                           if args.experiments else None),
         update=args.update_goldens, check=args.check,
-        jobs=kwargs["jobs"], cache=kwargs["cache"],
+        jobs=args.jobs, cache=_cache(args),
     )
 
 

@@ -1,32 +1,40 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-Three studies, each isolating one element of the paper's argument:
+Each study isolates one element of the paper's argument:
 
-* **two_case_ablation** — disable the fast case entirely (every message
-  through the software buffer, the SUNMOS-style baseline of Section 2)
-  and measure the slowdown two-case delivery avoids;
-* **timeout_ablation** — sweep the atomicity-timer preset ("a free
-  parameter that may be changed without affecting correctness"):
-  correctness must hold at every value while the revocation count and
-  buffered fraction respond;
-* **queue_depth_ablation** — vary the NI hardware input queue depth:
-  a deeper queue absorbs bursts in hardware, shifting backpressure out
-  of the network.
+* **two-case** (:func:`two_case_specs`) — disable the fast case
+  entirely (every message through the software buffer, the
+  SUNMOS-style baseline of Section 2) and measure the slowdown two-case
+  delivery avoids;
+* **timeout** (:func:`timeout_specs`) — sweep the atomicity-timer
+  preset ("a free parameter that may be changed without affecting
+  correctness"): correctness must hold at every value while the
+  revocation count and buffered fraction respond;
+* **queue depth** (:func:`queue_depth_specs`) — vary the NI hardware
+  input queue depth: a deeper queue absorbs bursts in hardware,
+  shifting backpressure out of the network;
+* **architecture**, **bulk transfer** and **delivery discipline**
+  (:func:`architecture_specs`, :func:`bulk_specs`,
+  :func:`delivery_specs`) — the Figure 1 interface architectures,
+  fragmented vs DMA CRL transfers, and two-case vs zero-copy rings vs
+  DAMQ.
 
-Every ablation point is one independent run, so each study is expressed
-as a batch of :class:`~repro.runner.RunSpec` (built by its ``*_specs``
-function, which ``repro report`` also uses to plan its runs) and
-executed through :func:`repro.runner.run_specs` — the points of a study
-run in parallel and cache like any other experiment. Study-specific
-side measurements (kernel insert cycles, network backlog, resident
-pages, ...) travel in the run's ``extra`` dict so they survive
-worker-process and cache boundaries.
+Every ablation point is one independent run, so each study is a list
+of :class:`~repro.runner.RunSpec` built by its ``*_specs`` function
+(which ``repro report`` also uses to plan its runs); the points of any
+mix of studies run in one :func:`repro.runner.run_specs` batch and
+cache like any other experiment (:func:`ablation_specs` is the batch
+of ``repro ablations`` and its report artifact), and
+:func:`ablation_points` folds the results into labelled points per
+study. Study-specific side measurements (kernel insert cycles,
+network backlog, resident pages, ...) travel in the run's ``extra``
+dict so they survive worker-process and cache boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.null_app import NullApplication
@@ -34,7 +42,7 @@ from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import make_workload
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec
 
 
 @dataclass
@@ -52,18 +60,6 @@ def _run(config: SimulationConfig, app) -> tuple:
     machine.start()
     machine.run_until_job_done(job, limit=50_000_000_000)
     return machine, job
-
-
-def _points(specs: Sequence[RunSpec], labels: Sequence[str],
-            jobs: Optional[int],
-            cache: Optional[ResultCache]) -> List[AblationPoint]:
-    """Execute a study's specs and fold them into labelled points."""
-    results = run_specs(specs, jobs=jobs, cache=cache)
-    return [
-        AblationPoint(label=label, metrics=result.require(),
-                      extra=result.extra)
-        for label, result in zip(labels, results)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -90,15 +86,6 @@ def two_case_specs(workload: str = "barrier", num_nodes: int = 8,
                      num_nodes=num_nodes, scale=scale, forced=forced)
         for forced in (False, True)
     ]
-
-
-def two_case_ablation(workload: str = "barrier", num_nodes: int = 8,
-                      scale: str = "fast",
-                      jobs: Optional[int] = None,
-                      cache: Optional[ResultCache] = None,
-                      ) -> List[AblationPoint]:
-    return _points(two_case_specs(workload, num_nodes, scale),
-                   ["two-case", "always-buffered"], jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -131,18 +118,6 @@ def timeout_specs(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
                      scale=scale)
         for timeout in timeouts
     ]
-
-
-def timeout_ablation(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
-                     workload: str = "barnes", num_nodes: int = 8,
-                     skew: float = 0.05,
-                     scale: str = "fast",
-                     jobs: Optional[int] = None,
-                     cache: Optional[ResultCache] = None,
-                     ) -> List[AblationPoint]:
-    labels = [f"timeout={timeout}" for timeout in timeouts]
-    specs = timeout_specs(timeouts, workload, num_nodes, skew, scale)
-    return _points(specs, labels, jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -193,27 +168,15 @@ ARCHITECTURES = ("two-case", "memory-based", "always-buffered")
 
 def architecture_specs(workload: str = "barrier", num_nodes: int = 8,
                        scale: str = "fast") -> List[RunSpec]:
+    """The Figure 1 architectures on one workload: two-case (the
+    paper's system, direct delivery dominates), memory-based (every
+    message through a pinned memory queue) and always-buffered (the
+    software-buffer-only strawman)."""
     return [
         RunSpec.make("ablate_architecture", label=label,
                      workload=workload, num_nodes=num_nodes, scale=scale)
         for label in ARCHITECTURES
     ]
-
-
-def architecture_comparison(workload: str = "barrier",
-                            num_nodes: int = 8,
-                            scale: str = "fast",
-                            jobs: Optional[int] = None,
-                            cache: Optional[ResultCache] = None,
-                            ) -> List[AblationPoint]:
-    """Compare the Figure 1 architectures on one workload.
-
-    * two-case (the paper's system): direct delivery dominates;
-    * memory-based: every message through a pinned memory queue;
-    * always-buffered: the software-buffer-only strawman.
-    """
-    specs = architecture_specs(workload, num_nodes, scale)
-    return _points(specs, ARCHITECTURES, jobs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +243,6 @@ def bulk_specs(region_words: int = 1500, rounds: int = 6,
     ]
 
 
-def bulk_transfer_ablation(region_words: int = 1500, rounds: int = 6,
-                           num_nodes: int = 8,
-                           jobs: Optional[int] = None,
-                           cache: Optional[ResultCache] = None,
-                           ) -> List[AblationPoint]:
-    """Fragmented 16-word messages vs one DMA transfer per grant."""
-    return _points(bulk_specs(region_words, rounds, num_nodes),
-                   ["fragments", "bulk-dma"], jobs, cache)
-
-
 # ----------------------------------------------------------------------
 # NI input-queue depth
 # ----------------------------------------------------------------------
@@ -319,16 +272,6 @@ def queue_depth_specs(depths: Sequence[int] = (1, 2, 8),
                      num_nodes=num_nodes)
         for depth in depths
     ]
-
-
-def queue_depth_ablation(depths: Sequence[int] = (1, 2, 8),
-                         num_nodes: int = 4,
-                         jobs: Optional[int] = None,
-                         cache: Optional[ResultCache] = None,
-                         ) -> List[AblationPoint]:
-    labels = [f"queue={depth}" for depth in depths]
-    return _points(queue_depth_specs(depths, num_nodes), labels, jobs,
-                   cache)
 
 
 # ----------------------------------------------------------------------
@@ -379,10 +322,34 @@ def delivery_specs(num_nodes: int = 4) -> List[RunSpec]:
     ]
 
 
-def delivery_comparison(num_nodes: int = 4,
-                        jobs: Optional[int] = None,
-                        cache: Optional[ResultCache] = None,
-                        ) -> List[AblationPoint]:
-    """Head-to-head: the paper's two-case discipline vs the competing
-    zero-copy-ring and DAMQ input-queue organizations."""
-    return _points(delivery_specs(num_nodes), DISCIPLINES, jobs, cache)
+def ablation_specs() -> List[RunSpec]:
+    """The five design-choice studies of ``repro ablations``, in print
+    order (the delivery head-to-head is its own artifact)."""
+    return (two_case_specs() + timeout_specs() + queue_depth_specs()
+            + architecture_specs() + bulk_specs())
+
+
+#: Each study's point label, by run kind.
+_LABELS: Dict[str, Callable[[RunSpec], str]] = {
+    "ablate_two_case": lambda spec: ("always-buffered" if spec["forced"]
+                                     else "two-case"),
+    "ablate_timeout": lambda spec: f"timeout={spec['timeout']}",
+    "ablate_queue_depth": lambda spec: f"queue={spec['depth']}",
+    "ablate_architecture": lambda spec: spec["label"],
+    "ablate_bulk": lambda spec: ("fragments" if spec["threshold"] is None
+                                 else "bulk-dma"),
+    "ablate_delivery": lambda spec: spec["label"],
+}
+
+
+def ablation_points(results: Sequence[RunResult],
+                    ) -> Dict[str, List[AblationPoint]]:
+    """Labelled points per study (keyed by run kind, in run order) from
+    the results of any mix of the ``*_specs`` above."""
+    studies: Dict[str, List[AblationPoint]] = {}
+    for result in results:
+        kind = result.spec.kind
+        studies.setdefault(kind, []).append(AblationPoint(
+            label=_LABELS[kind](result.spec), metrics=result.require(),
+            extra=result.extra))
+    return studies

@@ -11,7 +11,8 @@ head-to-head row replays the same workload under each NI delivery
 discipline (two-case / zerocopy / DAMQ).
 
 Both sweeps route through :mod:`repro.runner` (one
-:class:`~repro.runner.RunSpec` per (x, trial) run), so they
+:class:`~repro.runner.RunSpec` per (x, trial) run, planned by
+:func:`scaling_specs` and folded by :func:`scaling_fold`), so they
 parallelize and memoize like every other experiment.
 """
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics, mean
+from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.mailbox import RETRIEVAL_LATENCY_EDGES, MailboxApplication
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
 from repro.ni.delivery import DELIVERY_KINDS
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec, trial_means
 
 #: The scaling sweep's x axis: logical client populations. Three
 #: orders of magnitude; the O(active-flows) aggregation is what keeps
@@ -159,11 +160,9 @@ CURVE_FIELDS = (
 
 
 def scaling_specs(clients_values: Sequence[int] = CLIENT_SCALES,
-                  trials: int = 2,
-                  delivery_kinds: Sequence[str] = tuple(DELIVERY_KINDS),
-                  ) -> List[RunSpec]:
-    """:func:`scaling_sweep`'s runs: the trials of every client scale,
-    then one head-to-head run per delivery kind."""
+                  trials: int = 2) -> List[RunSpec]:
+    """Client-scaling curves + delivery head-to-head, one fan-out: the
+    trials of every client scale, then one run per delivery kind."""
     return [
         mailbox_spec(clients=clients, seed=seed + 1)
         for clients in clients_values
@@ -171,35 +170,20 @@ def scaling_specs(clients_values: Sequence[int] = CLIENT_SCALES,
     ] + [
         mailbox_spec(clients=HEAD_TO_HEAD_CLIENTS, seed=1,
                      delivery=kind)
-        for kind in delivery_kinds
+        for kind in DELIVERY_KINDS
     ]
 
 
-def scaling_sweep(clients_values: Sequence[int] = CLIENT_SCALES,
-                  trials: int = 2,
-                  delivery_kinds: Sequence[str] = tuple(DELIVERY_KINDS),
-                  jobs: Optional[int] = None,
-                  cache: Optional[ResultCache] = None,
-                  ) -> MailboxSweepResult:
-    """Client-scaling curves + delivery head-to-head, one fan-out."""
-    results = run_specs(
-        scaling_specs(clients_values, trials, delivery_kinds),
-        jobs=jobs, cache=cache)
-    curves: Dict[str, List[float]] = {name: [] for name in CURVE_FIELDS}
-    cursor = 0
-    for _clients in clients_values:
-        chunk = results[cursor:cursor + trials]
-        cursor += trials
-        good = [r.metrics for r in chunk if r.ok]
-        if not good:
-            chunk[0].require()
-        averaged = mean(good)
-        for name in CURVE_FIELDS:
-            curves[name].append(getattr(averaged, name))
+def scaling_fold(results: Sequence[RunResult]) -> MailboxSweepResult:
+    """:func:`scaling_specs`' results: the curves averaged over trials,
+    the head-to-head rows one run each."""
+    curve_runs = len(results) - len(DELIVERY_KINDS)
+    points = trial_means(results[:curve_runs])
+    curves = {name: [getattr(metrics, name) for _spec, metrics in points]
+              for name in CURVE_FIELDS}
     head_to_head: Dict[str, Dict[str, float]] = {}
-    for kind, result in zip(delivery_kinds, results[cursor:]):
-        result.require()
-        m = result.metrics
+    for kind, result in zip(DELIVERY_KINDS, results[curve_runs:]):
+        m = result.require()
         head_to_head[kind] = {
             "buffered_fraction": m.buffered_fraction,
             "elapsed_cycles": m.elapsed_cycles,
@@ -208,5 +192,6 @@ def scaling_sweep(clients_values: Sequence[int] = CLIENT_SCALES,
             "damq_evictions": m.damq_evictions,
             "pinned_pages_peak": m.pinned_pages_peak,
         }
-    return MailboxSweepResult(clients=list(clients_values),
-                              curves=curves, head_to_head=head_to_head)
+    return MailboxSweepResult(
+        clients=[spec["clients"] for spec, _metrics in points],
+        curves=curves, head_to_head=head_to_head)

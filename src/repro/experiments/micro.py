@@ -12,16 +12,18 @@ receiver forced into buffered mode, measuring the kernel's insertion
 handler and the drain thread's extraction cost per message.
 
 Both are runner kinds (``fast_path`` per protection regime,
-``buffered_path`` for the stream), so :func:`table4_results` and
-:func:`table5_result` replay from the persistent cache like every other
-artifact; :func:`measure_fast_path` and :func:`measure_buffered_path`
-are the uncached executor bodies.
+``buffered_path`` for the stream): :func:`table4_specs` and
+:func:`buffered_path_spec` plan the runs, :func:`table4_fold` and
+:func:`table5_fold` turn each run's :class:`~repro.runner.RunResult`
+(fresh or replayed from the persistent cache) back into a result
+object, and :func:`measure_fast_path` and
+:func:`measure_buffered_path` are the uncached executor bodies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.base import Application
@@ -31,7 +33,7 @@ from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
 from repro.machine.processor import Compute
-from repro.runner import ResultCache, RunSpec, require_all, run_specs
+from repro.runner import RunResult, RunSpec, require_all
 
 
 class PingPongApplication(Application):
@@ -245,13 +247,10 @@ def table4_specs(rounds: int = 300) -> List[RunSpec]:
     return [fast_path_spec(mode, rounds) for mode in AtomicityMode]
 
 
-def table4_results(rounds: int = 300, jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   ) -> List[FastPathResult]:
-    """Table 4, one batch: every protection regime."""
-    modes = list(AtomicityMode)
-    results = run_specs(table4_specs(rounds), jobs=jobs, cache=cache)
+def table4_fold(results: Sequence[RunResult]) -> List[FastPathResult]:
+    """Table 4 from :func:`table4_specs`' results, one per regime."""
     require_all(results)
+    modes = [AtomicityMode(run.spec["mode"]) for run in results]
     return [FastPathResult(mode=mode, model=CostModel.for_mode(mode),
                            **run.extra)
             for mode, run in zip(modes, results)]
@@ -367,11 +366,9 @@ def buffered_path_spec(count: int = 400, payload_words: int = 0) -> RunSpec:
                         payload_words=payload_words)
 
 
-def table5_result(count: int = 400, jobs: Optional[int] = None,
-                  cache: Optional[ResultCache] = None,
-                  ) -> BufferedPathResult:
-    """Table 5 through the runner (cached like every other run)."""
-    (run,) = run_specs([buffered_path_spec(count)], jobs=jobs, cache=cache)
+def table5_fold(results: Sequence[RunResult]) -> BufferedPathResult:
+    """Table 5 from the result of one :func:`buffered_path_spec` run."""
+    (run,) = results
     run.require()
     return BufferedPathResult(model=SimulationConfig().cost_model(),
                               **run.extra)

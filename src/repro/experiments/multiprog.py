@@ -11,10 +11,12 @@ pages/node" result). Numbers average over ``trials`` seeds, as the
 paper averages three trials.
 
 All sweeps route through :mod:`repro.runner`: each (workload, skew,
-seed) run is an independent :class:`~repro.runner.RunSpec`, so a full
-sweep fans out over worker processes and memoizes per-run results in
-the persistent cache. ``jobs=1`` reproduces the historical serial
-behaviour exactly (determinism is per-run, not per-schedule).
+seed) run is an independent :class:`~repro.runner.RunSpec`
+(:func:`full_sweep_specs` plans them), so a full sweep fans out over
+worker processes and memoizes per-run results in the persistent cache;
+:func:`full_sweep_fold` averages the results back into one
+:class:`SkewSweepResult` per workload. Determinism is per-run, not
+per-schedule, so the fold is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import RunMetrics, collect_metrics, mean
+from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.null_app import NullApplication
 from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import WORKLOAD_NAMES, make_workload
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec, trial_means
 
 #: The skew sweep: worst pairwise clock offset as a fraction of the
 #: timeslice ("decreasing schedule quality" along the x axis).
@@ -97,16 +99,6 @@ def _run(name: str, skew: float, seed: int, num_nodes: int, scale: str,
     return metrics, observatory
 
 
-def run_multiprogrammed(name: str, skew: float, seed: int = 1,
-                        num_nodes: int = 8, scale: str = "bench",
-                        timeslice: int = 500_000,
-                        faults: str = "") -> RunMetrics:
-    """One multiprogrammed run: workload vs null at a given skew."""
-    metrics, _obs = _run(name, skew, seed=seed, num_nodes=num_nodes,
-                         scale=scale, timeslice=timeslice, faults=faults)
-    return metrics
-
-
 @dataclass
 class SkewSweepResult:
     """One workload across the skew sweep (averaged over trials).
@@ -143,84 +135,32 @@ class SkewSweepResult:
         return [m.max_buffer_pages for m in self.metrics]
 
 
-def _sweep_specs(name: str, skews: Sequence[float], trials: int,
-                 num_nodes: int, scale: str, timeslice: int,
-                 faults: str = "") -> List[RunSpec]:
-    """Specs for one workload's sweep, trial-major within each skew."""
-    return [
-        multiprog_spec(name, skew, seed=seed + 1, num_nodes=num_nodes,
-                       scale=scale, timeslice=timeslice, faults=faults)
-        for skew in skews
-        for seed in range(trials)
-    ]
-
-
-def _collect_sweep(name: str, skews: Sequence[float], trials: int,
-                   results) -> SkewSweepResult:
-    """Regroup a flat result list (as built by ``_sweep_specs``).
-
-    A failed trial is dropped from its point's average (the executor
-    captured its traceback); only a point with *no* surviving trial
-    aborts the sweep, by re-raising the first failure.
-    """
-    per_skew: List[RunMetrics] = []
-    for skew_index in range(len(skews)):
-        chunk = results[skew_index * trials:(skew_index + 1) * trials]
-        good = [r.metrics for r in chunk if r.ok]
-        if not good:
-            chunk[0].require()  # raises RunnerError with the traceback
-        per_skew.append(mean(good))
-    return SkewSweepResult(name=name, skews=list(skews),
-                           metrics=per_skew)
-
-
-def skew_sweep(name: str, skews: Sequence[float] = DEFAULT_SKEWS,
-               trials: int = 3, num_nodes: int = 8,
-               scale: str = "bench",
-               timeslice: int = 500_000,
-               jobs: Optional[int] = None,
-               cache: Optional[ResultCache] = None,
-               faults: str = "") -> SkewSweepResult:
-    """Sweep schedule quality for one workload."""
-    specs = _sweep_specs(name, skews, trials, num_nodes, scale,
-                         timeslice, faults)
-    results = run_specs(specs, jobs=jobs, cache=cache)
-    return _collect_sweep(name, skews, trials, results)
-
-
 def full_sweep_specs(skews: Sequence[float] = DEFAULT_SKEWS,
                      trials: int = 3, num_nodes: int = 8,
                      scale: str = "bench",
                      names: Sequence[str] = tuple(WORKLOAD_NAMES),
                      timeslice: int = 500_000,
                      faults: str = "") -> List[RunSpec]:
-    """:func:`full_sweep`'s runs, workload-major."""
-    return [spec for name in names
-            for spec in _sweep_specs(name, skews, trials, num_nodes,
-                                     scale, timeslice, faults)]
+    """The Figures 7/8 data set's runs: every workload across the
+    sweep, workload-major, trial-major within each skew."""
+    return [
+        multiprog_spec(name, skew, seed=seed + 1, num_nodes=num_nodes,
+                       scale=scale, timeslice=timeslice, faults=faults)
+        for name in names
+        for skew in skews
+        for seed in range(trials)
+    ]
 
 
-def full_sweep(skews: Sequence[float] = DEFAULT_SKEWS, trials: int = 3,
-               num_nodes: int = 8, scale: str = "bench",
-               names: Sequence[str] = tuple(WORKLOAD_NAMES),
-               timeslice: int = 500_000,
-               jobs: Optional[int] = None,
-               cache: Optional[ResultCache] = None,
-               faults: str = "",
-               ) -> Dict[str, SkewSweepResult]:
-    """The Figures 7/8 data set: every workload across the sweep.
-
-    All ``len(names) * len(skews) * trials`` runs are fanned out in one
-    batch so worker processes stay saturated across workloads.
-    """
-    specs = full_sweep_specs(skews, trials, num_nodes, scale, names,
-                             timeslice, faults)
-    results = run_specs(specs, jobs=jobs, cache=cache)
-    per_workload = len(skews) * trials
-    return {
-        name: _collect_sweep(
-            name, skews, trials,
-            results[i * per_workload:(i + 1) * per_workload],
-        )
-        for i, name in enumerate(names)
-    }
+def full_sweep_fold(results: Sequence[RunResult],
+                    ) -> Dict[str, SkewSweepResult]:
+    """One :class:`SkewSweepResult` per workload, in run order, from
+    :func:`full_sweep_specs`' results averaged over trials (see
+    :func:`~repro.runner.trial_means`)."""
+    sweeps: Dict[str, SkewSweepResult] = {}
+    for spec, metrics in trial_means(results):
+        sweep = sweeps.setdefault(spec["name"], SkewSweepResult(
+            name=spec["name"], skews=[], metrics=[]))
+        sweep.skews.append(spec["skew"])
+        sweep.metrics.append(metrics)
+    return sweeps

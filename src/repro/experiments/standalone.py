@@ -9,13 +9,13 @@ handler).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import MODELS, WORKLOAD_NAMES, make_workload
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec
 
 
 #: The paper's Table 6 reference values (8 nodes, full data sets).
@@ -80,12 +80,10 @@ def standalone_spec(name: str, num_nodes: int = 8, seed: int = 1,
 
 
 def _run(name: str, num_nodes: int, seed: int, scale: str, faults: str,
-         config: Optional[SimulationConfig] = None,
          obs_interval: Optional[int] = None):
     """Build, run and measure one standalone machine."""
-    if config is None:
-        config = SimulationConfig(num_nodes=num_nodes,
-                                  seed=seed).with_faults(faults or None)
+    config = SimulationConfig(num_nodes=num_nodes,
+                              seed=seed).with_faults(faults or None)
     machine = Machine(config)
     app = make_workload(name, seed=seed, num_nodes=num_nodes, scale=scale)
     job = machine.add_job(app)
@@ -100,15 +98,6 @@ def _run(name: str, num_nodes: int, seed: int, scale: str, faults: str,
     return metrics, observatory
 
 
-def run_standalone(name: str, num_nodes: int = 8, seed: int = 1,
-                   scale: str = "bench", faults: str = "",
-                   config: Optional[SimulationConfig] = None) -> RunMetrics:
-    """One standalone run of a workload; returns its metrics."""
-    metrics, _obs = _run(name, num_nodes=num_nodes, seed=seed,
-                         scale=scale, faults=faults, config=config)
-    return metrics
-
-
 def table6_specs(num_nodes: int = 8, seed: int = 1,
                  scale: str = "bench", faults: str = "") -> List[RunSpec]:
     """Table 6's runs: every workload standalone."""
@@ -119,18 +108,11 @@ def table6_specs(num_nodes: int = 8, seed: int = 1,
     ]
 
 
-def table6_rows(num_nodes: int = 8, seed: int = 1,
-                scale: str = "bench",
-                jobs: Optional[int] = None,
-                cache: Optional[ResultCache] = None,
-                faults: str = "") -> List[Table6Row]:
-    """Table 6, one parallel batch: every workload standalone."""
-    results = run_specs(table6_specs(num_nodes, seed, scale, faults),
-                        jobs=jobs, cache=cache)
+def table6_fold(results: Sequence[RunResult]) -> List[Table6Row]:
+    """Table 6 rows from :func:`table6_specs`' results."""
+    names = [result.spec["name"] for result in results]
     return [
-        Table6Row(
-            name=name, model=MODELS[name], metrics=result.require(),
-            paper=PAPER_TABLE6[name],
-        )
-        for name, result in zip(WORKLOAD_NAMES, results)
+        Table6Row(name=name, model=MODELS[name], metrics=result.require(),
+                  paper=PAPER_TABLE6[name])
+        for name, result in zip(names, results)
     ]

@@ -10,8 +10,11 @@ with T_betw held at 275 cycles — demonstrating that buffering feeds
 back on itself once the buffered path is slower than the send rate.
 
 Both sweeps route through :mod:`repro.runner` (one
-:class:`~repro.runner.RunSpec` per (group size, x value, trial) run),
-so they parallelize and memoize like the Figure 7/8 sweeps.
+:class:`~repro.runner.RunSpec` per (group size, x value, trial) run,
+planned by :func:`interval_specs` and :func:`buffer_cost_specs`), so
+they parallelize and memoize like the Figure 7/8 sweeps;
+:func:`interval_fold` and :func:`buffer_cost_fold` average the results
+back into one curve per group size.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import RunMetrics, collect_metrics, mean
+from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.null_app import NullApplication
 from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec, trial_means
 
 #: Group sizes from the paper.
 GROUP_SIZES = (10, 100, 1000)
@@ -33,6 +36,7 @@ DEFAULT_INTERVALS = (50, 100, 150, 200, 275, 350, 500, 700, 1000)
 #: Figure 10's x axis: total buffered-path cost per message (the paper's
 #: baseline is 232 cycles; the sweep adds artificial insert latency).
 DEFAULT_BUFFER_COSTS = (232, 350, 500, 700, 1000, 1500, 2500)
+BASELINE_COST = DEFAULT_BUFFER_COSTS[0]
 #: The paper's fixed parameters.
 T_HAND = 290
 FIG10_T_BETW = 275
@@ -184,30 +188,28 @@ def _grid_specs(xs: Sequence[int], group_sizes: Sequence[int],
     ]
 
 
-def _fold_grid(x_label: str, xs: Sequence[int],
-               group_sizes: Sequence[int], trials: int,
-               results) -> SynthSweepResult:
-    """Fold a :func:`_grid_specs` result list to buffered %."""
+def _fold_grid(x_label: str, results: Sequence[RunResult],
+               x_of) -> SynthSweepResult:
+    """Fold a :func:`_grid_specs` result list to buffered % per group,
+    averaged over trials; ``x_of(spec)`` is the point's x value, read
+    from the first group's points so that ``xs`` is as long as every
+    series (two planned x values that run alike are two points)."""
+    points = trial_means(results)
     series: Dict[int, List[float]] = {}
-    cursor = 0
-    for group in group_sizes:
-        values = []
-        for _x in xs:
-            chunk = results[cursor:cursor + trials]
-            cursor += trials
-            good = [r.metrics for r in chunk if r.ok]
-            if not good:
-                chunk[0].require()
-            values.append(mean(good).buffered_fraction * 100)
-        series[group] = values
-    return SynthSweepResult(x_label=x_label, xs=list(xs), series=series)
+    for spec, metrics in points:
+        series.setdefault(spec["group_size"], []).append(
+            metrics.buffered_fraction * 100)
+    first = points[0][0]["group_size"] if points else None
+    xs = [x_of(spec) for spec, _metrics in points
+          if spec["group_size"] == first]
+    return SynthSweepResult(x_label=x_label, xs=xs, series=series)
 
 
 def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
                    group_sizes: Sequence[int] = GROUP_SIZES,
                    trials: int = 3, messages_per_node: int = 2000,
                    shards: int = 1) -> List[RunSpec]:
-    """:func:`interval_sweep`'s runs."""
+    """Figure 9's runs: buffered % versus send interval."""
     def spec_for(group: int, t_betw: int, seed: int) -> RunSpec:
         return synth_spec(group, t_betw, seed=seed,
                           messages_per_node=messages_per_node,
@@ -216,45 +218,29 @@ def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
     return _grid_specs(intervals, group_sizes, trials, spec_for)
 
 
-def interval_sweep(intervals: Sequence[int] = DEFAULT_INTERVALS,
-                   group_sizes: Sequence[int] = GROUP_SIZES,
-                   trials: int = 3,
-                   messages_per_node: int = 2000,
-                   jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   shards: int = 1) -> SynthSweepResult:
-    """Figure 9: buffered % versus send interval."""
-    specs = interval_specs(intervals, group_sizes, trials,
-                           messages_per_node, shards)
-    return _fold_grid("T_betw", intervals, group_sizes, trials,
-                      run_specs(specs, jobs=jobs, cache=cache))
+def interval_fold(results: Sequence[RunResult]) -> SynthSweepResult:
+    """Figure 9 from :func:`interval_specs`' results."""
+    return _fold_grid("T_betw", results, lambda spec: spec["t_betw"])
 
 
 def buffer_cost_specs(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
                       group_sizes: Sequence[int] = GROUP_SIZES,
                       trials: int = 3, messages_per_node: int = 2000,
                       shards: int = 1) -> List[RunSpec]:
-    """:func:`buffer_cost_sweep`'s runs."""
-    baseline = DEFAULT_BUFFER_COSTS[0]
-
+    """Figure 10's runs: buffered % versus buffered-path cost at
+    T_betw=275. A cost below the baseline runs at the baseline."""
     def spec_for(group: int, cost: int, seed: int) -> RunSpec:
         return synth_spec(group, FIG10_T_BETW, seed=seed,
-                          buffer_cost_extra=max(0, cost - baseline),
+                          buffer_cost_extra=max(0, cost - BASELINE_COST),
                           messages_per_node=messages_per_node,
                           shards=shards)
 
     return _grid_specs(costs, group_sizes, trials, spec_for)
 
 
-def buffer_cost_sweep(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
-                      group_sizes: Sequence[int] = GROUP_SIZES,
-                      trials: int = 3,
-                      messages_per_node: int = 2000,
-                      jobs: Optional[int] = None,
-                      cache: Optional[ResultCache] = None,
-                      shards: int = 1) -> SynthSweepResult:
-    """Figure 10: buffered % versus buffered-path cost at T_betw=275."""
-    specs = buffer_cost_specs(costs, group_sizes, trials,
-                              messages_per_node, shards)
-    return _fold_grid("buffered-path cost", costs, group_sizes, trials,
-                      run_specs(specs, jobs=jobs, cache=cache))
+def buffer_cost_fold(results: Sequence[RunResult]) -> SynthSweepResult:
+    """Figure 10 from :func:`buffer_cost_specs`' results; x is the
+    simulated buffered-path cost (baseline + added insert latency)."""
+    return _fold_grid("buffered-path cost", results,
+                      lambda spec: BASELINE_COST
+                      + spec["buffer_cost_extra"])

@@ -11,7 +11,7 @@ execution & caching") for the determinism contract and cache layout.
 from repro.runner.cache import DEFAULT_CACHE_DIR, PruneReport, ResultCache
 from repro.runner.executor import (
     RunnerError, RunResult, default_jobs, fork_available,
-    notice_serial_fallback, require_all, run_spec, run_specs,
+    notice_serial_fallback, require_all, run_specs, trial_means,
 )
 from repro.runner.registry import EXECUTORS, UnknownRunKind, execute_spec
 from repro.runner.spec import RunSpec, spec_key
@@ -21,5 +21,5 @@ __all__ = [
     "RunResult",
     "RunSpec", "RunnerError", "UnknownRunKind", "default_jobs",
     "execute_spec", "fork_available", "notice_serial_fallback",
-    "require_all", "run_spec", "run_specs", "spec_key",
+    "require_all", "run_specs", "spec_key", "trial_means",
 ]

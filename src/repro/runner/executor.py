@@ -39,9 +39,9 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics
+from repro.analysis.metrics import RunMetrics, mean
 from repro.runner.cache import ResultCache
 from repro.runner.registry import execute_spec
 from repro.runner.spec import RunSpec
@@ -130,11 +130,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: Back-compat alias (the helper was private before the shard layer
-#: became its second caller).
-_fork_available = fork_available
-
-
 def notice_serial_fallback(what: str) -> None:
     """Print the one-line degraded-to-serial notice on stderr."""
     print(f"repro: {what}: 'fork' start method unavailable on this "
@@ -145,7 +140,6 @@ def notice_serial_fallback(what: str) -> None:
 def run_specs(specs: Sequence[RunSpec],
               jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
-              progress: Optional[Callable[[RunResult], None]] = None,
               mode: str = "auto",
               info: Optional[Dict[str, Any]] = None,
               ) -> List[RunResult]:
@@ -153,8 +147,6 @@ def run_specs(specs: Sequence[RunSpec],
 
     ``jobs=None`` uses :func:`default_jobs`. When a ``cache`` is given,
     hits skip execution entirely and fresh results are stored back.
-    ``progress`` is invoked once per completed result, in completion
-    order.
 
     ``mode`` selects the dispatch case:
 
@@ -179,11 +171,8 @@ def run_specs(specs: Sequence[RunSpec],
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
             metrics, extra = hit
-            result = RunResult(spec=spec, metrics=metrics, extra=extra,
-                               cached=True)
-            results[index] = result
-            if progress is not None:
-                progress(result)
+            results[index] = RunResult(spec=spec, metrics=metrics,
+                                       extra=extra, cached=True)
         else:
             todo.append(index)
 
@@ -222,8 +211,6 @@ def run_specs(specs: Sequence[RunSpec],
         if cache is not None and result.ok:
             cache.put(result.spec, result.metrics, result.extra)
         results[index] = result
-        if progress is not None:
-            progress(result)
 
     if parallel:
         # One interleaved chunk per worker: a single pickle + submit
@@ -263,18 +250,45 @@ def run_specs(specs: Sequence[RunSpec],
     return results  # type: ignore[return-value]
 
 
-def run_spec(spec: RunSpec,
-             cache: Optional[ResultCache] = None) -> RunResult:
-    """Convenience single-spec execution (always serial)."""
-    return run_specs([spec], jobs=1, cache=cache)[0]
-
-
 def require_all(results: Sequence[RunResult]) -> List[RunMetrics]:
     """Metrics of every result, raising on the first failure."""
     return [result.require() for result in results]
 
 
+def _point(spec: RunSpec) -> RunSpec:
+    return RunSpec(spec.kind, tuple(p for p in spec.params
+                                    if p[0] != "seed"))
+
+
+def trial_means(results: Sequence[RunResult],
+                ) -> List[Tuple[RunSpec, RunMetrics]]:
+    """Average the trials of each point: ``(spec, mean metrics)`` pairs.
+
+    A point is a run of consecutive results whose specs differ only in
+    ``seed`` (the trials of one configuration; a repeated spec starts
+    the next point); its spec is that of its first trial. A failed
+    trial is dropped from its point's average; a point with no
+    surviving trial re-raises its first failure's :class:`RunnerError`.
+    """
+    groups: List[List[RunResult]] = []
+    for result in results:
+        group = groups[-1] if groups else []
+        if (not group or _point(result.spec) != _point(group[0].spec)
+                or any(trial.spec == result.spec for trial in group)):
+            groups.append([result])
+        else:
+            group.append(result)
+    points = []
+    for trials in groups:
+        good = [r.metrics for r in trials if r.ok]
+        if not good:
+            trials[0].require()
+        points.append((trials[0].spec, mean(good)))
+    return points
+
+
 __all__ = [
-    "RunResult", "RunnerError", "run_specs", "run_spec", "require_all",
-    "default_jobs", "fork_available", "notice_serial_fallback",
+    "RunResult", "RunnerError", "run_specs", "require_all",
+    "trial_means", "default_jobs", "fork_available",
+    "notice_serial_fallback",
 ]

@@ -2,7 +2,8 @@
 
 Every paper artifact (Tables 4–6, Figures 7–10, the design ablations)
 is described once as an :class:`~repro.validate.artifacts.ArtifactSpec`
-— its producer, its quantities, and each quantity's tolerance band.
+— its planned runs, its fold, its quantities, and each quantity's
+tolerance band.
 ``repro report`` regenerates them all through :mod:`repro.runner`,
 compares against the committed ``goldens/paper.json``, emits a report
 bundle (Markdown/CSV/JSON + ASCII plots) and re-renders EXPERIMENTS.md;

@@ -3,13 +3,14 @@
 One spec per evaluation artifact (Tables 4–6, Figures 7–10, the
 design-choice ablations). A spec names:
 
-* its **runs** — every :class:`~repro.runner.RunSpec` the producer
-  will request, built by the same ``*_specs`` functions the experiment
-  entry points use. ``repro report`` runs the declared runs of all
-  selected artifacts in one :func:`~repro.runner.run_specs` batch
-  before any producer starts (see :class:`ReportContext`);
-* a **producer** — regenerates the artifact's measurements through the
-  existing experiment executors, served from that batch;
+* its **runs** — the plan: every :class:`~repro.runner.RunSpec` the
+  artifact measures, built by the same ``*_specs`` functions the CLI
+  commands use. ``repro report`` runs the planned runs of all selected
+  artifacts in one :func:`~repro.runner.run_specs` batch before any
+  artifact is folded (see :class:`ReportContext`);
+* a **fold** — a pure function of the :class:`~repro.runner.RunResult`
+  of each planned run, in plan order, that computes the artifact's
+  measurements with the experiment modules' own folds;
 * the **quantities** the artifact must reproduce, each with its
   tolerance band (see :mod:`repro.validate.quantity`);
 * the **doc payload** — everything EXPERIMENTS.md and the report
@@ -22,12 +23,11 @@ exactly one place.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner import RunResult, RunSpec, run_specs
+from repro.runner import RunResult, RunSpec, require_all, run_specs
 from repro.validate.quantity import Quantity
 
 #: Table 6 / Figure 7–8 application order (communication-most first in
@@ -59,10 +59,10 @@ class ArtifactSpec:
     #: CLI command rendering the artifact standalone.
     command: str
     quantities: Tuple[Quantity, ...]
-    producer: Callable[["ReportContext"], ArtifactRun]
-    #: Builds the list of every run the producer requests. A producer
-    #: that requests anything else raises :class:`UndeclaredRunError`.
+    #: Builds the plan: the list of every run the artifact measures.
     runs: Callable[[], List[RunSpec]]
+    #: Computes the artifact from the results of ``runs()``, in order.
+    fold: Callable[[Sequence[RunResult]], ArtifactRun]
 
     def quantity(self, name: str) -> Quantity:
         for q in self.quantities:
@@ -86,40 +86,28 @@ class ArtifactSpec:
         return digest[:12]
 
 
-class UndeclaredRunError(RuntimeError):
-    """A producer requested a run its artifact's ``runs`` omits."""
-
-
 class ReportContext:
-    """Shared state for one report run: the planned batch + memoized sweeps.
+    """One report run's planned batch.
 
     A report plans before it runs. :meth:`prefetch` collects the
-    declared runs of every selected artifact, drops duplicates and makes
+    planned runs of every selected artifact, drops duplicates and makes
     **one** :func:`~repro.runner.run_specs` call against the persistent
     cache, so the misses of all artifacts together face the runner's
-    parallel rule. Producers then get the context itself as their
-    runner cache (:meth:`runner_kwargs`): :meth:`get` answers from the
-    in-memory results without a second read of the persistent cache,
-    re-raises a failed run's captured :class:`~repro.runner.RunnerError`,
-    and raises :class:`UndeclaredRunError` for a run the producing
-    artifact did not declare. Figures 7 and 8 are two views of the same
-    multiprogrammed sweep, so the context also memoizes sweep objects.
+    parallel rule. :meth:`produce` then folds each artifact from the
+    in-memory results of its own plan (Figures 7 and 8 fold the same
+    multiprogrammed sweep).
     """
 
     def __init__(self, jobs: Optional[int] = None, cache=None) -> None:
         self.jobs = jobs
         self.cache = cache
-        self._memo: Dict[str, Any] = {}
         self._results: Dict[RunSpec, RunResult] = {}
-        #: The artifact being produced, and the runs it declared.
-        self._serving: Optional[str] = None
-        self._declared: frozenset = frozenset()
 
     def prefetch(self, ids: Sequence[str]) -> Dict[str, Any]:
-        """Run the declared runs of ``ids`` not yet fetched, in one batch.
+        """Run the planned runs of ``ids`` not yet fetched, in one batch.
 
         Returns ``run_specs``' ``info`` record plus ``declared`` (runs
-        declared across the artifacts, duplicates included) and
+        planned across the artifacts, duplicates included) and
         ``planned`` (the distinct runs submitted).
         """
         wanted = set(ids)
@@ -134,66 +122,27 @@ class ReportContext:
         self._results.update(zip(specs, results))
         return info
 
-    # -- the runner-cache protocol producers see -----------------------
-    def runner_kwargs(self) -> Dict[str, Any]:
-        return {"cache": self}
-
-    def get(self, spec: RunSpec):
-        if spec not in self._declared:
-            raise UndeclaredRunError(
-                f"artifact {self._serving!r} requested {spec.describe()}, "
-                "which its ArtifactSpec.runs does not declare"
-            )
-        result = self._results[spec]
-        return result.require(), result.extra
-
-    def put(self, spec: RunSpec, metrics, extra=None) -> None:
-        """Never reached: :meth:`get` answers or raises for every spec."""
-
-    @contextmanager
-    def _serve(self, artifact_id: str):
-        declared = frozenset(ARTIFACTS[artifact_id].runs())
-        if not declared <= self._results.keys():
-            self.prefetch([artifact_id])
-        outer = self._serving, self._declared
-        self._serving, self._declared = artifact_id, declared
-        try:
-            yield
-        finally:
-            self._serving, self._declared = outer
-
-    # -- memoized experiment entry points ------------------------------
-    def _memoized(self, key: str, build: Callable[[], Any]) -> Any:
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def full_sweep(self):
-        from repro.experiments.multiprog import full_sweep
-
-        # Outside a producer (the benchmarks call this directly) the
-        # sweep is served as Figure 7's runs.
-        with self._serve(self._serving or "fig7"):
-            return self._memoized(
-                "full_sweep",
-                lambda: full_sweep(trials=3, **self.runner_kwargs()),
-            )
-
     def produce(self, artifact_id: str) -> ArtifactRun:
-        """Regenerate one artifact (memoized per context)."""
+        """Fold one artifact, fetching its plan first if need be.
+
+        A failed planned run raises its :class:`~repro.runner.RunnerError`.
+        """
         spec = ARTIFACTS[artifact_id]
-        with self._serve(artifact_id):
-            return self._memoized(f"artifact:{artifact_id}",
-                                  lambda: spec.producer(self))
+        plan = spec.runs()
+        if not self._results.keys() >= set(plan):
+            self.prefetch([artifact_id])
+        results = [self._results[run] for run in plan]
+        require_all(results)
+        return spec.fold(results)
 
 
 # ----------------------------------------------------------------------
 # Table 4 — fast-path costs
 # ----------------------------------------------------------------------
-def _produce_table4(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.micro import table4_results
+def _fold_table4(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.micro import table4_fold
 
-    results = table4_results(rounds=300, **ctx.runner_kwargs())
+    results = table4_fold(runs)
     by_mode = {r.mode.value: r for r in results}
     kernel = by_mode["kernel"]
     hard = by_mode["hard"]
@@ -249,18 +198,18 @@ _TABLE4 = ArtifactSpec(
         Quantity("leg_hard", "exact", unit="cycles"),
         Quantity("leg_soft", "exact", unit="cycles"),
     ),
-    producer=_produce_table4,
     runs=_table4_runs,
+    fold=_fold_table4,
 )
 
 
 # ----------------------------------------------------------------------
 # Table 5 — buffered-path costs
 # ----------------------------------------------------------------------
-def _produce_table5(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.micro import table5_result
+def _fold_table5(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.micro import table5_fold
 
-    result = table5_result(count=400, **ctx.runner_kwargs())
+    result = table5_fold(runs)
     values = {
         "insert_min": result.measured_insert_min,
         "insert_vmalloc": result.measured_insert_vmalloc,
@@ -293,18 +242,18 @@ _TABLE5 = ArtifactSpec(
                  tolerance=0.05,
                  note="buffered path / 87-cycle fast path"),
     ),
-    producer=_produce_table5,
     runs=_table5_runs,
+    fold=_fold_table5,
 )
 
 
 # ----------------------------------------------------------------------
 # Table 6 — application characteristics
 # ----------------------------------------------------------------------
-def _produce_table6(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.standalone import table6_rows
+def _fold_table6(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.standalone import table6_fold
 
-    rows = table6_rows(scale="bench", **ctx.runner_kwargs())
+    rows = table6_fold(runs)
     values: Dict[str, Any] = {}
     apps_doc = []
     for row in rows:
@@ -368,16 +317,18 @@ _TABLE6 = ArtifactSpec(
     source="benchmarks/test_table6_app_characteristics.py",
     command="python -m repro table6",
     quantities=_table6_quantities(),
-    producer=_produce_table6,
     runs=_table6_runs,
+    fold=_fold_table6,
 )
 
 
 # ----------------------------------------------------------------------
 # Figure 7 — % messages buffered vs schedule skew
 # ----------------------------------------------------------------------
-def _produce_fig7(ctx: ReportContext) -> ArtifactRun:
-    results = ctx.full_sweep()
+def _fold_fig7(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.multiprog import full_sweep_fold
+
+    results = full_sweep_fold(runs)
     skews = results[APP_ORDER[0]].skews
     buffered = {name: results[name].buffered_percent
                 for name in APP_ORDER}
@@ -436,16 +387,18 @@ _FIG7 = ArtifactSpec(
                      note="paper bound is 7; our scaled apps stay lower"),
         ]
     ),
-    producer=_produce_fig7,
     runs=_full_sweep_runs,
+    fold=_fold_fig7,
 )
 
 
 # ----------------------------------------------------------------------
 # Figure 8 — relative runtime vs schedule skew
 # ----------------------------------------------------------------------
-def _produce_fig8(ctx: ReportContext) -> ArtifactRun:
-    results = ctx.full_sweep()
+def _fold_fig8(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.multiprog import full_sweep_fold
+
+    results = full_sweep_fold(runs)
     skews = results[APP_ORDER[0]].skews
     relative = {name: results[name].relative_runtime
                 for name in APP_ORDER}
@@ -492,19 +445,18 @@ _FIG8 = ArtifactSpec(
                      note="zero skew is the fastest configuration"),
         ]
     ),
-    producer=_produce_fig8,
     runs=_full_sweep_runs,
+    fold=_fold_fig8,
 )
 
 
 # ----------------------------------------------------------------------
 # Figure 9 — % buffered vs send interval (synth-N)
 # ----------------------------------------------------------------------
-def _produce_fig9(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.synth_sweeps import GROUP_SIZES, interval_sweep
+def _fold_fig9(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.synth_sweeps import GROUP_SIZES, interval_fold
 
-    result = interval_sweep(trials=3, messages_per_node=2000,
-                            **ctx.runner_kwargs())
+    result = interval_fold(runs)
     fast_index = result.xs.index(50)
     slow_index = result.xs.index(1000)
     series = {str(g): result.series[g] for g in GROUP_SIZES}
@@ -558,21 +510,20 @@ _FIG9 = ArtifactSpec(
                           "loosest for synth-1000"),
         ]
     ),
-    producer=_produce_fig9,
     runs=_fig9_runs,
+    fold=_fold_fig9,
 )
 
 
 # ----------------------------------------------------------------------
 # Figure 10 — % buffered vs buffered-path cost
 # ----------------------------------------------------------------------
-def _produce_fig10(ctx: ReportContext) -> ArtifactRun:
+def _fold_fig10(runs: Sequence[RunResult]) -> ArtifactRun:
     from repro.experiments.synth_sweeps import (
-        GROUP_SIZES, buffer_cost_sweep,
+        GROUP_SIZES, buffer_cost_fold,
     )
 
-    result = buffer_cost_sweep(trials=3, messages_per_node=2000,
-                               **ctx.runner_kwargs())
+    result = buffer_cost_fold(runs)
     series = {str(g): result.series[g] for g in GROUP_SIZES}
     values: Dict[str, Any] = {
         f"costly_synth{g}": result.series[g][-1] for g in GROUP_SIZES
@@ -612,25 +563,22 @@ _FIG10 = ArtifactSpec(
                      note="same crossover, strongest for synth-1000"),
         ]
     ),
-    producer=_produce_fig10,
     runs=_fig10_runs,
+    fold=_fold_fig10,
 )
 
 
 # ----------------------------------------------------------------------
 # Design-choice ablations
 # ----------------------------------------------------------------------
-def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.ablations import (
-        architecture_comparison, bulk_transfer_ablation,
-        queue_depth_ablation, timeout_ablation, two_case_ablation,
-    )
+def _fold_ablations(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.ablations import ablation_points
 
-    kwargs = ctx.runner_kwargs()
+    studies = ablation_points(runs)
     values: Dict[str, Any] = {}
     doc: Dict[str, Any] = {}
 
-    two_case, always = two_case_ablation(**kwargs)
+    two_case, always = studies["ablate_two_case"]
     slowdown = (always.metrics.elapsed_cycles
                 / two_case.metrics.elapsed_cycles)
     values["always_buffered_slowdown"] = slowdown
@@ -649,7 +597,7 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
         "slowdown": slowdown,
     }
 
-    timeout_points = timeout_ablation(**kwargs)
+    timeout_points = studies["ablate_timeout"]
     revocations = [p.metrics.revocations for p in timeout_points]
     values["revocations_tight"] = revocations[0]
     values["revocations_monotone"] = revocations[0] >= revocations[-1]
@@ -663,7 +611,7 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
         ],
     }
 
-    queue_points = queue_depth_ablation(**kwargs)
+    queue_points = studies["ablate_queue_depth"]
     backlogs = [int(p.extra["max_network_backlog"])
                 for p in queue_points]
     values["backlog_shallow"] = backlogs[0]
@@ -678,7 +626,7 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
         ],
     }
 
-    arch_points = architecture_comparison(**kwargs)
+    arch_points = studies["ablate_architecture"]
     by_label = {p.label: p for p in arch_points}
     arch_two = by_label["two-case"]
     memory = by_label["memory-based"]
@@ -706,7 +654,7 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
         ],
     }
 
-    fragments, bulk = bulk_transfer_ablation(**kwargs)
+    fragments, bulk = studies["ablate_bulk"]
     values["bulk_message_reduction"] = (
         fragments.metrics.messages_sent / bulk.metrics.messages_sent
     )
@@ -733,13 +681,9 @@ def _produce_ablations(ctx: ReportContext) -> ArtifactRun:
 
 
 def _ablations_runs() -> List[RunSpec]:
-    from repro.experiments.ablations import (
-        architecture_specs, bulk_specs, queue_depth_specs,
-        timeout_specs, two_case_specs,
-    )
+    from repro.experiments.ablations import ablation_specs
 
-    return (two_case_specs() + timeout_specs() + queue_depth_specs()
-            + architecture_specs() + bulk_specs())
+    return ablation_specs()
 
 
 _ABLATIONS = ArtifactSpec(
@@ -785,18 +729,18 @@ _ABLATIONS = ArtifactSpec(
         Quantity("bulk_pure", "predicate", paper=True,
                  note="each variant uses only its own transfer path"),
     ),
-    producer=_produce_ablations,
     runs=_ablations_runs,
+    fold=_fold_ablations,
 )
 
 
 # ----------------------------------------------------------------------
 # Delivery disciplines head-to-head (beyond the paper's figures)
 # ----------------------------------------------------------------------
-def _produce_delivery(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.ablations import delivery_comparison
+def _fold_delivery(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.ablations import ablation_points
 
-    points = delivery_comparison(**ctx.runner_kwargs())
+    points = ablation_points(runs)["ablate_delivery"]
     by_label = {p.label: p for p in points}
     twocase = by_label["twocase"]
     zerocopy = by_label["zerocopy"]
@@ -871,18 +815,18 @@ _DELIVERY = ArtifactSpec(
                  note="the shared pool sheds load by diverting the "
                       "hoggiest source to buffered mode"),
     ),
-    producer=_produce_delivery,
     runs=_delivery_runs,
+    fold=_fold_delivery,
 )
 
 
 # ----------------------------------------------------------------------
 # Mailbox scaling (beyond the paper's figures)
 # ----------------------------------------------------------------------
-def _produce_mailbox(ctx: ReportContext) -> ArtifactRun:
-    from repro.experiments.mailbox_sweeps import scaling_sweep
+def _fold_mailbox(runs: Sequence[RunResult]) -> ArtifactRun:
+    from repro.experiments.mailbox_sweeps import scaling_fold
 
-    result = scaling_sweep(trials=2, **ctx.runner_kwargs())
+    result = scaling_fold(runs)
     curves = result.curves
     flows = curves["mailbox_active_flows_peak"]
     elapsed = curves["elapsed_cycles"]
@@ -991,8 +935,8 @@ _MAILBOX = ArtifactSpec(
                  note="occupancy-pressure evictions under the "
                       "mailbox workload (deterministic)"),
     ),
-    producer=_produce_mailbox,
     runs=_mailbox_runs,
+    fold=_fold_mailbox,
 )
 
 
@@ -1017,5 +961,5 @@ def pipeline_schema_hash() -> str:
 __all__ = [
     "APP_ORDER", "ARTIFACTS", "ARTIFACT_IDS", "ArtifactRun",
     "ArtifactSpec", "ReportContext", "T_BETW_ORDER",
-    "UndeclaredRunError", "pipeline_schema_hash",
+    "pipeline_schema_hash",
 ]

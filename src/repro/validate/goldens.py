@@ -101,7 +101,7 @@ def build_goldens(runs: Dict[str, ArtifactRun],
             if quantity.name not in run.values:
                 raise GoldenError(
                     f"artifact {artifact_id!r} produced no value for "
-                    f"quantity {quantity.name!r}; its producer and "
+                    f"quantity {quantity.name!r}; its fold and "
                     f"spec disagree"
                 )
             quantities[quantity.name] = {

@@ -1,6 +1,6 @@
 """Render artifact doc payloads into tables and plots.
 
-Every artifact's producer returns a JSON-safe ``doc`` payload
+Every artifact's fold returns a JSON-safe ``doc`` payload
 (:class:`~repro.validate.artifacts.ArtifactRun`); this module turns a
 payload into ``(title, headers, rows)`` triples with **pre-formatted
 string cells**, so the text report, the Markdown/CSV bundle and the

@@ -2,11 +2,10 @@
 
 The report flow:
 
-1. plan, then run: the declared runs of every selected artifact go to
+1. plan, then run: the planned runs of every selected artifact go to
    :func:`repro.runner.run_specs` in **one** batch (so ``--jobs`` and
    the persistent cache apply to all of them at once), then each
-   artifact is regenerated through its producer from that batch's
-   in-memory results;
+   artifact's fold computes it from that batch's in-memory results;
 2. each quantity is compared against ``goldens/paper.json`` within its
    tolerance band;
 3. a bundle is written under ``--out``: per-artifact Markdown/CSV/JSON,

@@ -7,8 +7,8 @@ from repro.core.costs import AtomicityMode
 from repro.experiments.micro import (
     measure_buffered_path, measure_fast_path,
 )
-from repro.experiments.multiprog import run_multiprogrammed
-from repro.experiments.standalone import run_standalone
+from repro.experiments.multiprog import execute_multiprog
+from repro.experiments.standalone import execute_standalone
 from repro.experiments.synth_sweeps import run_synth
 
 
@@ -62,29 +62,29 @@ class TestStandaloneCharacteristics:
     def test_fast_scale_runs_and_orders_t_betw(self):
         """Communication intensity ordering must match Table 6:
         barrier is the most message-bound, LU the least."""
-        barrier = run_standalone("barrier", scale="fast")
-        lu = run_standalone("lu", scale="fast")
+        barrier = execute_standalone("barrier", scale="fast")[0]
+        lu = execute_standalone("lu", scale="fast")[0]
         assert barrier.t_betw < lu.t_betw
         assert barrier.messages_sent > 0 and lu.messages_sent > 0
 
     def test_standalone_runs_have_no_buffering(self):
         """Alone on the machine, nothing forces the buffered path."""
-        metrics = run_standalone("barrier", scale="fast")
+        metrics = execute_standalone("barrier", scale="fast")[0]
         assert metrics.buffered_fraction == 0.0
 
 
 class TestMultiprogrammedShapes:
     def test_skew_increases_buffered_fraction(self):
-        low = run_multiprogrammed("enum", 0.0, seed=1, scale="fast",
-                                  timeslice=100_000)
-        high = run_multiprogrammed("enum", 0.2, seed=1, scale="fast",
-                                   timeslice=100_000)
+        low = execute_multiprog("enum", 0.0, seed=1, scale="fast",
+                                timeslice=100_000)[0]
+        high = execute_multiprog("enum", 0.2, seed=1, scale="fast",
+                                 timeslice=100_000)[0]
         assert high.buffered_fraction > low.buffered_fraction
 
     def test_pages_stay_small(self):
         """The Section 5.1 result: < 7 physical pages per node."""
-        metrics = run_multiprogrammed("enum", 0.2, seed=1, scale="fast",
-                                      timeslice=100_000)
+        metrics = execute_multiprog("enum", 0.2, seed=1, scale="fast",
+                                    timeslice=100_000)[0]
         assert metrics.max_buffer_pages < 7
 
 

@@ -13,8 +13,8 @@ import pytest
 from repro.cli import main
 from repro.core.costs import AtomicityMode
 from repro.experiments.micro import (
-    buffered_path_spec, fast_path_spec, measure_fast_path, table4_results,
-    table5_result,
+    buffered_path_spec, fast_path_spec, measure_fast_path, table4_fold,
+    table4_specs, table5_fold,
 )
 from repro.machine.machine import Machine
 from repro.runner import ResultCache, RunnerError, run_specs
@@ -45,8 +45,10 @@ class TestColdThenReplay:
         assert buffered.require().buffered_messages == \
             buffered.extra["messages"] > 0
 
-        warm4 = table4_results(rounds=100, cache=cache)
-        warm5 = table5_result(count=300, cache=cache)
+        warm4 = table4_fold(run_specs(table4_specs(rounds=100),
+                                      cache=cache))
+        warm5 = table5_fold(run_specs([buffered_path_spec(count=300)],
+                                      cache=cache))
         assert cache.hits == 4 and cache.misses == 4
         # Replayed results equal the direct measurement field by field
         # (the cache round-trips floats exactly).

@@ -7,7 +7,9 @@ from dataclasses import asdict
 
 from repro.cli import main
 from repro.experiments.multiprog import execute_multiprog
-from repro.experiments.standalone import run_standalone, standalone_spec
+from repro.experiments.standalone import (
+    execute_standalone, standalone_spec,
+)
 from repro.faults.runner import faulted_spec
 from repro.obs.snapshots import TimelineSampler
 from repro.runner import ResultCache, run_specs
@@ -59,7 +61,8 @@ class TestOverheadGuard:
     def test_observation_never_perturbs_metrics(self):
         """The determinism contract: an obs-enabled run produces
         RunMetrics bit-identical to the plain (seed) run."""
-        plain = run_standalone("barrier", num_nodes=2, scale="fast")
+        plain = execute_standalone("barrier", num_nodes=2,
+                                   scale="fast")[0]
         [observed] = run_specs([_obs_spec()], jobs=1)
         assert asdict(observed.require()) == asdict(plain)
 

@@ -1,23 +1,20 @@
 """``repro report`` plans before it runs.
 
-Every selected artifact declares its runs (``ArtifactSpec.runs``); the
-report sends all of them to the runner in one batch and serves each
-producer from that batch's in-memory results. Only Tables 4 and 5
+Every selected artifact plans its runs (``ArtifactSpec.runs``); the
+report sends all of them to the runner in one batch and folds each
+artifact from that batch's in-memory results. Only Tables 4 and 5
 simulate here (4 runs, parallel at ``jobs=2``); the sweep-sized plans
 are checked against a fake runner.
 """
 
 import os
-from dataclasses import replace
 
 import pytest
 
 from repro.runner import EXECUTORS, ResultCache, RunnerError, RunResult
 from repro.runner import executor
 from repro.validate import artifacts
-from repro.validate.artifacts import (
-    ARTIFACT_IDS, ARTIFACTS, ReportContext, UndeclaredRunError,
-)
+from repro.validate.artifacts import ARTIFACT_IDS, ARTIFACTS, ReportContext
 from repro.validate.report import run_report
 
 MICRO = ["table4", "table5"]
@@ -103,14 +100,6 @@ def test_produce_alone_prefetches_its_own_runs(cold, monkeypatch):
     assert batches == [ARTIFACTS["table5"].runs()]
     ctx.produce("table5")
     assert len(batches) == 1
-
-
-def test_undeclared_run_raises_naming_the_artifact(cold, monkeypatch):
-    spec = ARTIFACTS["table4"]
-    monkeypatch.setitem(ARTIFACTS, "table4",
-                        replace(spec, runs=lambda: spec.runs()[:-1]))
-    with pytest.raises(UndeclaredRunError, match="'table4'.*fast_path"):
-        _report(cold["tmp_path"], "undeclared", cache=cold["cache"])
 
 
 def test_no_cache_writes_nothing(tmp_path, monkeypatch):

@@ -114,13 +114,13 @@ def test_injected_cost_delta_fails_check(stamped, monkeypatch,
 def test_update_refuses_on_failed_predicate(monkeypatch, tmp_path):
     """A qualitative claim that stopped holding cannot be stamped in."""
     from repro.validate import ARTIFACTS, Quantity
-    from repro.validate.artifacts import ArtifactRun, ReportContext
+    from repro.validate.artifacts import ArtifactRun
 
     spec = ARTIFACTS["table4"]
-    real = spec.producer
+    real = spec.fold
 
-    def broken(ctx: ReportContext) -> ArtifactRun:
-        run = real(ctx)
+    def broken(results) -> ArtifactRun:
+        run = real(results)
         return ArtifactRun(artifact=run.artifact,
                            values={**run.values,
                                    "fast_path_holds": False},
@@ -128,7 +128,7 @@ def test_update_refuses_on_failed_predicate(monkeypatch, tmp_path):
 
     monkeypatch.setitem(
         ARTIFACTS, "table4",
-        replace(spec, producer=broken,
+        replace(spec, fold=broken,
                 quantities=spec.quantities
                 + (Quantity("fast_path_holds", "predicate"),)))
     lines = []

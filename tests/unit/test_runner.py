@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis.metrics import RunMetrics
 from repro.runner import (
-    ResultCache, RunnerError, RunSpec, UnknownRunKind, execute_spec,
-    run_specs, spec_key,
+    ResultCache, RunnerError, RunResult, RunSpec, UnknownRunKind,
+    execute_spec, run_specs, spec_key, trial_means,
 )
 
 
@@ -241,3 +241,64 @@ class TestErrorCapture:
                            scale="fast")
         run_specs([bad], jobs=1, cache=cache)
         assert len(cache) == 0
+
+
+class TestTrialMeans:
+    """The one trial-averaging fold, on hand-built results."""
+
+    @staticmethod
+    def _trial(skew, seed, error=None, **metrics):
+        spec = RunSpec.make("multiprog", name="enum", skew=skew,
+                            seed=seed)
+        if error is not None:
+            return RunResult(spec=spec, error=error)
+        return RunResult(spec=spec, metrics=_metrics(**metrics))
+
+    def test_failed_trial_is_dropped_from_the_average(self):
+        results = [
+            self._trial(0.0, 1, elapsed_cycles=100, buffered_fraction=0.1),
+            self._trial(0.0, 2, error="Traceback: trial 2 crashed"),
+            self._trial(0.0, 3, elapsed_cycles=300, buffered_fraction=0.3),
+            self._trial(0.2, 1, elapsed_cycles=50),
+        ]
+        points = trial_means(results)
+        assert [spec for spec, _m in points] == \
+            [results[0].spec, results[3].spec]
+        (_spec, mean0), (_spec2, mean2) = points
+        assert mean0.elapsed_cycles == 200
+        assert mean0.buffered_fraction == pytest.approx(0.2)
+        assert mean2.elapsed_cycles == 50
+
+    def test_repeated_configuration_is_a_new_point(self):
+        results = [self._trial(0.0, seed, elapsed_cycles=100 * seed)
+                   for seed in (1, 2, 1, 2)]
+        points = trial_means(results)
+        assert [m.elapsed_cycles for _s, m in points] == [150, 150]
+
+    def test_all_failed_point_raises_its_first_failure(self):
+        results = [
+            self._trial(0.0, 1, elapsed_cycles=100),
+            self._trial(0.2, 1, error="Traceback: first failure"),
+            self._trial(0.2, 2, error="Traceback: second failure"),
+        ]
+        with pytest.raises(RunnerError, match="first failure") as caught:
+            trial_means(results)
+        assert "seed=1" in str(caught.value)
+        assert "second failure" not in str(caught.value)
+
+    def test_grid_fold_keeps_a_repeated_x_as_its_own_point(self):
+        from repro.experiments.synth_sweeps import (
+            buffer_cost_fold, buffer_cost_specs)
+
+        # 100 runs at the baseline cost, so it is read back as 232.
+        specs = buffer_cost_specs(costs=(100, 232, 350),
+                                  group_sizes=(2, 4), trials=2)
+        results = [RunResult(spec=spec,
+                             metrics=_metrics(buffered_fraction=i / 100))
+                   for i, spec in enumerate(specs)]
+        sweep = buffer_cost_fold(results)
+        assert sweep.xs == [232, 232, 350]
+        assert sweep.series == {
+            2: pytest.approx([0.5, 2.5, 4.5]),
+            4: pytest.approx([6.5, 8.5, 10.5]),
+        }
