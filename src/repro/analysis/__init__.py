@@ -2,7 +2,7 @@
 
 from repro.analysis.metrics import RunMetrics, collect_metrics, mean
 from repro.analysis.plot import render_ascii_plot
-from repro.analysis.report import render_table, render_series, format_count
+from repro.analysis.report import render_table, format_count
 from repro.analysis.trace import MessageTracer, TraceEvent
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "collect_metrics",
     "mean",
     "render_table",
-    "render_series",
     "render_ascii_plot",
     "format_count",
     "MessageTracer",

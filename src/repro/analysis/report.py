@@ -1,4 +1,4 @@
-"""Plain-text table and series rendering.
+"""Plain-text table rendering.
 
 The benchmark harness prints each reproduced table and figure as an
 aligned text table (the closest stable equivalent of the paper's plots
@@ -48,21 +48,3 @@ def render_table(title: str, headers: Sequence[str],
                                for i, cell in enumerate(row)))
     return "\n".join(lines)
 
-
-def render_series(title: str, x_label: str, xs: Sequence[Any],
-                  series: Sequence[tuple],
-                  y_format: str = "{:.1f}") -> str:
-    """Render figure data: one x column plus one column per series.
-
-    ``series`` is a sequence of (label, values) pairs.
-    """
-    headers = [x_label] + [label for label, _values in series]
-    rows = []
-    for i, x in enumerate(xs):
-        row: List[Any] = [x]
-        for _label, values in series:
-            value = values[i]
-            row.append(y_format.format(value)
-                       if isinstance(value, float) else value)
-        rows.append(row)
-    return render_table(title, headers, rows)

@@ -7,14 +7,25 @@ Examples::
     python -m repro fig7 --skews 0 0.05 0.2 --trials 1
     python -m repro fig9 --trials 1
     python -m repro ablations
+
+Each artifact command runs its artifact's plan
+(:attr:`~repro.validate.artifacts.ArtifactSpec.runs`) and prints the
+artifact's fold exactly as EXPERIMENTS.md renders it. The command's plan
+flags are the keyword parameters of the plan builder; a flag left out
+keeps the report's value.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional, Sequence
+import inspect
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_table
+
+_FAULTS_HELP = ("fault plan, e.g. 'drop=0.05,seed=7' "
+                "(see docs/FAULTS.md; empty disables injection)")
 
 
 def _cache(args):
@@ -34,10 +45,8 @@ def _run_specs(args, specs):
 
 
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--faults", default="", metavar="PLAN",
-        help="fault plan, e.g. 'drop=0.05,seed=7' "
-             "(see docs/FAULTS.md; empty disables injection)")
+    parser.add_argument("--faults", default="", metavar="PLAN",
+                        help=_FAULTS_HELP)
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
@@ -55,135 +64,89 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
              "(.repro_cache/)")
 
 
-def _cmd_table4(args) -> None:
-    from repro.experiments.micro import table4_fold, table4_specs
+#: The artifact commands: command -> the id of the artifact it prints.
+_ARTIFACT_COMMANDS = {
+    "table4": "table4", "table5": "table5", "table6": "table6",
+    "fig7": "fig7", "fig8": "fig8", "fig9": "fig9", "fig10": "fig10",
+    "ablations": "ablations", "delivery": "delivery_headtohead",
+}
 
-    results = table4_fold(_run_specs(args, table4_specs(args.rounds)))
-    rows = []
-    for r in results:
-        fast = r.model.fast
-        rows.append([
-            r.mode.value, fast.send_total, fast.receive_interrupt_total,
-            f"{r.measured_receive_interrupt:.0f}",
-            fast.receive_polling_total,
-        ])
-    print(render_table(
-        "Table 4: null-message fast-path costs (cycles)",
-        ["mode", "send", "recv-int (paper)", "recv-int (measured)",
-         "poll"], rows,
-    ))
-
-
-def _cmd_table5(args) -> None:
-    from repro.experiments.micro import buffered_path_spec, table5_fold
-
-    result = table5_fold(_run_specs(args,
-                                    [buffered_path_spec(args.rounds)]))
-    print(render_table(
-        "Table 5: software-buffer overheads (cycles)",
-        ["item", "paper", "measured"],
-        [
-            ["minimum buffer-insert handler", 180,
-             f"{result.measured_insert_min:.0f}"],
-            ["maximum handler (w/vmalloc)", 3162,
-             f"{result.measured_insert_vmalloc:.0f}"],
-            ["execute null handler from buffer", 52,
-             f"{result.measured_extract:.0f}"],
-            ["total per buffered message", 232,
-             f"{result.measured_per_message:.0f}"],
-        ],
-    ))
+#: argparse settings of each plan flag, by the keyword parameter of the
+#: plan builder it sets. The default is the builder's.
+_PLAN_FLAGS: Dict[str, Dict[str, Any]] = {
+    "rounds": dict(type=int, help="measurement rounds"),
+    "scale": dict(choices=("fast", "bench"), help="application scale"),
+    "faults": dict(metavar="PLAN", help=_FAULTS_HELP),
+    "skews": dict(type=float, nargs="+", help="schedule skews"),
+    "trials": dict(type=int, help="seeded trials per point"),
+    "messages": dict(type=int, help="requests per node"),
+    "shards": dict(type=int,
+                   help="shard worker processes per run (results are "
+                        "bit-identical; see docs/SIMULATION.md)"),
+    "nodes": dict(type=int, help="nodes"),
+}
 
 
-def _cmd_table6(args) -> None:
-    from repro.experiments.standalone import table6_fold, table6_specs
+def _plan_defaults(artifact_id: str) -> Dict[str, Any]:
+    """The plan flags of an artifact, with the report's values."""
+    from repro.validate.artifacts import ARTIFACTS
 
-    rows = table6_fold(_run_specs(
-        args, table6_specs(scale=args.scale, faults=args.faults)))
-    print(render_table(
-        "Table 6: standalone application characteristics (8 nodes)",
-        ["app", "model", "cycles", "msgs", "T_betw", "T_betw(paper)",
-         "T_hand", "T_hand(paper)"],
-        [[r.name, r.model, r.metrics.elapsed_cycles,
-          r.metrics.messages_sent, f"{r.metrics.t_betw:.0f}",
-          f"{r.paper['t_betw']:.0f}", f"{r.metrics.t_hand:.0f}",
-          f"{r.paper['t_hand']:.0f}"] for r in rows],
-    ))
+    params = inspect.signature(ARTIFACTS[artifact_id].runs).parameters
+    return {name: param.default for name, param in params.items()}
 
 
-def _sweep(args):
-    from repro.experiments.multiprog import (
-        full_sweep_fold, full_sweep_specs,
-    )
-
-    return full_sweep_fold(_run_specs(args, full_sweep_specs(
-        skews=tuple(args.skews), trials=args.trials, scale=args.scale,
-        faults=args.faults)))
+def _flag_text(value: Any) -> str:
+    if isinstance(value, (list, tuple)):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
-def _cmd_fig7(args) -> None:
-    results = _sweep(args)
-    print(render_series(
-        "Figure 7: % messages buffered vs schedule skew",
-        "skew", [f"{s:.0%}" for s in args.skews],
-        [(name, sweep.buffered_percent)
-         for name, sweep in results.items()],
-        y_format="{:.2f}",
-    ))
-    print()
-    print(render_table(
-        "Physical buffer pages (max over nodes and trials)",
-        ["app"] + [f"{s:.0%}" for s in args.skews],
-        [[name] + sweep.max_pages for name, sweep in results.items()],
-    ))
+def _plan_line(artifact_id: str, plan: Dict[str, Any]) -> str:
+    """One line naming the plan flags whose values differ from the
+    report's (a title such as Table 6's "bench scale" may not hold)."""
+    defaults = _plan_defaults(artifact_id)
+    changed = [f"--{name} {_flag_text(value)}"
+               for name, value in plan.items()
+               if _flag_text(value) != _flag_text(defaults[name])]
+    return "plan: the report's" + (", except " + " ".join(changed)
+                                   if changed else "")
 
 
-def _cmd_fig8(args) -> None:
-    results = _sweep(args)
-    print(render_series(
-        "Figure 8: relative runtime vs schedule skew",
-        "skew", [f"{s:.0%}" for s in args.skews],
-        [(name, sweep.relative_runtime)
-         for name, sweep in results.items()],
-        y_format="{:.3f}",
-    ))
+def _cmd_artifact(args) -> None:
+    from repro.runner import require_all
+    from repro.validate.artifacts import ARTIFACTS
+    from repro.validate.render import render_artifact_text
+
+    spec = ARTIFACTS[args.artifact]
+    plan = {name: getattr(args, name)
+            for name in _plan_defaults(args.artifact)}
+    results = _run_specs(args, spec.runs(**plan))
+    require_all(results)
+    print(_plan_line(args.artifact, plan))
+    print(render_artifact_text(args.artifact, spec.fold(results).doc))
 
 
-def _cmd_fig9(args) -> None:
-    from repro.experiments.synth_sweeps import (
-        interval_fold, interval_specs,
-    )
-
-    result = interval_fold(_run_specs(args, interval_specs(
-        trials=args.trials, messages_per_node=args.messages,
-        shards=args.shards)))
-    print(render_series(
-        "Figure 9: % buffered vs send interval (synth-N, 1% skew)",
-        result.x_label, result.xs, result.series_pairs(),
-        y_format="{:.2f}",
-    ))
-
-
-def _cmd_fig10(args) -> None:
-    from repro.experiments.synth_sweeps import (
-        buffer_cost_fold, buffer_cost_specs,
-    )
-
-    result = buffer_cost_fold(_run_specs(args, buffer_cost_specs(
-        trials=args.trials, messages_per_node=args.messages,
-        shards=args.shards)))
-    print(render_series(
-        "Figure 10: % buffered vs buffered-path cost (T_betw=275)",
-        result.x_label, result.xs, result.series_pairs(),
-        y_format="{:.2f}",
-    ))
+def _print_shard_verdict(title: str, rows: List[List[Any]],
+                         serial, sharded) -> bool:
+    """Print a sharded run's table, ending in whether its metrics equal
+    the serial run's, then each diverging field. True when identical."""
+    serial_fields, sharded_fields = asdict(serial), asdict(sharded)
+    mismatches = [(key, value, sharded_fields[key])
+                  for key, value in serial_fields.items()
+                  if value != sharded_fields[key]]
+    print(render_table(title, ["quantity", "value"], rows + [
+        ["metrics identical to serial", "NO" if mismatches else "yes"]]))
+    if mismatches:
+        print("\nFAIL: sharded metrics diverge from single-process:")
+        for key, serial_value, sharded_value in mismatches:
+            print(f"  {key}: serial={serial_value!r} "
+                  f"sharded={sharded_value!r}")
+    return not mismatches
 
 
 def _cmd_shard(args) -> int:
     """Sharded-execution smoke: run one synth config serially and
     sharded, show the protocol counters, verify bit-identity."""
-    from dataclasses import asdict
-
     from repro.experiments.synth_sweeps import run_synth
 
     kwargs = dict(group_size=args.group, t_betw=args.t_betw,
@@ -196,15 +159,9 @@ def _cmd_shard(args) -> int:
     info: dict = {}
     sharded = run_synth(shards=args.shards, extra_out=extra, info=info,
                         **kwargs)
-    mismatches = [
-        (key, value, asdict(sharded)[key])
-        for key, value in asdict(serial).items()
-        if value != asdict(sharded)[key]
-    ]
-    print(render_table(
+    identical = _print_shard_verdict(
         f"Sharded execution smoke (synth-{args.group}, "
         f"{args.nodes} nodes, --shards {args.shards})",
-        ["quantity", "value"],
         [
             ["mode", extra.get("shard_mode", "?")],
             ["shard groups", str(extra.get("shard_groups"))],
@@ -225,82 +182,8 @@ def _cmd_shard(args) -> int:
             ["wall seconds (sharded)",
              f"{info['wall_seconds']:.3f}" if "wall_seconds" in info
              else "n/a (serial path)"],
-            ["metrics identical to serial",
-             "yes" if not mismatches else "NO"],
-        ],
-    ))
-    if mismatches:
-        print("\nFAIL: sharded metrics diverge from single-process:")
-        for key, serial_value, sharded_value in mismatches:
-            print(f"  {key}: serial={serial_value!r} "
-                  f"sharded={sharded_value!r}")
-        return 1
-    return 0
-
-
-def _cmd_ablations(args) -> None:
-    from repro.experiments.ablations import ablation_points, ablation_specs
-
-    studies = ablation_points(_run_specs(args, ablation_specs()))
-    points = studies["ablate_two_case"]
-    print(render_table(
-        "Two-case vs always-buffered (barrier)",
-        ["config", "runtime", "buffered %"],
-        [[p.label, p.metrics.elapsed_cycles,
-          f"{p.metrics.buffered_fraction:.0%}"] for p in points],
-    ))
-    print()
-    points = studies["ablate_timeout"]
-    print(render_table(
-        "Atomicity-timeout sweep (barnes vs null, 5% skew)",
-        ["config", "runtime", "buffered %", "revocations"],
-        [[p.label, p.metrics.elapsed_cycles,
-          f"{p.metrics.buffered_fraction:.2%}",
-          p.metrics.revocations] for p in points],
-    ))
-    print()
-    points = studies["ablate_queue_depth"]
-    print(render_table(
-        "NI input-queue depth (synth-100)",
-        ["config", "runtime", "max backlog", "sender blocks"],
-        [[p.label, p.metrics.elapsed_cycles,
-          int(p.extra["max_network_backlog"]),
-          int(p.extra["sender_blocks"])] for p in points],
-    ))
-    print()
-    points = studies["ablate_architecture"]
-    print(render_table(
-        "Figure 1 architectures (barrier)",
-        ["config", "runtime", "resident pages"],
-        [[p.label, p.metrics.elapsed_cycles,
-          int(p.extra["resident_buffer_pages"])] for p in points],
-    ))
-    print()
-    points = studies["ablate_bulk"]
-    print(render_table(
-        "Fragmented vs bulk-DMA CRL transfers",
-        ["config", "runtime", "messages"],
-        [[p.label, p.metrics.elapsed_cycles,
-          p.metrics.messages_sent] for p in points],
-    ))
-
-
-def _cmd_delivery(args) -> None:
-    from repro.experiments.ablations import ablation_points, delivery_specs
-
-    points = ablation_points(_run_specs(
-        args, delivery_specs(num_nodes=args.nodes)))["ablate_delivery"]
-    print(render_table(
-        "Delivery disciplines head-to-head (synth-100, overload)",
-        ["discipline", "runtime", "buffered %", "pinned pages",
-         "queue peak", "fault traps", "evictions"],
-        [[p.label, p.metrics.elapsed_cycles,
-          f"{p.metrics.buffered_fraction:.1%}",
-          p.metrics.pinned_pages_peak,
-          p.metrics.damq_peak_occupancy,
-          p.metrics.delivery_fault_traps,
-          p.metrics.damq_evictions] for p in points],
-    ))
+        ], serial, sharded)
+    return 0 if identical else 1
 
 
 def _cmd_mailbox(args) -> int:
@@ -365,44 +248,27 @@ def _cmd_mailbox(args) -> int:
         ],
     ))
     if args.shards > 1:
-        from dataclasses import asdict
-
         sharded = results[1]
         sharded_metrics = sharded.require()
         sharded_extra = sharded.extra or {}
-        mismatches = [
-            (key, value, asdict(sharded_metrics)[key])
-            for key, value in asdict(metrics).items()
-            if value != asdict(sharded_metrics)[key]
-        ]
         print()
-        print(render_table(
-            f"Sharded execution (--shards {args.shards}, locality "
-            f"groups {args.shards})",
-            ["quantity", "value"],
-            [
-                ["mode", sharded_extra.get("shard_mode", "?")],
-                ["window barriers",
-                 sharded_extra.get("shard_epochs", 0)],
-                ["cross-shard messages",
-                 sharded_extra.get("cross_shard_messages", 0)],
-                ["exchange bytes",
-                 sharded_extra.get("bytes_exchanged", 0)],
-                ["serial fallbacks",
-                 sharded_extra.get("serial_fallbacks", 0)],
-                ["coupling flags",
-                 ", ".join(sharded_extra.get("shard_flags", []))
-                 or "none"],
-                ["metrics identical to serial",
-                 "yes" if not mismatches else "NO"],
-            ],
-        ))
-        if mismatches:
-            print("\nFAIL: sharded metrics diverge from "
-                  "single-process:")
-            for key, serial_value, sharded_value in mismatches:
-                print(f"  {key}: serial={serial_value!r} "
-                      f"sharded={sharded_value!r}")
+        if not _print_shard_verdict(
+                f"Sharded execution (--shards {args.shards}, locality "
+                f"groups {args.shards})",
+                [
+                    ["mode", sharded_extra.get("shard_mode", "?")],
+                    ["window barriers",
+                     sharded_extra.get("shard_epochs", 0)],
+                    ["cross-shard messages",
+                     sharded_extra.get("cross_shard_messages", 0)],
+                    ["exchange bytes",
+                     sharded_extra.get("bytes_exchanged", 0)],
+                    ["serial fallbacks",
+                     sharded_extra.get("serial_fallbacks", 0)],
+                    ["coupling flags",
+                     ", ".join(sharded_extra.get("shard_flags", []))
+                     or "none"],
+                ], metrics, sharded_metrics):
             return 1
     if args.check_buffered and metrics.buffered_fraction == 0:
         print("\nFAIL: buffered fraction is zero — the open-loop "
@@ -411,7 +277,7 @@ def _cmd_mailbox(args) -> int:
     return 0
 
 
-def _cmd_faultdemo(args) -> None:
+def _cmd_faultdemo(args) -> int:
     from repro.faults.plan import FaultPlan
     from repro.faults.runner import faulted_spec
 
@@ -450,9 +316,11 @@ def _cmd_faultdemo(args) -> None:
         details = extra.get("transport_violations", "")
         if details:
             print(details)
+        return 1
+    return 0
 
 
-def _cmd_stats(args) -> None:
+def _cmd_stats(args) -> int:
     from repro.obs import render_obs_report, write_jsonl
 
     if args.kind == "standalone":
@@ -479,12 +347,13 @@ def _cmd_stats(args) -> None:
     if payload is None:
         print("run produced no observability payload "
               "(stale cache entry? try --no-cache)")
-        return
+        return 1
     cached = " [cached]" if result.cached else ""
     print(render_obs_report(title + cached, payload))
     if args.export:
         lines = write_jsonl(args.export, payload, spec=spec.describe())
         print(f"\nwrote {lines} JSONL lines to {args.export}")
+    return 0
 
 
 def _cmd_report(args) -> int:
@@ -521,6 +390,8 @@ def _cmd_cache(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.validate.artifacts import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.",
@@ -531,44 +402,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p4 = sub.add_parser("table4", help="fast-path cycle costs")
-    p4.add_argument("--rounds", type=int, default=300)
-    # Tables 4 and 5 are three runs and one: too few for the runner to
-    # fan out, so they take no --jobs.
-    _add_cache_flag(p4)
-    p4.set_defaults(fn=_cmd_table4)
-
-    p5 = sub.add_parser("table5", help="buffered-path cycle costs")
-    p5.add_argument("--rounds", type=int, default=400)
-    _add_cache_flag(p5)
-    p5.set_defaults(fn=_cmd_table5)
-
-    p6 = sub.add_parser("table6", help="application characteristics")
-    p6.add_argument("--scale", choices=("fast", "bench"), default="bench")
-    _add_faults_flag(p6)
-    _add_runner_flags(p6)
-    p6.set_defaults(fn=_cmd_table6)
-
-    for name, fn in (("fig7", _cmd_fig7), ("fig8", _cmd_fig8)):
-        p = sub.add_parser(name, help="multiprogrammed skew sweep")
-        p.add_argument("--skews", type=float, nargs="+",
-                       default=[0.0, 0.01, 0.02, 0.05, 0.10, 0.20])
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--scale", choices=("fast", "bench"),
-                       default="bench")
-        _add_faults_flag(p)
-        _add_runner_flags(p)
-        p.set_defaults(fn=fn)
-
-    for name, fn in (("fig9", _cmd_fig9), ("fig10", _cmd_fig10)):
-        p = sub.add_parser(name, help="synth-N sweep")
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--messages", type=int, default=2000)
-        p.add_argument("--shards", type=int, default=1,
-                       help="shard worker processes per run (results "
-                            "are bit-identical; see docs/SIMULATION.md)")
-        _add_runner_flags(p)
-        p.set_defaults(fn=fn)
+    for command, artifact_id in _ARTIFACT_COMMANDS.items():
+        # argparse %-formats help text.
+        p = sub.add_parser(
+            command, help=ARTIFACTS[artifact_id].title.replace("%", "%%"))
+        for name, default in _plan_defaults(artifact_id).items():
+            flag = dict(_PLAN_FLAGS[name])
+            flag["help"] += (" (default: the report's plan, "
+                             f"{_flag_text(default) or 'none'})")
+            p.add_argument(f"--{name}", default=default, **flag)
+        # Tables 4 and 5 are three runs and one: too few for the runner
+        # to fan out, so they take no --jobs.
+        if command in ("table4", "table5"):
+            _add_cache_flag(p)
+        else:
+            _add_runner_flags(p)
+        p.set_defaults(fn=_cmd_artifact, artifact=artifact_id)
 
     psh = sub.add_parser(
         "shard",
@@ -593,18 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "windowed protocol enough lookahead to "
                           "amortize barriers on all-to-all traffic")
     psh.set_defaults(fn=_cmd_shard)
-
-    pa = sub.add_parser("ablations", help="design-choice ablations")
-    _add_runner_flags(pa)
-    pa.set_defaults(fn=_cmd_ablations)
-
-    pd = sub.add_parser(
-        "delivery",
-        help="delivery disciplines head-to-head "
-             "(two-case vs zero-copy rings vs DAMQ)")
-    pd.add_argument("--nodes", type=int, default=4)
-    _add_runner_flags(pd)
-    pd.set_defaults(fn=_cmd_delivery)
 
     pm = sub.add_parser(
         "mailbox",
@@ -645,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--no-retries", action="store_true",
                     help="disable the ack/retry layer (negative "
                          "control: the checker then reports the "
-                         "planned losses)")
+                         "planned losses, and the command exits 1)")
     pf.add_argument("--delivery",
                     choices=("twocase", "zerocopy", "damq"),
                     default="twocase",

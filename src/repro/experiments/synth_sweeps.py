@@ -166,14 +166,8 @@ def run_synth(group_size: int, t_betw: int, seed: int = 1,
 class SynthSweepResult:
     """Buffered percentage per x value, per group size."""
 
-    x_label: str
     xs: List[int]
     series: Dict[int, List[float]]  # group size -> buffered %
-
-    def series_pairs(self) -> List[tuple]:
-        return [
-            (f"synth-{n}", values) for n, values in self.series.items()
-        ]
 
 
 def _grid_specs(xs: Sequence[int], group_sizes: Sequence[int],
@@ -188,8 +182,7 @@ def _grid_specs(xs: Sequence[int], group_sizes: Sequence[int],
     ]
 
 
-def _fold_grid(x_label: str, results: Sequence[RunResult],
-               x_of) -> SynthSweepResult:
+def _fold_grid(results: Sequence[RunResult], x_of) -> SynthSweepResult:
     """Fold a :func:`_grid_specs` result list to buffered % per group,
     averaged over trials; ``x_of(spec)`` is the point's x value, read
     from the first group's points so that ``xs`` is as long as every
@@ -202,7 +195,7 @@ def _fold_grid(x_label: str, results: Sequence[RunResult],
     first = points[0][0]["group_size"] if points else None
     xs = [x_of(spec) for spec, _metrics in points
           if spec["group_size"] == first]
-    return SynthSweepResult(x_label=x_label, xs=xs, series=series)
+    return SynthSweepResult(xs=xs, series=series)
 
 
 def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
@@ -220,7 +213,7 @@ def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
 
 def interval_fold(results: Sequence[RunResult]) -> SynthSweepResult:
     """Figure 9 from :func:`interval_specs`' results."""
-    return _fold_grid("T_betw", results, lambda spec: spec["t_betw"])
+    return _fold_grid(results, lambda spec: spec["t_betw"])
 
 
 def buffer_cost_specs(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
@@ -241,6 +234,5 @@ def buffer_cost_specs(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
 def buffer_cost_fold(results: Sequence[RunResult]) -> SynthSweepResult:
     """Figure 10 from :func:`buffer_cost_specs`' results; x is the
     simulated buffered-path cost (baseline + added insert latency)."""
-    return _fold_grid("buffered-path cost", results,
-                      lambda spec: BASELINE_COST
-                      + spec["buffer_cost_extra"])
+    return _fold_grid(
+        results, lambda spec: BASELINE_COST + spec["buffer_cost_extra"])

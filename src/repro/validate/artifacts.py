@@ -4,8 +4,9 @@ One spec per evaluation artifact (Tables 4–6, Figures 7–10, the
 design-choice ablations). A spec names:
 
 * its **runs** — the plan: every :class:`~repro.runner.RunSpec` the
-  artifact measures, built by the same ``*_specs`` functions the CLI
-  commands use. ``repro report`` runs the planned runs of all selected
+  artifact measures. The builder's keyword parameters are the plan
+  flags of the artifact's CLI command, and their defaults are the
+  report's plan. ``repro report`` runs the planned runs of all selected
   artifacts in one :func:`~repro.runner.run_specs` batch before any
   artifact is folded (see :class:`ReportContext`);
 * a **fold** — a pure function of the :class:`~repro.runner.RunResult`
@@ -16,9 +17,9 @@ design-choice ablations). A spec names:
 * the **doc payload** — everything EXPERIMENTS.md and the report
   bundle need to re-render the artifact's tables without re-running.
 
-The benchmark suite (``benchmarks/test_*.py``) and the ``repro report``
-CLI both consume this registry, so "what the paper claims" lives in
-exactly one place.
+The benchmark suite (``benchmarks/test_*.py``), ``repro report`` and
+the artifact commands (``repro table4`` ...) all consume this
+registry, so "what the paper claims" lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.multiprog import DEFAULT_SKEWS
 from repro.runner import RunResult, RunSpec, require_all, run_specs
 from repro.validate.quantity import Quantity
 
@@ -60,7 +62,9 @@ class ArtifactSpec:
     command: str
     quantities: Tuple[Quantity, ...]
     #: Builds the plan: the list of every run the artifact measures.
-    runs: Callable[[], List[RunSpec]]
+    #: Its keyword parameters are the command's plan flags; called with
+    #: none, it builds the report's plan.
+    runs: Callable[..., List[RunSpec]]
     #: Computes the artifact from the results of ``runs()``, in order.
     fold: Callable[[Sequence[RunResult]], ArtifactRun]
 
@@ -170,10 +174,10 @@ def _fold_table4(runs: Sequence[RunResult]) -> ArtifactRun:
     return ArtifactRun(artifact="table4", values=values, doc=doc)
 
 
-def _table4_runs() -> List[RunSpec]:
+def _table4_runs(rounds: int = 300) -> List[RunSpec]:
     from repro.experiments.micro import table4_specs
 
-    return table4_specs(rounds=300)
+    return table4_specs(rounds=rounds)
 
 
 _TABLE4 = ArtifactSpec(
@@ -222,10 +226,10 @@ def _fold_table5(runs: Sequence[RunResult]) -> ArtifactRun:
     return ArtifactRun(artifact="table5", values=values, doc=doc)
 
 
-def _table5_runs() -> List[RunSpec]:
+def _table5_runs(rounds: int = 400) -> List[RunSpec]:
     from repro.experiments.micro import buffered_path_spec
 
-    return [buffered_path_spec(count=400)]
+    return [buffered_path_spec(count=rounds)]
 
 
 _TABLE5 = ArtifactSpec(
@@ -305,10 +309,10 @@ def _table6_quantities() -> Tuple[Quantity, ...]:
     return tuple(out)
 
 
-def _table6_runs() -> List[RunSpec]:
+def _table6_runs(scale: str = "bench", faults: str = "") -> List[RunSpec]:
     from repro.experiments.standalone import table6_specs
 
-    return table6_specs(scale="bench")
+    return table6_specs(scale=scale, faults=faults)
 
 
 _TABLE6 = ArtifactSpec(
@@ -338,8 +342,11 @@ def _fold_fig7(runs: Sequence[RunResult]) -> ArtifactRun:
         f"buffered_at_20_{name}": buffered[name][-1]
         for name in APP_ORDER
     }
+    # Growth is read off three points: the first skew, the second and
+    # the last. A sweep of fewer skews shows none.
     values["enum_linear_growth"] = (
-        enum_pct[-1] > enum_pct[1] > enum_pct[0]
+        len(enum_pct) >= 3
+        and enum_pct[-1] > enum_pct[1] > enum_pct[0]
         and enum_pct[-1] >= 3 * enum_pct[1]
     )
     values["zero_skew_quiet"] = all(
@@ -356,10 +363,13 @@ def _fold_fig7(runs: Sequence[RunResult]) -> ArtifactRun:
     return ArtifactRun(artifact="fig7", values=values, doc=doc)
 
 
-def _full_sweep_runs() -> List[RunSpec]:
+def _full_sweep_runs(skews: Sequence[float] = DEFAULT_SKEWS,
+                     trials: int = 3, scale: str = "bench",
+                     faults: str = "") -> List[RunSpec]:
     from repro.experiments.multiprog import full_sweep_specs
 
-    return full_sweep_specs(trials=3)
+    return full_sweep_specs(skews=skews, trials=trials, scale=scale,
+                            faults=faults)
 
 
 _FIG7 = ArtifactSpec(
@@ -480,10 +490,12 @@ def _fold_fig9(runs: Sequence[RunResult]) -> ArtifactRun:
     return ArtifactRun(artifact="fig9", values=values, doc=doc)
 
 
-def _fig9_runs() -> List[RunSpec]:
+def _fig9_runs(trials: int = 3, messages: int = 2000,
+               shards: int = 1) -> List[RunSpec]:
     from repro.experiments.synth_sweeps import interval_specs
 
-    return interval_specs(trials=3, messages_per_node=2000)
+    return interval_specs(trials=trials, messages_per_node=messages,
+                          shards=shards)
 
 
 _FIG9 = ArtifactSpec(
@@ -538,10 +550,12 @@ def _fold_fig10(runs: Sequence[RunResult]) -> ArtifactRun:
     return ArtifactRun(artifact="fig10", values=values, doc=doc)
 
 
-def _fig10_runs() -> List[RunSpec]:
+def _fig10_runs(trials: int = 3, messages: int = 2000,
+                shards: int = 1) -> List[RunSpec]:
     from repro.experiments.synth_sweeps import buffer_cost_specs
 
-    return buffer_cost_specs(trials=3, messages_per_node=2000)
+    return buffer_cost_specs(trials=trials, messages_per_node=messages,
+                             shards=shards)
 
 
 _FIG10 = ArtifactSpec(
@@ -777,10 +791,10 @@ def _fold_delivery(runs: Sequence[RunResult]) -> ArtifactRun:
                        doc=doc)
 
 
-def _delivery_runs() -> List[RunSpec]:
+def _delivery_runs(nodes: int = 4) -> List[RunSpec]:
     from repro.experiments.ablations import delivery_specs
 
-    return delivery_specs()
+    return delivery_specs(num_nodes=nodes)
 
 
 _DELIVERY = ArtifactSpec(

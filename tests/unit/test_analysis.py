@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.metrics import RunMetrics, mean
-from repro.analysis.report import format_count, render_series, render_table
+from repro.analysis.report import format_count, render_table
 
 
 class TestMean:
@@ -41,12 +41,6 @@ class TestReport:
         assert lines[0] == "Title"
         assert "long-name" in out
         assert "20,000" in out
-
-    def test_render_series_one_column_per_series(self):
-        out = render_series("Fig", "x", [1, 2],
-                            [("s1", [0.5, 1.5]), ("s2", [2.5, 3.5])])
-        assert "s1" in out and "s2" in out
-        assert "0.5" in out and "3.5" in out
 
     def test_format_count_variants(self):
         assert format_count(0.0) == "0"
