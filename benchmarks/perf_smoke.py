@@ -70,10 +70,9 @@ from types import FunctionType
 from repro.analysis.metrics import collect_metrics
 from repro.apps.null_app import NullApplication
 from repro.experiments.config import SimulationConfig
-from repro.experiments.multiprog import multiprog_spec
 from repro.experiments.workloads import make_workload
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, default_jobs, run_specs
+from repro.runner import ResultCache, bind_spec, default_jobs, run_specs
 from repro.runner.executor import fork_available
 from repro.sim.engine import _NO_ARG, Engine
 
@@ -100,8 +99,8 @@ A2A_RUNS = 9
 
 #: The fixed smoke sweep: 2 workloads x 2 skews x 2 trials, fast scale.
 SMOKE_SPECS = [
-    multiprog_spec(name, skew, seed=seed, scale="fast",
-                   timeslice=100_000)
+    bind_spec("multiprog", name=name, skew=skew, seed=seed, scale="fast",
+              timeslice=100_000)
     for name in ("barrier", "enum")
     for skew in (0.0, 0.1)
     for seed in (1, 2)

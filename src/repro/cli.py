@@ -44,6 +44,13 @@ def _run_specs(args, specs):
                      cache=_cache(args))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
+
+
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults", default="", metavar="PLAN",
                         help=_FAULTS_HELP)
@@ -63,13 +70,6 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
         help="ignore and don't write the persistent result cache "
              "(.repro_cache/)")
 
-
-#: The artifact commands: command -> the id of the artifact it prints.
-_ARTIFACT_COMMANDS = {
-    "table4": "table4", "table5": "table5", "table6": "table6",
-    "fig7": "fig7", "fig8": "fig8", "fig9": "fig9", "fig10": "fig10",
-    "ablations": "ablations", "delivery": "delivery_headtohead",
-}
 
 #: argparse settings of each plan flag, by the keyword parameter of the
 #: plan builder it sets. The default is the builder's.
@@ -187,8 +187,8 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_mailbox(args) -> int:
-    from repro.experiments.mailbox_sweeps import mailbox_spec
     from repro.faults.plan import FaultPlan
+    from repro.runner import bind_spec
 
     plan = FaultPlan.parse(args.faults) if args.faults else None
     canonical = plan.describe() if plan is not None else ""
@@ -196,21 +196,14 @@ def _cmd_mailbox(args) -> int:
     # free-run without barriers. Grouping changes the workload's
     # placement, so the serial ground-truth run uses the same grouping;
     # only the execution strategy differs between the two specs.
+    params = dict(clients=args.clients, recipients=args.recipients,
+                  messages=args.messages, seed=args.seed,
+                  delivery=args.delivery, faults=canonical)
     groups = args.shards if args.shards > 1 else 0
-    spec = mailbox_spec(
-        clients=args.clients, recipients=args.recipients,
-        messages=args.messages, seed=args.seed,
-        delivery=args.delivery, faults=canonical,
-        locality_groups=groups,
-    )
-    specs = [spec]
+    specs = [bind_spec("mailbox", locality_groups=groups, **params)]
     if args.shards > 1:
-        specs.append(mailbox_spec(
-            clients=args.clients, recipients=args.recipients,
-            messages=args.messages, seed=args.seed,
-            delivery=args.delivery, faults=canonical,
-            shards=args.shards, locality_groups=args.shards,
-        ))
+        specs.append(bind_spec("mailbox", shards=args.shards,
+                               locality_groups=args.shards, **params))
     results = _run_specs(args, specs)
     result = results[0]
     metrics = result.require()
@@ -279,13 +272,13 @@ def _cmd_mailbox(args) -> int:
 
 def _cmd_faultdemo(args) -> int:
     from repro.faults.plan import FaultPlan
-    from repro.faults.runner import faulted_spec
+    from repro.runner import bind_spec
 
     plan = FaultPlan.parse(args.faults) if args.faults else None
     canonical = plan.describe() if plan is not None else ""
-    spec = faulted_spec(
-        num_nodes=args.nodes, messages=args.messages, seed=args.seed,
-        faults=canonical, retries=not args.no_retries,
+    spec = bind_spec(
+        "faulted", num_nodes=args.nodes, messages=args.messages,
+        seed=args.seed, faults=canonical, retries=not args.no_retries,
         delivery=args.delivery,
     )
     result = _run_specs(args, [spec])[0]
@@ -322,23 +315,17 @@ def _cmd_faultdemo(args) -> int:
 
 def _cmd_stats(args) -> int:
     from repro.obs import render_obs_report, write_jsonl
+    from repro.runner import bind_spec
 
+    params = dict(name=args.name, num_nodes=args.nodes, seed=args.seed,
+                  scale=args.scale, faults=args.faults,
+                  obs_interval=args.interval)
     if args.kind == "standalone":
-        from repro.experiments.standalone import standalone_spec
-
-        spec = standalone_spec(args.name, num_nodes=args.nodes,
-                               seed=args.seed, scale=args.scale,
-                               faults=args.faults, obs=True,
-                               obs_interval=args.interval)
+        spec = bind_spec("standalone", **params)
         title = f"standalone {args.name} ({args.scale}, seed {args.seed})"
     else:
-        from repro.experiments.multiprog import multiprog_spec
-
-        spec = multiprog_spec(args.name, args.skew, seed=args.seed,
-                              num_nodes=args.nodes, scale=args.scale,
-                              timeslice=args.timeslice,
-                              faults=args.faults, obs=True,
-                              obs_interval=args.interval)
+        spec = bind_spec("multiprog", skew=args.skew,
+                         timeslice=args.timeslice, **params)
         title = (f"multiprog {args.name} vs null (skew {args.skew:.0%}, "
                  f"{args.scale}, seed {args.seed})")
     result = _run_specs(args, [spec])[0]
@@ -402,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, artifact_id in _ARTIFACT_COMMANDS.items():
+    for artifact_id, spec in ARTIFACTS.items():
         # argparse %-formats help text.
-        p = sub.add_parser(
-            command, help=ARTIFACTS[artifact_id].title.replace("%", "%%"))
+        p = sub.add_parser(spec.command,
+                           help=spec.title.replace("%", "%%"))
         for name, default in _plan_defaults(artifact_id).items():
             flag = dict(_PLAN_FLAGS[name])
             flag["help"] += (" (default: the report's plan, "
@@ -413,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", default=default, **flag)
         # Tables 4 and 5 are three runs and one: too few for the runner
         # to fan out, so they take no --jobs.
-        if command in ("table4", "table5"):
+        if artifact_id in ("table4", "table5"):
             _add_cache_flag(p)
         else:
             _add_runner_flags(p)
@@ -504,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scale", choices=("fast", "bench"), default="fast")
     ps.add_argument("--timeslice", type=int, default=500_000,
                     help="gang-scheduler timeslice (multiprog only)")
-    ps.add_argument("--interval", type=int, default=100_000,
+    ps.add_argument("--interval", type=_positive_int, default=100_000,
                     help="timeline sample interval, cycles")
     ps.add_argument("--export", metavar="FILE", default=None,
                     help="also write the payload as JSONL")

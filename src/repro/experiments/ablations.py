@@ -36,13 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.apps.null_app import NullApplication
 from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
-from repro.experiments.workloads import make_workload
-from repro.machine.machine import Machine
-from repro.runner import RunResult, RunSpec
+from repro.experiments.workloads import make_workload, run_jobs
+from repro.runner import RunResult, RunSpec, bind_spec
 
 
 @dataclass
@@ -52,14 +51,6 @@ class AblationPoint:
     label: str
     metrics: RunMetrics
     extra: Dict[str, float]
-
-
-def _run(config: SimulationConfig, app) -> tuple:
-    machine = Machine(config)
-    job = machine.add_job(app)
-    machine.start()
-    machine.run_until_job_done(job, limit=50_000_000_000)
-    return machine, job
 
 
 # ----------------------------------------------------------------------
@@ -72,20 +63,15 @@ def execute_two_case(workload: str = "barrier", num_nodes: int = 8,
                               force_buffered=forced)
     app = make_workload(workload, seed=1, num_nodes=num_nodes,
                         scale=scale)
-    machine, job = _run(config, app)
-    metrics = collect_metrics(machine, job)
+    metrics, _extra, machine, _job = run_jobs(config, [app])
     extra = {"kernel_insert_cycles": sum(
         node.kernel.stats.insert_cycles for node in machine.nodes)}
     return metrics, extra
 
 
-def two_case_specs(workload: str = "barrier", num_nodes: int = 8,
-                   scale: str = "fast") -> List[RunSpec]:
-    return [
-        RunSpec.make("ablate_two_case", workload=workload,
-                     num_nodes=num_nodes, scale=scale, forced=forced)
-        for forced in (False, True)
-    ]
+def two_case_specs() -> List[RunSpec]:
+    return [bind_spec("ablate_two_case", forced=forced)
+            for forced in (False, True)]
 
 
 # ----------------------------------------------------------------------
@@ -98,26 +84,15 @@ def execute_timeout(timeout: int, workload: str = "barnes",
     config = SimulationConfig(num_nodes=num_nodes, skew_fraction=skew,
                               atomicity_timeout=timeout,
                               timeslice=100_000)
-    machine = Machine(config)
     app = make_workload(workload, seed=1, num_nodes=num_nodes,
                         scale=scale)
-    job = machine.add_job(app)
-    machine.add_job(NullApplication())
-    machine.start()
-    machine.run_until_job_done(job, limit=50_000_000_000)
-    return collect_metrics(machine, job), {"timeout": timeout}
+    metrics = run_jobs(config, [app, NullApplication()])[0]
+    return metrics, {"timeout": timeout}
 
 
-def timeout_specs(timeouts: Sequence[int] = (1_000, 5_000, 50_000),
-                  workload: str = "barnes", num_nodes: int = 8,
-                  skew: float = 0.05,
-                  scale: str = "fast") -> List[RunSpec]:
-    return [
-        RunSpec.make("ablate_timeout", timeout=timeout,
-                     workload=workload, num_nodes=num_nodes, skew=skew,
-                     scale=scale)
-        for timeout in timeouts
-    ]
+def timeout_specs() -> List[RunSpec]:
+    return [bind_spec("ablate_timeout", timeout=timeout)
+            for timeout in (1_000, 5_000, 50_000)]
 
 
 # ----------------------------------------------------------------------
@@ -139,19 +114,14 @@ def execute_architecture(label: str, workload: str = "barrier",
                                   force_buffered=True)
     else:
         raise ValueError(f"unknown architecture label {label!r}")
-    machine = Machine(config)
-    tracer = machine.enable_tracing(limit=500_000)
     app = make_workload(workload, seed=1, num_nodes=num_nodes,
                         scale=scale)
-    job = machine.add_job(app)
-    machine.start()
-    machine.run_until_job_done(job, limit=50_000_000_000)
-    metrics = collect_metrics(machine, job)
+    metrics, _extra, machine, job = run_jobs(config, [app], trace=True)
     pinned = sum(
         state.buffer.pages_in_use
         for state in job.node_states.values()
     )
-    summary = tracer.summary()
+    summary = machine.tracer.summary()
     latency = (summary["mean_latency_fast"]
                if label == "two-case"
                else summary["mean_latency_buffered"])
@@ -166,17 +136,13 @@ def execute_architecture(label: str, workload: str = "barrier",
 ARCHITECTURES = ("two-case", "memory-based", "always-buffered")
 
 
-def architecture_specs(workload: str = "barrier", num_nodes: int = 8,
-                       scale: str = "fast") -> List[RunSpec]:
+def architecture_specs() -> List[RunSpec]:
     """The Figure 1 architectures on one workload: two-case (the
     paper's system, direct delivery dominates), memory-based (every
     message through a pinned memory queue) and always-buffered (the
     software-buffer-only strawman)."""
-    return [
-        RunSpec.make("ablate_architecture", label=label,
-                     workload=workload, num_nodes=num_nodes, scale=scale)
-        for label in ARCHITECTURES
-    ]
+    return [bind_spec("ablate_architecture", label=label)
+            for label in ARCHITECTURES]
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +189,7 @@ def execute_bulk(threshold: Optional[int], region_words: int = 1500,
     config = SimulationConfig(num_nodes=num_nodes)
     app = _BigRegionReaders(num_nodes, region_words, rounds,
                             bulk_threshold=threshold)
-    machine, job = _run(config, app)
-    metrics = collect_metrics(machine, job)
+    metrics = run_jobs(config, [app])[0]
     stats = app.crl.stats
     extra = {
         "data_fragments": stats["data_fragments"],
@@ -233,14 +198,9 @@ def execute_bulk(threshold: Optional[int], region_words: int = 1500,
     return metrics, extra
 
 
-def bulk_specs(region_words: int = 1500, rounds: int = 6,
-               num_nodes: int = 8) -> List[RunSpec]:
-    return [
-        RunSpec.make("ablate_bulk", threshold=threshold,
-                     region_words=region_words, rounds=rounds,
-                     num_nodes=num_nodes)
-        for threshold in (None, 256)
-    ]
+def bulk_specs() -> List[RunSpec]:
+    return [bind_spec("ablate_bulk", threshold=threshold)
+            for threshold in (None, 256)]
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +213,7 @@ def execute_queue_depth(depth: int, num_nodes: int = 4):
     app = SynthApplication(group_size=100, t_betw=50,
                            total_messages_per_node=800,
                            num_nodes=num_nodes, seed=1)
-    machine, job = _run(config, app)
-    metrics = collect_metrics(machine, job)
+    metrics, _extra, machine, _job = run_jobs(config, [app])
     max_backlog = max(
         machine.fabric.stats.max_backlog.values(), default=0
     )
@@ -265,13 +224,9 @@ def execute_queue_depth(depth: int, num_nodes: int = 4):
     return metrics, extra
 
 
-def queue_depth_specs(depths: Sequence[int] = (1, 2, 8),
-                      num_nodes: int = 4) -> List[RunSpec]:
-    return [
-        RunSpec.make("ablate_queue_depth", depth=depth,
-                     num_nodes=num_nodes)
-        for depth in depths
-    ]
+def queue_depth_specs() -> List[RunSpec]:
+    return [bind_spec("ablate_queue_depth", depth=depth)
+            for depth in (1, 2, 8)]
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +255,7 @@ def execute_delivery(label: str, num_nodes: int = 4):
     app = SynthApplication(group_size=100, t_betw=50,
                            total_messages_per_node=800,
                            num_nodes=num_nodes, seed=1)
-    machine, job = _run(config, app)
-    metrics = collect_metrics(machine, job)
+    metrics, _extra, machine, _job = run_jobs(config, [app])
     stats = [node.ni.discipline.stats for node in machine.nodes]
     extra = {
         "zerocopy_fallbacks": sum(s.fallbacks for s in stats),
@@ -316,10 +270,8 @@ DISCIPLINES = ("twocase", "zerocopy", "damq")
 
 
 def delivery_specs(num_nodes: int = 4) -> List[RunSpec]:
-    return [
-        RunSpec.make("ablate_delivery", label=label, num_nodes=num_nodes)
-        for label in DISCIPLINES
-    ]
+    return [bind_spec("ablate_delivery", label=label, num_nodes=num_nodes)
+            for label in DISCIPLINES]
 
 
 def ablation_specs() -> List[RunSpec]:

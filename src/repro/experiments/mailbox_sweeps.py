@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.apps.mailbox import RETRIEVAL_LATENCY_EDGES, MailboxApplication
 from repro.experiments.config import SimulationConfig
-from repro.machine.machine import Machine
+from repro.experiments.workloads import run_jobs
 from repro.ni.delivery import DELIVERY_KINDS
-from repro.runner import RunResult, RunSpec, trial_means
+from repro.runner import RunResult, RunSpec, bind_spec, trial_means
 
 #: The scaling sweep's x axis: logical client populations. Three
 #: orders of magnitude; the O(active-flows) aggregation is what keeps
@@ -44,19 +44,21 @@ def run_mailbox(clients: int = 100_000, recipients: int = 48,
                 max_active_flows: int = 512,
                 num_nodes: int = MAILBOX_NODES_TOTAL,
                 mailbox_nodes: int = MAILBOX_SERVICE_NODES,
-                seed: int = 1, delivery: str = "twocase",
+                seed: int = 1, *, delivery: str = "twocase",
                 faults: str = "", shards: int = 1,
                 locality_groups: int = 0,
                 info: Optional[Dict[str, Any]] = None,
                 ) -> Tuple[RunMetrics, Dict[str, Any]]:
-    """One mailbox run; returns ``(metrics, extra)``.
+    """Runner executor for one mailbox run (kind ``mailbox``).
 
     ``extra`` carries the mailbox service's own counter snapshot plus
     the fixed-edge retrieval-latency buckets — all integers, so it
     rides the result cache bit-identically.
 
     ``shards > 1`` routes through :func:`repro.shard.run_sharded`
-    (bit-identical metrics or an automatic serial fallback);
+    (bit-identical metrics or an automatic serial fallback; ``shards``
+    still joins the spec, keeping cache entries honest about
+    provenance);
     ``locality_groups`` confines gateway/mailbox traffic to contiguous
     node groups — set it equal to ``shards`` so aligned groups let the
     shards free-run without barriers. ``info`` receives wall-clock
@@ -86,57 +88,13 @@ def run_mailbox(clients: int = 100_000, recipients: int = 48,
         extra.setdefault("queued_at_exit", app.service.queued_total())
         extra["latency_edges"] = list(RETRIEVAL_LATENCY_EDGES)
         return metrics, extra
-    machine = Machine(config)
-    job = machine.add_job(app)
-    machine.start()
-    machine.run_until_job_done(job, limit=limit)
-    metrics = collect_metrics(machine, job)
+    metrics = run_jobs(config, [app], limit)[0]
     extra: Dict[str, Any] = {
         "mailbox": app.stats.snapshot(),
         "latency_edges": list(RETRIEVAL_LATENCY_EDGES),
         "queued_at_exit": app.service.queued_total(),
     }
     return metrics, extra
-
-
-def execute_mailbox(**params) -> Tuple[RunMetrics, Dict[str, Any]]:
-    """Runner executor for one mailbox run (kind ``mailbox``)."""
-    return run_mailbox(**params)
-
-
-def mailbox_spec(clients: int = 100_000, recipients: int = 48,
-                 messages: int = 400, mean_gap: int = 600,
-                 mailbox_capacity: int = 1_024,
-                 max_active_flows: int = 512,
-                 num_nodes: int = MAILBOX_NODES_TOTAL,
-                 mailbox_nodes: int = MAILBOX_SERVICE_NODES,
-                 seed: int = 1, delivery: str = "twocase",
-                 faults: str = "", shards: int = 1,
-                 locality_groups: int = 0) -> RunSpec:
-    """The :class:`RunSpec` describing one mailbox run.
-
-    Delivery discipline, fault plan, shard count and locality-group
-    count join the spec only when non-default, the same cache-key
-    convention as every other kind. (``shards`` changes only *how* the
-    run is executed — sharded results are certified bit-identical —
-    but it still joins the key, keeping cache entries honest about
-    provenance.)
-    """
-    params = dict(clients=clients, recipients=recipients,
-                  messages=messages, mean_gap=mean_gap,
-                  mailbox_capacity=mailbox_capacity,
-                  max_active_flows=max_active_flows,
-                  num_nodes=num_nodes, mailbox_nodes=mailbox_nodes,
-                  seed=seed)
-    if delivery != "twocase":
-        params["delivery"] = delivery
-    if faults:
-        params["faults"] = faults
-    if shards > 1:
-        params["shards"] = shards
-    if locality_groups > 0:
-        params["locality_groups"] = locality_groups
-    return RunSpec.make("mailbox", **params)
 
 
 @dataclass
@@ -159,17 +117,17 @@ CURVE_FIELDS = (
 )
 
 
-def scaling_specs(clients_values: Sequence[int] = CLIENT_SCALES,
-                  trials: int = 2) -> List[RunSpec]:
-    """Client-scaling curves + delivery head-to-head, one fan-out: the
-    trials of every client scale, then one run per delivery kind."""
+def scaling_specs() -> List[RunSpec]:
+    """Client-scaling curves + delivery head-to-head, one fan-out: two
+    seeded trials of every client scale, then one run per delivery
+    kind."""
     return [
-        mailbox_spec(clients=clients, seed=seed + 1)
-        for clients in clients_values
-        for seed in range(trials)
+        bind_spec("mailbox", clients=clients, seed=seed)
+        for clients in CLIENT_SCALES
+        for seed in (1, 2)
     ] + [
-        mailbox_spec(clients=HEAD_TO_HEAD_CLIENTS, seed=1,
-                     delivery=kind)
+        bind_spec("mailbox", clients=HEAD_TO_HEAD_CLIENTS, seed=1,
+                  delivery=kind)
         for kind in DELIVERY_KINDS
     ]
 

@@ -12,12 +12,11 @@ receiver forced into buffered mode, measuring the kernel's insertion
 handler and the drain thread's extraction cost per message.
 
 Both are runner kinds (``fast_path`` per protection regime,
-``buffered_path`` for the stream): :func:`table4_specs` and
-:func:`buffered_path_spec` plan the runs, :func:`table4_fold` and
+``buffered_path`` for the stream): :func:`execute_fast_path` and
+:func:`execute_buffered_path` run them, and :func:`table4_fold` and
 :func:`table5_fold` turn each run's :class:`~repro.runner.RunResult`
 (fresh or replayed from the persistent cache) back into a result
-object, and :func:`measure_fast_path` and
-:func:`measure_buffered_path` are the uncached executor bodies.
+object.
 """
 
 from __future__ import annotations
@@ -25,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.base import Application
 from repro.core.costs import AtomicityMode, CostModel
 from repro.core.udm import UdmRuntime
 from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.experiments.config import SimulationConfig
-from repro.machine.machine import Machine
+from repro.experiments.workloads import run_jobs
 from repro.machine.processor import Compute
-from repro.runner import RunResult, RunSpec, require_all
+from repro.runner import RunResult, RunSpec, bind_spec, require_all
 
 
 class PingPongApplication(Application):
@@ -151,17 +149,6 @@ class FastPathResult:
         )
 
 
-def _run_pingpong(mode: AtomicityMode, via: str,
-                  rounds: int = 300) -> Tuple[Machine, PingPongApplication]:
-    config = SimulationConfig(num_nodes=2, atomicity_mode=mode)
-    machine = Machine(config)
-    app = PingPongApplication(rounds=rounds, via=via)
-    job = machine.add_job(app)
-    machine.start()
-    machine.run_until_job_done(job, limit=100_000_000)
-    return machine, app
-
-
 def _mean_leg(app: PingPongApplication, skip: int = 10) -> float:
     """Average cycles per one-way leg, skipping warm-up legs."""
     times = app.leg_times
@@ -196,55 +183,31 @@ class NullStreamApplication(Application):
             yield Compute(self.gap)
 
 
-def _fast_path(mode: AtomicityMode,
-               rounds: int) -> Tuple[FastPathResult, RunMetrics]:
-    """Ping-pong + paced stream at one protection regime; the metrics
-    are the paced stream's."""
-    machine, app = _run_pingpong(mode, "interrupt", rounds)
-    result = FastPathResult(
-        mode=mode,
-        model=machine.costs,
-        network_transit=machine.topology.latency(0, 1, 3),
-    )
-    result.measured_leg_interrupt = _mean_leg(app)
-    _machine2, app2 = _run_pingpong(mode, "poll", rounds)
-    result.measured_leg_poll = _mean_leg(app2)
-
-    stream_config = SimulationConfig(num_nodes=2, atomicity_mode=mode)
-    stream_machine = Machine(stream_config)
-    stream_app = NullStreamApplication(count=200)
-    stream_job = stream_machine.add_job(stream_app)
-    stream_machine.start()
-    stream_machine.run_until_job_done(stream_job, limit=100_000_000)
-    result.measured_receive_interrupt = stream_job.stats.mean_handler_cycles
-    return result, collect_metrics(stream_machine, stream_job)
-
-
-def measure_fast_path(mode: AtomicityMode,
-                      rounds: int = 300) -> FastPathResult:
-    """Ping-pong + paced stream at one protection regime (uncached)."""
-    return _fast_path(mode, rounds)[0]
-
-
-#: The measured :class:`FastPathResult` fields a ``fast_path`` run
-#: carries in its ``extra`` (mode and model follow from the spec).
-_FAST_FIELDS = ("measured_receive_interrupt", "measured_leg_interrupt",
-                "measured_leg_poll", "network_transit")
-
-
 def execute_fast_path(mode: str, rounds: int = 300):
-    """Runner executor (kind ``fast_path``): one Table 4 regime."""
-    result, metrics = _fast_path(AtomicityMode(mode), rounds)
-    return metrics, {name: getattr(result, name) for name in _FAST_FIELDS}
-
-
-def fast_path_spec(mode: AtomicityMode, rounds: int = 300) -> RunSpec:
-    return RunSpec.make("fast_path", mode=mode.value, rounds=rounds)
+    """Runner executor (kind ``fast_path``): ping-pong by interrupt and
+    by polling, then a paced null stream, at one Table 4 protection
+    regime. The metrics are the paced stream's; ``extra`` holds the
+    measured :class:`FastPathResult` fields (mode and model follow from
+    the spec)."""
+    config = SimulationConfig(num_nodes=2, atomicity_mode=AtomicityMode(mode))
+    interrupt = PingPongApplication(rounds=rounds, via="interrupt")
+    machine = run_jobs(config, [interrupt], 100_000_000)[2]
+    poll = PingPongApplication(rounds=rounds, via="poll")
+    run_jobs(config, [poll], 100_000_000)
+    metrics, _extra, _machine, stream = run_jobs(
+        config, [NullStreamApplication(count=200)], 100_000_000)
+    return metrics, {
+        "measured_receive_interrupt": stream.stats.mean_handler_cycles,
+        "measured_leg_interrupt": _mean_leg(interrupt),
+        "measured_leg_poll": _mean_leg(poll),
+        "network_transit": machine.topology.latency(0, 1, 3),
+    }
 
 
 def table4_specs(rounds: int = 300) -> List[RunSpec]:
     """Table 4's runs: one per protection regime."""
-    return [fast_path_spec(mode, rounds) for mode in AtomicityMode]
+    return [bind_spec("fast_path", mode=mode.value, rounds=rounds)
+            for mode in AtomicityMode]
 
 
 def table4_fold(results: Sequence[RunResult]) -> List[FastPathResult]:
@@ -308,66 +271,35 @@ class BufferedPathResult:
         return self.measured_insert_min + self.measured_extract
 
 
-def _buffered_path(count: int, payload_words: int,
-                   ) -> Tuple[BufferedPathResult, RunMetrics]:
-    config = SimulationConfig(num_nodes=2)
-    machine = Machine(config)
+def execute_buffered_path(count: int = 400, payload_words: int = 0):
+    """Runner executor (kind ``buffered_path``): the Table 5 stream,
+    with the receiver forced into buffered mode. ``extra`` holds the
+    measured :class:`BufferedPathResult` fields (the model is the
+    default one)."""
     app = BufferedStreamApplication(count=count,
                                     payload_words=payload_words)
-    job = machine.add_job(app)
-    machine.start()
-    machine.run_until_job_done(job, limit=100_000_000)
-
+    metrics, _extra, machine, _job = run_jobs(
+        SimulationConfig(num_nodes=2), [app], 100_000_000)
     kernel_stats = machine.nodes[1].kernel.stats
-    model = machine.costs
     inserted = kernel_stats.messages_inserted
     vmallocs = kernel_stats.vmalloc_inserts
     plain = inserted - vmallocs
     # Separate the vmalloc inserts out of the aggregate cycle count.
-    vmalloc_cycles = vmallocs * model.buffered.insert_cost(True)
-    plain_cycles = kernel_stats.insert_cycles - vmalloc_cycles
-    result = BufferedPathResult(model=model, messages=inserted,
-                                vmalloc_count=vmallocs)
-    if plain:
-        result.measured_insert_min = plain_cycles / plain
-    if vmallocs:
-        result.measured_insert_vmalloc = (
-            model.buffered.insert_cost(True)
-        )
+    vmalloc_cost = machine.costs.buffered.insert_cost(True)
+    plain_cycles = kernel_stats.insert_cycles - vmallocs * vmalloc_cost
     spans = app.handler_spans[5:]
-    if spans:
-        result.measured_extract = sum(
-            end - start for start, end in spans
-        ) / len(spans)
-    return result, collect_metrics(machine, job)
-
-
-def measure_buffered_path(count: int = 400,
-                          payload_words: int = 0) -> BufferedPathResult:
-    """Forced-buffered stream (uncached)."""
-    return _buffered_path(count, payload_words)[0]
-
-
-#: The measured :class:`BufferedPathResult` fields a ``buffered_path``
-#: run carries in its ``extra`` (the model is the default one).
-_BUFFERED_FIELDS = ("measured_insert_min", "measured_insert_vmalloc",
-                    "measured_extract", "messages", "vmalloc_count")
-
-
-def execute_buffered_path(count: int = 400, payload_words: int = 0):
-    """Runner executor (kind ``buffered_path``): the Table 5 stream."""
-    result, metrics = _buffered_path(count, payload_words)
-    return metrics, {name: getattr(result, name)
-                     for name in _BUFFERED_FIELDS}
-
-
-def buffered_path_spec(count: int = 400, payload_words: int = 0) -> RunSpec:
-    return RunSpec.make("buffered_path", count=count,
-                        payload_words=payload_words)
+    return metrics, {
+        "measured_insert_min": plain_cycles / plain if plain else 0.0,
+        "measured_insert_vmalloc": vmalloc_cost if vmallocs else 0.0,
+        "measured_extract": (sum(end - start for start, end in spans)
+                             / len(spans) if spans else 0.0),
+        "messages": inserted,
+        "vmalloc_count": vmallocs,
+    }
 
 
 def table5_fold(results: Sequence[RunResult]) -> BufferedPathResult:
-    """Table 5 from the result of one :func:`buffered_path_spec` run."""
+    """Table 5 from the result of its one ``buffered_path`` run."""
     (run,) = results
     run.require()
     return BufferedPathResult(model=SimulationConfig().cost_model(),

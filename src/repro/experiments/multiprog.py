@@ -22,14 +22,15 @@ per-schedule, so the fold is the same at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.apps.null_app import NullApplication
 from repro.experiments.config import SimulationConfig
-from repro.experiments.workloads import WORKLOAD_NAMES, make_workload
-from repro.machine.machine import Machine
-from repro.runner import RunResult, RunSpec, trial_means
+from repro.experiments.workloads import (
+    WORKLOAD_NAMES, make_workload, run_jobs,
+)
+from repro.runner import RunResult, RunSpec, bind_spec, trial_means
 
 #: The skew sweep: worst pairwise clock offset as a fraction of the
 #: timeslice ("decreasing schedule quality" along the x axis).
@@ -38,65 +39,17 @@ DEFAULT_SKEWS = (0.0, 0.01, 0.02, 0.05, 0.10, 0.20)
 
 def execute_multiprog(name: str, skew: float, seed: int = 1,
                       num_nodes: int = 8, scale: str = "bench",
-                      timeslice: int = 500_000, faults: str = "",
-                      obs: bool = False, obs_interval: int = 100_000):
-    """Runner executor for one multiprogrammed run (kind ``multiprog``).
-
-    With ``obs`` the run carries a :class:`~repro.obs.Observatory`
-    whose cache-safe payload rides back in ``extra["obs"]``;
-    observation never perturbs the metrics.
-    """
-    metrics, observatory = _run(name, skew, seed=seed,
-                                num_nodes=num_nodes, scale=scale,
-                                timeslice=timeslice, faults=faults,
-                                obs_interval=obs_interval if obs else None)
-    extra = {}
-    if observatory is not None:
-        extra["obs"] = observatory.payload()
-    return metrics, extra
-
-
-def multiprog_spec(name: str, skew: float, seed: int = 1,
-                   num_nodes: int = 8, scale: str = "bench",
-                   timeslice: int = 500_000,
-                   faults: str = "", obs: bool = False,
-                   obs_interval: int = 100_000) -> RunSpec:
-    """The :class:`RunSpec` describing one multiprogrammed run.
-
-    The ``faults`` plan string (and likewise the ``obs`` flags) joins
-    the spec — and thus the cache key — only when set, so plain runs
-    keep their historical keys while any variant hashes separately.
-    """
-    params = dict(name=name, skew=skew, seed=seed, num_nodes=num_nodes,
-                  scale=scale, timeslice=timeslice)
-    if faults:
-        params["faults"] = faults
-    if obs:
-        params["obs"] = True
-        params["obs_interval"] = int(obs_interval)
-    return RunSpec.make("multiprog", **params)
-
-
-def _run(name: str, skew: float, seed: int, num_nodes: int, scale: str,
-         timeslice: int, faults: str,
-         obs_interval: Optional[int] = None):
-    """Build, run and measure one multiprogrammed machine."""
+                      timeslice: int = 500_000, *, faults: str = "",
+                      obs_interval: int = 0):
+    """Runner executor for one multiprogrammed run (kind
+    ``multiprog``); ``obs_interval`` as for
+    :func:`~repro.experiments.workloads.run_jobs`."""
     config = SimulationConfig(num_nodes=num_nodes, seed=seed,
                               skew_fraction=skew, timeslice=timeslice
                               ).with_faults(faults or None)
-    machine = Machine(config)
     app = make_workload(name, seed=seed, num_nodes=num_nodes, scale=scale)
-    job = machine.add_job(app)
-    machine.add_job(NullApplication())
-    observatory = None
-    if obs_interval is not None:
-        observatory = machine.enable_observability(obs_interval)
-    machine.start()
-    machine.run_until_job_done(job, limit=50_000_000_000)
-    metrics = collect_metrics(machine, job)
-    if observatory is not None:
-        observatory.finalize()
-    return metrics, observatory
+    return run_jobs(config, [app, NullApplication()], 50_000_000_000,
+                    obs_interval)[:2]
 
 
 @dataclass
@@ -136,17 +89,14 @@ class SkewSweepResult:
 
 
 def full_sweep_specs(skews: Sequence[float] = DEFAULT_SKEWS,
-                     trials: int = 3, num_nodes: int = 8,
-                     scale: str = "bench",
-                     names: Sequence[str] = tuple(WORKLOAD_NAMES),
-                     timeslice: int = 500_000,
+                     trials: int = 3, scale: str = "bench",
                      faults: str = "") -> List[RunSpec]:
     """The Figures 7/8 data set's runs: every workload across the
     sweep, workload-major, trial-major within each skew."""
     return [
-        multiprog_spec(name, skew, seed=seed + 1, num_nodes=num_nodes,
-                       scale=scale, timeslice=timeslice, faults=faults)
-        for name in names
+        bind_spec("multiprog", name=name, skew=skew, seed=seed + 1,
+                  scale=scale, faults=faults)
+        for name in WORKLOAD_NAMES
         for skew in skews
         for seed in range(trials)
     ]

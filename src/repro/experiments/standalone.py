@@ -9,13 +9,14 @@ handler).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.experiments.config import SimulationConfig
-from repro.experiments.workloads import MODELS, WORKLOAD_NAMES, make_workload
-from repro.machine.machine import Machine
-from repro.runner import RunResult, RunSpec
+from repro.experiments.workloads import (
+    MODELS, WORKLOAD_NAMES, make_workload, run_jobs,
+)
+from repro.runner import RunResult, RunSpec, bind_spec
 
 
 #: The paper's Table 6 reference values (8 nodes, full data sets).
@@ -42,70 +43,21 @@ class Table6Row:
 
 
 def execute_standalone(name: str, num_nodes: int = 8, seed: int = 1,
-                       scale: str = "bench", faults: str = "",
-                       obs: bool = False, obs_interval: int = 100_000):
-    """Runner executor for one standalone run (kind ``standalone``).
-
-    With ``obs`` the run carries a :class:`~repro.obs.Observatory`; its
-    cache-safe payload (per-subsystem metrics, timeline snapshots,
-    events) rides back in ``extra["obs"]``. Observation never perturbs
-    the metrics — the overhead guard test enforces bit-identity.
-    """
-    metrics, observatory = _run(name, num_nodes=num_nodes, seed=seed,
-                                scale=scale, faults=faults,
-                                obs_interval=obs_interval if obs else None)
-    extra = {}
-    if observatory is not None:
-        extra["obs"] = observatory.payload()
-    return metrics, extra
-
-
-def standalone_spec(name: str, num_nodes: int = 8, seed: int = 1,
-                    scale: str = "bench", faults: str = "",
-                    obs: bool = False,
-                    obs_interval: int = 100_000) -> RunSpec:
-    """The :class:`RunSpec` describing one standalone run.
-
-    ``faults`` (and likewise the ``obs`` flags) join the spec — and
-    thus the cache key — only when set, so plain runs keep their
-    historical keys.
-    """
-    params = dict(name=name, num_nodes=num_nodes, seed=seed, scale=scale)
-    if faults:
-        params["faults"] = faults
-    if obs:
-        params["obs"] = True
-        params["obs_interval"] = int(obs_interval)
-    return RunSpec.make("standalone", **params)
-
-
-def _run(name: str, num_nodes: int, seed: int, scale: str, faults: str,
-         obs_interval: Optional[int] = None):
-    """Build, run and measure one standalone machine."""
+                       scale: str = "bench", *, faults: str = "",
+                       obs_interval: int = 0):
+    """Runner executor for one standalone run (kind ``standalone``);
+    ``obs_interval`` as for
+    :func:`~repro.experiments.workloads.run_jobs`."""
     config = SimulationConfig(num_nodes=num_nodes,
                               seed=seed).with_faults(faults or None)
-    machine = Machine(config)
     app = make_workload(name, seed=seed, num_nodes=num_nodes, scale=scale)
-    job = machine.add_job(app)
-    observatory = None
-    if obs_interval is not None:
-        observatory = machine.enable_observability(obs_interval)
-    machine.start()
-    machine.run_until_job_done(job, limit=20_000_000_000)
-    metrics = collect_metrics(machine, job)
-    if observatory is not None:
-        observatory.finalize()
-    return metrics, observatory
+    return run_jobs(config, [app], 20_000_000_000, obs_interval)[:2]
 
 
-def table6_specs(num_nodes: int = 8, seed: int = 1,
-                 scale: str = "bench", faults: str = "") -> List[RunSpec]:
+def table6_specs(scale: str = "bench", faults: str = "") -> List[RunSpec]:
     """Table 6's runs: every workload standalone."""
-    return [
-        standalone_spec(name, num_nodes=num_nodes, seed=seed,
-                        scale=scale, faults=faults)
-        for name in WORKLOAD_NAMES
-    ]
+    return [bind_spec("standalone", name=name, scale=scale, faults=faults)
+            for name in WORKLOAD_NAMES]
 
 
 def table6_fold(results: Sequence[RunResult]) -> List[Table6Row]:

@@ -20,14 +20,14 @@ back into one curve per group size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.apps.null_app import NullApplication
 from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
-from repro.machine.machine import Machine
-from repro.runner import RunResult, RunSpec, trial_means
+from repro.experiments.workloads import run_jobs
+from repro.runner import RunResult, RunSpec, bind_spec, trial_means
 
 #: Group sizes from the paper.
 GROUP_SIZES = (10, 100, 1000)
@@ -47,89 +47,31 @@ SYNTH_SKEW = 0.01
 def execute_synth(group_size: int, t_betw: int, seed: int = 1,
                   buffer_cost_extra: int = 0,
                   messages_per_node: int = 2000,
-                  timeslice: int = 500_000,
+                  timeslice: int = 500_000, *,
                   delivery: str = "twocase",
                   shards: int = 1, locality_groups: int = 0,
                   num_nodes: int = SYNTH_NODES,
                   net_base_latency: int = 10,
-                  fabric_credits: int = 16):
-    """Runner executor for one synth-N run (kind ``synth``)."""
-    extra: dict = {}
-    metrics = run_synth(group_size, t_betw, seed=seed,
-                        buffer_cost_extra=buffer_cost_extra,
-                        messages_per_node=messages_per_node,
-                        timeslice=timeslice, delivery=delivery,
-                        shards=shards, locality_groups=locality_groups,
-                        num_nodes=num_nodes,
-                        net_base_latency=net_base_latency,
-                        fabric_credits=fabric_credits,
-                        extra_out=extra)
-    return metrics, extra
-
-
-def synth_spec(group_size: int, t_betw: int, seed: int = 1,
-               buffer_cost_extra: int = 0,
-               messages_per_node: int = 2000,
-               timeslice: int = 500_000,
-               delivery: str = "twocase",
-               shards: int = 1, locality_groups: int = 0,
-               num_nodes: int = SYNTH_NODES,
-               net_base_latency: int = 10,
-               fabric_credits: int = 16) -> RunSpec:
-    """The :class:`RunSpec` describing one synth-N run.
-
-    The delivery discipline, shard count, locality-group count, node
-    count, base fabric latency and credit depth join the spec only
-    when non-default,
-    so pre-existing cache entries stay valid. (``shards`` changes only
-    *how* the run is executed — sharded results are certified
-    bit-identical — but it still joins the key, keeping cache entries
-    honest about provenance.)
-    """
-    params = dict(group_size=group_size, t_betw=t_betw, seed=seed,
-                  buffer_cost_extra=buffer_cost_extra,
-                  messages_per_node=messages_per_node,
-                  timeslice=timeslice)
-    if delivery != "twocase":
-        params["delivery"] = delivery
-    if shards > 1:
-        params["shards"] = shards
-    if locality_groups > 0:
-        params["locality_groups"] = locality_groups
-    if num_nodes != SYNTH_NODES:
-        params["num_nodes"] = num_nodes
-    if net_base_latency != 10:
-        params["net_base_latency"] = net_base_latency
-    if fabric_credits != 16:
-        params["fabric_credits"] = fabric_credits
-    return RunSpec.make("synth", **params)
-
-
-def run_synth(group_size: int, t_betw: int, seed: int = 1,
-              buffer_cost_extra: int = 0,
-              messages_per_node: int = 2000,
-              timeslice: int = 500_000,
-              delivery: str = "twocase",
-              shards: int = 1, locality_groups: int = 0,
-              num_nodes: int = SYNTH_NODES,
-              net_base_latency: int = 10,
-              fabric_credits: int = 16,
-              extra_out: Optional[dict] = None,
-              info: Optional[dict] = None) -> RunMetrics:
-    """One synth-N run multiprogrammed against null at 1% skew.
+                  fabric_credits: int = 16,
+                  info: Optional[dict] = None,
+                  ) -> Tuple[RunMetrics, Dict[str, Any]]:
+    """Runner executor for one synth-N run (kind ``synth``):
+    multiprogrammed against null at 1% skew.
 
     ``shards > 1`` routes through :func:`repro.shard.run_sharded`
-    (bit-identical metrics or an automatic serial fallback);
-    ``locality_groups`` confines synth traffic to contiguous node
-    groups. ``net_base_latency`` scales the fabric's base hop cost —
-    WAN-scale values give the windowed protocol enough lookahead to
-    amortize its barriers on all-to-all traffic. ``fabric_credits``
-    deepens the per-destination credit pool — WAN latencies keep many
-    messages in flight per destination, and the stock pool of 16 both
-    blocks senders and trips the sharded credit-occupancy sweep.
-    ``extra_out`` receives
-    the deterministic shard counters, ``info`` the wall-clock ones
-    (benchmarks only; never cached).
+    (bit-identical metrics or an automatic serial fallback) and returns
+    its deterministic shard counters in ``extra``. ``shards`` changes
+    only *how* the run is executed, but it still joins the spec,
+    keeping cache entries honest about provenance. ``locality_groups``
+    confines synth traffic to contiguous node groups.
+    ``net_base_latency`` scales the fabric's base hop cost: WAN-scale
+    values give the windowed protocol enough lookahead to amortize its
+    barriers on all-to-all traffic. ``fabric_credits`` deepens the
+    per-destination credit pool: WAN latencies keep many messages in
+    flight per destination, and the stock pool of 16 both blocks
+    senders and trips the sharded credit-occupancy sweep. ``info``
+    receives the wall-clock shard timings (benchmarks only; never
+    cached).
     """
     config = SimulationConfig(
         num_nodes=num_nodes, seed=seed, skew_fraction=SYNTH_SKEW,
@@ -149,17 +91,19 @@ def run_synth(group_size: int, t_betw: int, seed: int = 1,
     if shards > 1:
         from repro.shard import run_sharded
 
-        metrics, extra = run_sharded(config, apps, measured_index=0,
-                                     limit=limit, info=info)
-        if extra_out is not None:
-            extra_out.update(extra)
-        return metrics
-    machine = Machine(config)
-    job = machine.add_job(app)
-    machine.add_job(apps[1])
-    machine.start()
-    machine.run_until_job_done(job, limit=limit)
-    return collect_metrics(machine, job)
+        return run_sharded(config, apps, measured_index=0, limit=limit,
+                           info=info)
+    return run_jobs(config, apps, limit)[:2]
+
+
+def run_synth(*args, extra_out: Optional[dict] = None,
+              **params) -> RunMetrics:
+    """:func:`execute_synth`'s metrics alone, its ``extra`` copied into
+    ``extra_out`` (for callers outside the runner)."""
+    metrics, extra = execute_synth(*args, **params)
+    if extra_out is not None:
+        extra_out.update(extra)
+    return metrics
 
 
 @dataclass
@@ -198,17 +142,15 @@ def _fold_grid(results: Sequence[RunResult], x_of) -> SynthSweepResult:
     return SynthSweepResult(xs=xs, series=series)
 
 
-def interval_specs(intervals: Sequence[int] = DEFAULT_INTERVALS,
-                   group_sizes: Sequence[int] = GROUP_SIZES,
-                   trials: int = 3, messages_per_node: int = 2000,
+def interval_specs(trials: int = 3, messages_per_node: int = 2000,
                    shards: int = 1) -> List[RunSpec]:
     """Figure 9's runs: buffered % versus send interval."""
     def spec_for(group: int, t_betw: int, seed: int) -> RunSpec:
-        return synth_spec(group, t_betw, seed=seed,
-                          messages_per_node=messages_per_node,
-                          shards=shards)
+        return bind_spec("synth", group_size=group, t_betw=t_betw,
+                         seed=seed, messages_per_node=messages_per_node,
+                         shards=shards)
 
-    return _grid_specs(intervals, group_sizes, trials, spec_for)
+    return _grid_specs(DEFAULT_INTERVALS, GROUP_SIZES, trials, spec_for)
 
 
 def interval_fold(results: Sequence[RunResult]) -> SynthSweepResult:
@@ -223,10 +165,11 @@ def buffer_cost_specs(costs: Sequence[int] = DEFAULT_BUFFER_COSTS,
     """Figure 10's runs: buffered % versus buffered-path cost at
     T_betw=275. A cost below the baseline runs at the baseline."""
     def spec_for(group: int, cost: int, seed: int) -> RunSpec:
-        return synth_spec(group, FIG10_T_BETW, seed=seed,
-                          buffer_cost_extra=max(0, cost - BASELINE_COST),
-                          messages_per_node=messages_per_node,
-                          shards=shards)
+        return bind_spec("synth", group_size=group, t_betw=FIG10_T_BETW,
+                         seed=seed,
+                         buffer_cost_extra=max(0, cost - BASELINE_COST),
+                         messages_per_node=messages_per_node,
+                         shards=shards)
 
     return _grid_specs(costs, group_sizes, trials, spec_for)
 

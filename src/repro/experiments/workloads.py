@@ -7,18 +7,22 @@ timeslices — large enough for the multiprogramming experiments to show
 skew effects, small enough for a pure-Python simulator.
 
 The scaling substitutions (paper data set → ours) are recorded in
-EXPERIMENTS.md.
+EXPERIMENTS.md. :func:`run_jobs` is the build-run-measure body every
+whole-machine run kind shares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Sequence
+
+from repro.analysis.metrics import collect_metrics
 
 from repro.apps.barnes import BarnesApplication
 from repro.apps.barrier import BarrierApplication
 from repro.apps.enum_puzzle import EnumApplication
 from repro.apps.lu import LuApplication
 from repro.apps.water import WaterApplication
+from repro.machine.machine import Machine
 
 AppFactory = Callable[[int, int], object]  # (seed, num_nodes) -> app
 
@@ -93,3 +97,35 @@ def make_workload(name: str, seed: int = 1, num_nodes: int = 8,
     if scale not in ("fast", "bench"):
         raise ValueError(f"unknown scale {scale!r}")
     return factory(seed, num_nodes, scale)
+
+
+def run_jobs(config, apps: Sequence[Any], limit: int = 50_000_000_000,
+             obs_interval: int = 0, trace: bool = False):
+    """Build one machine whose jobs are ``apps``, run it until the
+    first (the measured job) finishes or ``limit`` cycles pass, and
+    measure it: ``(metrics, extra, machine, job)``.
+
+    With ``obs_interval`` the run carries an
+    :class:`~repro.obs.Observatory` (``machine.obs``) sampling every
+    ``obs_interval`` cycles; its cache-safe payload (per-subsystem
+    metrics, timeline snapshots, events) rides in ``extra["obs"]``.
+    Observation never perturbs the metrics; the overhead guard test
+    enforces bit-identity. Otherwise ``extra`` is empty. ``trace``
+    records message lifecycles (``machine.tracer``).
+    """
+    machine = Machine(config)
+    if trace:
+        machine.enable_tracing(limit=500_000)
+    job = machine.add_job(apps[0])
+    for app in apps[1:]:
+        machine.add_job(app)
+    if obs_interval:
+        machine.enable_observability(obs_interval)
+    machine.start()
+    machine.run_until_job_done(job, limit=limit)
+    metrics = collect_metrics(machine, job)
+    extra: Dict[str, Any] = {}
+    if machine.obs is not None:
+        machine.obs.finalize()
+        extra["obs"] = machine.obs.payload()
+    return metrics, extra, machine, job

@@ -20,17 +20,15 @@ of being repaired, proving the checker actually measures something.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.apps.base import Application
 from repro.core.udm import UdmRuntime
 from repro.experiments.config import SimulationConfig
-from repro.faults.checker import Violation
 from repro.machine.machine import Machine
 from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
-from repro.runner import RunSpec
 
 
 class ReliableAllPairs(Application):
@@ -84,17 +82,19 @@ class ReliableAllPairs(Application):
         )
 
 
-def run_faulted(num_nodes: int = 4, messages: int = 8, seed: int = 7,
-                faults: str = "", retries: bool = True,
-                retry_timeout: int = 4_000, max_retries: int = 20,
-                delivery: str = "twocase",
-                ) -> Tuple[RunMetrics, ReliableTransport,
-                           List[Violation], Machine]:
-    """One faulted reliable-messaging run, invariants checked.
+def execute_faulted(num_nodes: int = 4, messages: int = 8, seed: int = 7,
+                    faults: str = "", retries: bool = True,
+                    retry_timeout: int = 4_000, max_retries: int = 20, *,
+                    delivery: str = "twocase",
+                    ledgers: Optional[Dict[str, Any]] = None,
+                    ) -> Tuple[RunMetrics, Dict[str, Any]]:
+    """Runner executor for one faulted run (kind ``faulted``), with
+    the delivery invariants checked.
 
-    Returns ``(metrics, transport, violations, machine)`` so tests can
-    dig into the ledgers; :func:`execute_faulted` is the pure-data
-    wrapper the runner uses.
+    The fault plan always joins the spec, so two runs differing only in
+    faults hash to different cache keys. ``ledgers``, when given,
+    receives the run's ``transport``, ``violations`` and ``machine``
+    (tests dig into them; they never reach the cache).
     """
     config = SimulationConfig(num_nodes=num_nodes, seed=seed,
                               delivery=delivery).with_faults(faults or None)
@@ -113,19 +113,9 @@ def run_faulted(num_nodes: int = 4, messages: int = 8, seed: int = 7,
     # transport registered itself at first send.
     metrics = collect_metrics(machine, job)
     metrics.invariant_violations = len(violations)
-    return metrics, transport, violations, machine
-
-
-def execute_faulted(num_nodes: int = 4, messages: int = 8, seed: int = 7,
-                    faults: str = "", retries: bool = True,
-                    retry_timeout: int = 4_000, max_retries: int = 20,
-                    delivery: str = "twocase"):
-    """Runner executor for one faulted run (kind ``faulted``)."""
-    metrics, transport, violations, _machine = run_faulted(
-        num_nodes=num_nodes, messages=messages, seed=seed, faults=faults,
-        retries=retries, retry_timeout=retry_timeout,
-        max_retries=max_retries, delivery=delivery,
-    )
+    if ledgers is not None:
+        ledgers.update(transport=transport, violations=violations,
+                       machine=machine)
     # ``extra`` must be cross-process deterministic: violation *codes*
     # always are; full details are included only for transport-level
     # findings (keyed by sequence numbers, not simulation msg_ids).
@@ -143,24 +133,4 @@ def execute_faulted(num_nodes: int = 4, messages: int = 8, seed: int = 7,
     return metrics, extra
 
 
-def faulted_spec(num_nodes: int = 4, messages: int = 8, seed: int = 7,
-                 faults: str = "", retries: bool = True,
-                 retry_timeout: int = 4_000, max_retries: int = 20,
-                 delivery: str = "twocase") -> RunSpec:
-    """The :class:`RunSpec` describing one faulted run.
-
-    The fault plan rides in the spec as its canonical compact string,
-    so two runs differing only in faults hash to different cache keys.
-    The delivery discipline joins the spec only when non-default, so
-    pre-existing cache entries for two-case runs stay valid.
-    """
-    params = dict(num_nodes=num_nodes, messages=messages, seed=seed,
-                  faults=faults, retries=retries,
-                  retry_timeout=retry_timeout, max_retries=max_retries)
-    if delivery != "twocase":
-        params["delivery"] = delivery
-    return RunSpec.make("faulted", **params)
-
-
-__all__ = ["ReliableAllPairs", "run_faulted", "execute_faulted",
-           "faulted_spec"]
+__all__ = ["ReliableAllPairs", "execute_faulted"]

@@ -183,9 +183,9 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            spec = RunSpec.make(payload["spec"]["kind"],
-                                **payload["spec"]["params"])
-        except (OSError, ValueError, KeyError, TypeError):
+            spec = RunSpec(payload["spec"]["kind"],
+                           tuple(sorted(payload["spec"]["params"].items())))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return True
         # spec_key embeds the format and cost-model versions, so one
         # recomputation covers both version fields and plain corruption.

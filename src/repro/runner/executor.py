@@ -267,8 +267,7 @@ def trial_means(results: Sequence[RunResult],
     A point is a run of consecutive results whose specs differ only in
     ``seed`` (the trials of one configuration; a repeated spec starts
     the next point); its spec is that of its first trial. A failed
-    trial is dropped from its point's average; a point with no
-    surviving trial re-raises its first failure's :class:`RunnerError`.
+    trial raises its :class:`RunnerError`.
     """
     groups: List[List[RunResult]] = []
     for result in results:
@@ -278,13 +277,8 @@ def trial_means(results: Sequence[RunResult],
             groups.append([result])
         else:
             group.append(result)
-    points = []
-    for trials in groups:
-        good = [r.metrics for r in trials if r.ok]
-        if not good:
-            trials[0].require()
-        points.append((trials[0].spec, mean(good)))
-    return points
+    return [(trials[0].spec, mean(require_all(trials)))
+            for trials in groups]
 
 
 __all__ = [

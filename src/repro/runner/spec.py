@@ -36,7 +36,8 @@ class RunSpec:
 
     ``params`` is a tuple of sorted ``(name, value)`` pairs so the spec
     is hashable and its identity does not depend on keyword order.
-    Build specs with :meth:`make`.
+    Plan a run with :func:`~repro.runner.bind_spec`, which checks the
+    parameters against the kind's executor and calls :meth:`make`.
     """
 
     kind: str

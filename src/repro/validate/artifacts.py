@@ -29,7 +29,9 @@ from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.multiprog import DEFAULT_SKEWS
-from repro.runner import RunResult, RunSpec, require_all, run_specs
+from repro.runner import (
+    RunResult, RunSpec, bind_spec, require_all, run_specs,
+)
 from repro.validate.quantity import Quantity
 
 #: Table 6 / Figure 7–8 application order (communication-most first in
@@ -58,7 +60,7 @@ class ArtifactSpec:
     title: str
     #: The benchmark file measuring the same artifact.
     source: str
-    #: CLI command rendering the artifact standalone.
+    #: The ``repro`` command rendering the artifact standalone.
     command: str
     quantities: Tuple[Quantity, ...]
     #: Builds the plan: the list of every run the artifact measures.
@@ -184,7 +186,7 @@ _TABLE4 = ArtifactSpec(
     id="table4",
     title="Table 4: null-message fast-path costs (cycles)",
     source="benchmarks/test_table4_fast_path.py",
-    command="python -m repro table4",
+    command="table4",
     quantities=(
         Quantity("send_total", "exact", paper=7, unit="cycles"),
         Quantity("recv_interrupt_kernel", "exact", paper=54,
@@ -227,16 +229,14 @@ def _fold_table5(runs: Sequence[RunResult]) -> ArtifactRun:
 
 
 def _table5_runs(rounds: int = 400) -> List[RunSpec]:
-    from repro.experiments.micro import buffered_path_spec
-
-    return [buffered_path_spec(count=rounds)]
+    return [bind_spec("buffered_path", count=rounds)]
 
 
 _TABLE5 = ArtifactSpec(
     id="table5",
     title="Table 5: software-buffer overheads (cycles)",
     source="benchmarks/test_table5_buffered_path.py",
-    command="python -m repro table5",
+    command="table5",
     quantities=(
         Quantity("insert_min", "exact", paper=180, unit="cycles"),
         Quantity("insert_vmalloc", "exact", paper=3162, unit="cycles"),
@@ -319,7 +319,7 @@ _TABLE6 = ArtifactSpec(
     id="table6",
     title="Table 6: standalone application characteristics (8 nodes)",
     source="benchmarks/test_table6_app_characteristics.py",
-    command="python -m repro table6",
+    command="table6",
     quantities=_table6_quantities(),
     runs=_table6_runs,
     fold=_fold_table6,
@@ -376,7 +376,7 @@ _FIG7 = ArtifactSpec(
     id="fig7",
     title="Figure 7: % messages buffered vs schedule skew",
     source="benchmarks/test_fig7_buffered_fraction.py",
-    command="python -m repro fig7",
+    command="fig7",
     quantities=tuple(
         [Quantity(f"buffered_at_20_{name}", "relative", tolerance=0.20,
                   unit="%", note="buffered fraction at 20% skew")
@@ -438,7 +438,7 @@ _FIG8 = ArtifactSpec(
     id="fig8",
     title="Figure 8: relative runtime vs schedule skew",
     source="benchmarks/test_fig8_relative_runtime.py",
-    command="python -m repro fig8",
+    command="fig8",
     quantities=tuple(
         [Quantity(f"rel_runtime_at_20_{name}", "relative",
                   tolerance=0.05,
@@ -502,7 +502,7 @@ _FIG9 = ArtifactSpec(
     id="fig9",
     title="Figure 9: % buffered vs send interval (synth-N, 1% skew)",
     source="benchmarks/test_fig9_synth_interval.py",
-    command="python -m repro fig9",
+    command="fig9",
     quantities=tuple(
         [Quantity(f"pressure_synth{g}", "relative", tolerance=0.25,
                   unit="%", note="buffered % at T_betw=50")
@@ -562,7 +562,7 @@ _FIG10 = ArtifactSpec(
     id="fig10",
     title="Figure 10: % buffered vs buffered-path cost (T_betw=275)",
     source="benchmarks/test_fig10_buffer_cost.py",
-    command="python -m repro fig10",
+    command="fig10",
     quantities=tuple(
         [Quantity(f"costly_synth{g}", "relative", tolerance=0.25,
                   unit="%", note="buffered % at 2500-cycle path")
@@ -705,7 +705,7 @@ _ABLATIONS = ArtifactSpec(
     title="Design-choice ablations (beyond the paper's figures)",
     source="benchmarks/test_ablation_design_choices.py, "
            "benchmarks/test_ablation_architectures.py",
-    command="python -m repro ablations",
+    command="ablations",
     quantities=(
         Quantity("always_buffered_slowdown", "relative", tolerance=0.10,
                  note="SUNMOS-style always-buffered baseline on "
@@ -803,7 +803,7 @@ _DELIVERY = ArtifactSpec(
           "rings vs DAMQ",
     source="tests/property/test_prop_delivery.py, "
            "tests/integration/test_delivery_disciplines.py",
-    command="python -m repro delivery",
+    command="delivery",
     quantities=(
         Quantity("twocase_stays_fast", "predicate", paper=True,
                  note="two-case keeps <1% of messages off the buffer "
@@ -893,7 +893,7 @@ def _fold_mailbox(runs: Sequence[RunResult]) -> ArtifactRun:
 def _mailbox_runs() -> List[RunSpec]:
     from repro.experiments.mailbox_sweeps import scaling_specs
 
-    return scaling_specs(trials=2)
+    return scaling_specs()
 
 
 _MAILBOX = ArtifactSpec(
@@ -901,7 +901,7 @@ _MAILBOX = ArtifactSpec(
     title="Mailbox scaling: internet-scale client populations on "
           "two-case delivery",
     source="tests/integration/test_mailbox.py",
-    command="python -m repro mailbox",
+    command="mailbox-scaling",
     quantities=(
         Quantity("buffered_pct_1000", "exact", unit="%",
                  note="buffered fraction at 1k clients "

@@ -98,7 +98,7 @@ def render_experiments_md(payload: Dict[str, Any]) -> str:
         entry = payload["artifacts"][artifact_id]
         section = [f"## {spec.title}\n"]
         section.append(f"*Source: `{spec.source}` — standalone view: "
-                       f"`{spec.command}`*\n")
+                       f"`python -m repro {spec.command}`*\n")
         for title, headers, rows in artifact_tables(artifact_id,
                                                     entry["doc"]):
             section.append(f"**{title}**\n")

@@ -117,7 +117,7 @@ def _write_artifact_files(out: Path, report: ArtifactReport) -> None:
     ]
     md = [f"# {spec.title}\n",
           f"*Source: `{spec.source}` — standalone view: "
-          f"`{spec.command}`*\n"]
+          f"`python -m repro {spec.command}`*\n"]
     for title, headers, rows in artifact_tables(spec.id, run.doc):
         md.append(f"**{title}**\n")
         md.append(markdown_table(headers, rows) + "\n")

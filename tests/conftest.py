@@ -31,6 +31,17 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro_cache"))
 
 
+def run_faulted(**params):
+    """One ``faulted`` run with its ledgers:
+    ``(metrics, transport, violations, machine)``."""
+    from repro.faults.runner import execute_faulted
+
+    ledgers: dict = {}
+    metrics, _extra = execute_faulted(ledgers=ledgers, **params)
+    return (metrics, ledgers["transport"], ledgers["violations"],
+            ledgers["machine"])
+
+
 def make_machine(num_nodes: int = 2, **overrides) -> Machine:
     """A small machine with test-friendly defaults."""
     config = SimulationConfig(num_nodes=num_nodes, **overrides)

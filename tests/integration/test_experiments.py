@@ -4,12 +4,23 @@ and qualitative shapes (at test scale)."""
 import pytest
 
 from repro.core.costs import AtomicityMode
-from repro.experiments.micro import (
-    measure_buffered_path, measure_fast_path,
-)
+from repro.experiments.micro import table4_fold, table5_fold
 from repro.experiments.multiprog import execute_multiprog
 from repro.experiments.standalone import execute_standalone
 from repro.experiments.synth_sweeps import run_synth
+from repro.runner import bind_spec, run_specs
+
+
+def measure_fast_path(mode, rounds):
+    """One Table 4 regime, simulated (no cache)."""
+    spec = bind_spec("fast_path", mode=mode.value, rounds=rounds)
+    return table4_fold(run_specs([spec], jobs=1))[0]
+
+
+def measure_buffered_path(count):
+    """The Table 5 stream, simulated (no cache)."""
+    spec = bind_spec("buffered_path", count=count)
+    return table5_fold(run_specs([spec], jobs=1))
 
 
 class TestTable4Reproduction:

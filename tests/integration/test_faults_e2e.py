@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.core.two_case import TransitionReason
 from repro.experiments.config import SimulationConfig
 from repro.faults.hog import HogApplication
-from repro.faults.runner import run_faulted
 from repro.machine.machine import Machine
+from tests.conftest import run_faulted
 
 
 class TestAcceptanceDemo:

@@ -27,10 +27,10 @@ from repro.apps.mailbox import (
 )
 from repro.sim.random import DeterministicRng
 from repro.experiments.config import SimulationConfig
-from repro.experiments.mailbox_sweeps import mailbox_spec, run_mailbox
+from repro.experiments.mailbox_sweeps import run_mailbox
 from repro.machine.machine import Machine
 from repro.ni.delivery import DELIVERY_KINDS
-from repro.runner import ResultCache, run_specs
+from repro.runner import ResultCache, bind_spec, run_specs
 from repro.stats import rules
 
 #: A small-but-contended configuration that finishes in well under a
@@ -113,10 +113,10 @@ class TestBoundedAggregation:
 
 class TestDeterminism:
     def test_serial_parallel_cache_replay_identical(self, tmp_path):
-        spec = mailbox_spec(clients=10_000, recipients=16,
-                            messages=60, num_nodes=6, seed=5)
-        decoy = mailbox_spec(clients=10_000, recipients=16,
-                             messages=60, num_nodes=6, seed=6)
+        spec = bind_spec("mailbox", clients=10_000, recipients=16,
+                         messages=60, num_nodes=6, seed=5)
+        decoy = bind_spec("mailbox", clients=10_000, recipients=16,
+                          messages=60, num_nodes=6, seed=6)
         cache = ResultCache(directory=tmp_path)
         serial = run_specs([spec], jobs=1)[0]
         parallel = run_specs([spec, decoy], jobs=2)[0]
@@ -131,11 +131,11 @@ class TestDeterminism:
                               sort_keys=True) == want_extra
 
     def test_spec_omits_default_delivery_and_faults(self):
-        plain = dict(mailbox_spec().params)
+        plain = bind_spec("mailbox").as_dict()
         assert "delivery" not in plain
         assert "faults" not in plain
-        assert "delivery" in dict(mailbox_spec(delivery="damq").params)
-        assert "faults" in dict(mailbox_spec(faults="drop=0.01").params)
+        assert bind_spec("mailbox", delivery="damq")["delivery"] == "damq"
+        assert bind_spec("mailbox", faults="drop=0.01")["faults"]
 
 
 class TestCrashFaults:

@@ -3,7 +3,7 @@
 The microbenchmarks are runner kinds (``fast_path``, ``buffered_path``),
 so a warm ``repro report`` replays them from the result cache instead
 of re-simulating. Exact Table 4/5 drift stays covered by the uncached
-``measure_*`` calls in ``test_experiments.py``.
+runs in ``test_experiments.py``.
 """
 
 import itertools
@@ -12,14 +12,15 @@ import pytest
 
 from repro.cli import main
 from repro.core.costs import AtomicityMode
-from repro.experiments.micro import (
-    buffered_path_spec, fast_path_spec, measure_fast_path, table4_fold,
-    table4_specs, table5_fold,
-)
+from repro.experiments.micro import table4_fold, table4_specs, table5_fold
 from repro.machine.machine import Machine
-from repro.runner import ResultCache, RunnerError, run_specs
+from repro.runner import ResultCache, RunnerError, bind_spec, run_specs
 from repro.runner.spec import spec_key
 from repro.validate.report import run_report
+
+
+def _buffered(**params):
+    return bind_spec("buffered_path", **params)
 
 
 def _no_simulation(*_args, **_kwargs):
@@ -29,8 +30,7 @@ def _no_simulation(*_args, **_kwargs):
 class TestColdThenReplay:
     def test_four_entries_replay_exactly(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        specs = ([fast_path_spec(mode, rounds=100) for mode in AtomicityMode]
-                 + [buffered_path_spec(count=300)])
+        specs = table4_specs(rounds=100) + [_buffered(count=300)]
         cold = run_specs(specs, jobs=1, cache=cache)
         assert len(cache) == 4
         assert cache.misses == 4 and cache.hits == 0
@@ -47,12 +47,12 @@ class TestColdThenReplay:
 
         warm4 = table4_fold(run_specs(table4_specs(rounds=100),
                                       cache=cache))
-        warm5 = table5_fold(run_specs([buffered_path_spec(count=300)],
+        warm5 = table5_fold(run_specs([_buffered(count=300)],
                                       cache=cache))
         assert cache.hits == 4 and cache.misses == 4
         # Replayed results equal the direct measurement field by field
         # (the cache round-trips floats exactly).
-        assert warm4[1] == measure_fast_path(AtomicityMode.HARD, rounds=100)
+        assert warm4[1] == table4_fold(run_specs([specs[1]], jobs=1))[0]
         assert [r.mode for r in warm4] == list(AtomicityMode)
         assert warm5.messages == buffered.extra["messages"]
         assert warm5.measured_extract == buffered.extra["measured_extract"]
@@ -60,10 +60,10 @@ class TestColdThenReplay:
 
 class TestSpecKeys:
     def test_keys_differ_by_every_parameter(self):
-        fast = [fast_path_spec(mode, rounds)
+        fast = [bind_spec("fast_path", mode=mode.value, rounds=rounds)
                 for mode, rounds in itertools.product(AtomicityMode,
                                                       (100, 300))]
-        buffered = [buffered_path_spec(count, words)
+        buffered = [_buffered(count=count, payload_words=words)
                     for count, words in itertools.product((300, 400),
                                                           (0, 4))]
         keys = [spec_key(spec) for spec in fast + buffered]

@@ -6,21 +6,21 @@ import json
 from dataclasses import asdict
 
 from repro.cli import main
+from repro.apps.null_app import NullApplication
+from repro.experiments.config import SimulationConfig
 from repro.experiments.multiprog import execute_multiprog
-from repro.experiments.standalone import (
-    execute_standalone, standalone_spec,
-)
-from repro.faults.runner import faulted_spec
+from repro.experiments.standalone import execute_standalone
+from repro.experiments.workloads import make_workload, run_jobs
 from repro.obs.snapshots import TimelineSampler
-from repro.runner import ResultCache, run_specs
+from repro.runner import ResultCache, bind_spec, run_specs
 from tests.conftest import SinkApplication, make_machine
 
 
 def _obs_spec(**overrides):
     params = dict(name="barrier", num_nodes=2, seed=1, scale="fast",
-                  obs=True, obs_interval=50_000)
+                  obs_interval=50_000)
     params.update(overrides)
-    return standalone_spec(**params)
+    return bind_spec("standalone", **params)
 
 
 class TestObsPayloadThroughRunner:
@@ -48,13 +48,12 @@ class TestObsPayloadThroughRunner:
     def test_obs_flag_changes_the_cache_key(self):
         from repro.runner import spec_key
 
-        plain = standalone_spec("barrier", num_nodes=2, scale="fast")
+        plain = bind_spec("standalone", name="barrier", num_nodes=2,
+                          scale="fast")
         observed = _obs_spec()
         assert spec_key(plain) != spec_key(observed)
-        # ... but obs=False keeps the historical key.
-        assert spec_key(plain) == spec_key(
-            standalone_spec("barrier", num_nodes=2, scale="fast",
-                            obs=False))
+        # ... but obs_interval=0 (no observatory) keeps the plain key.
+        assert spec_key(plain) == spec_key(_obs_spec(obs_interval=0))
 
 
 class TestOverheadGuard:
@@ -75,15 +74,15 @@ class TestNoUnwiredMetrics:
         fails here instead of silently reading zero."""
         _metrics, extra = execute_multiprog(
             "barrier", skew=0.05, num_nodes=2, scale="fast",
-            timeslice=100_000, obs=True, obs_interval=100_000)
+            timeslice=100_000, obs_interval=100_000)
         assert extra["obs"]["metrics"]["two_case.buffered_messages"] >= 0
-        # Re-run the executor path directly to reach the registry.
-        from repro.experiments.multiprog import _run
-
-        _metrics2, observatory = _run(
-            "barrier", skew=0.05, seed=1, num_nodes=2, scale="fast",
-            timeslice=100_000, faults="", obs_interval=100_000)
-        assert observatory.registry.unwired(("counter", "gauge")) == []
+        # Re-run the executor's build-run body to reach the registry.
+        config = SimulationConfig(num_nodes=2, seed=1, skew_fraction=0.05,
+                                  timeslice=100_000)
+        app = make_workload("barrier", seed=1, num_nodes=2, scale="fast")
+        machine = run_jobs(config, [app, NullApplication()],
+                           obs_interval=100_000)[2]
+        assert machine.obs.registry.unwired(("counter", "gauge")) == []
 
 
 class TestRetriesThreaded:
@@ -92,8 +91,8 @@ class TestRetriesThreaded:
         ``RunMetrics.retries`` at zero; it now sums transport
         retransmissions — including through the persistent cache."""
         cache = ResultCache(tmp_path)
-        spec = faulted_spec(num_nodes=3, messages=6, seed=7,
-                            faults="drop=0.2,seed=7")
+        spec = bind_spec("faulted", num_nodes=3, messages=6, seed=7,
+                         faults="drop=0.2,seed=7")
         [fresh] = run_specs([spec], jobs=1, cache=cache)
         assert fresh.require().retries > 0
         assert fresh.metrics.invariant_violations == 0

@@ -8,21 +8,20 @@ replayed from the persistent on-disk cache.
 
 from dataclasses import asdict
 
-from repro.experiments.multiprog import multiprog_spec
-from repro.experiments.synth_sweeps import synth_spec
-from repro.runner import ResultCache, run_specs
+from repro.runner import ResultCache, bind_spec, run_specs
 
 
 def _specs():
     """A cheap but heterogeneous batch: both run kinds, several seeds."""
     specs = [
-        multiprog_spec("barrier", skew, seed=seed, scale="fast",
-                       timeslice=100_000)
+        bind_spec("multiprog", name="barrier", skew=skew, seed=seed,
+                  scale="fast", timeslice=100_000)
         for skew in (0.0, 0.1)
         for seed in (1, 2)
     ]
     specs += [
-        synth_spec(10, t_betw=100, seed=seed, messages_per_node=300)
+        bind_spec("synth", group_size=10, t_betw=100, seed=seed,
+                  messages_per_node=300)
         for seed in (1, 2)
     ]
     return specs

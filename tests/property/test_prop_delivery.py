@@ -27,12 +27,10 @@ from hypothesis import strategies as st
 
 from repro.apps.synth import SynthApplication
 from repro.experiments.config import SimulationConfig
-from repro.experiments.synth_sweeps import synth_spec
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import faulted_spec
 from repro.machine.machine import Machine
 from repro.ni.delivery import DELIVERY_KINDS
-from repro.runner.registry import execute_spec
+from repro.runner.registry import bind_spec, execute_spec
 
 fault_plans = st.builds(
     FaultPlan,
@@ -102,8 +100,8 @@ def test_faulted_invariants_clean(delivery, plan, seed):
     """Faults (drops, duplicates, reorders, stalls) compose with every
     discipline: the reliable transport repairs them and the checker
     stays clean."""
-    metrics, _extra = execute_spec(faulted_spec(
-        num_nodes=3, messages=4, seed=seed, faults=plan.describe(),
+    metrics, _extra = execute_spec(bind_spec(
+        "faulted", num_nodes=3, messages=4, seed=seed, faults=plan.describe(),
         retries=True, delivery=delivery))
     assert metrics.invariant_violations == 0
 
@@ -117,8 +115,8 @@ def test_synth_metrics_identical_with_fastpath_disabled(
         delivery, group_size, t_betw, seed):
     """Fast vs forced-general RunMetrics are bit-identical under every
     discipline."""
-    spec = synth_spec(group_size, t_betw, seed=seed,
-                      messages_per_node=40, delivery=delivery)
+    spec = bind_spec("synth", group_size=group_size, t_betw=t_betw,
+                     seed=seed, messages_per_node=40, delivery=delivery)
     assert run_metrics(spec, False) == run_metrics(spec, True)
 
 
@@ -128,9 +126,9 @@ def test_synth_metrics_identical_with_fastpath_disabled(
 def test_faulted_metrics_identical_with_fastpath_disabled(delivery, plan,
                                                           seed):
     """Same invisibility property under fault injection."""
-    spec = faulted_spec(num_nodes=3, messages=4, seed=seed,
-                        faults=plan.describe(), retries=True,
-                        delivery=delivery)
+    spec = bind_spec("faulted", num_nodes=3, messages=4, seed=seed,
+                     faults=plan.describe(), retries=True,
+                     delivery=delivery)
     assert run_metrics(spec, False) == run_metrics(spec, True)
 
 

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import faulted_spec
-from repro.runner.registry import execute_spec
+from repro.runner.registry import bind_spec, execute_spec
 from repro.sim.engine import Engine
 
 
@@ -44,10 +43,8 @@ def run_metrics(spec, force_general):
 def test_synth_metrics_identical_with_fastpath_disabled(
         group_size, t_betw, seed):
     """Quiescent runs: fast paths fully engaged vs fully disabled."""
-    from repro.experiments.synth_sweeps import synth_spec
-
-    spec = synth_spec(group_size, t_betw, seed=seed,
-                      messages_per_node=40)
+    spec = bind_spec("synth", group_size=group_size, t_betw=t_betw,
+                     seed=seed, messages_per_node=40)
     assert run_metrics(spec, False) == run_metrics(spec, True)
 
 
@@ -69,18 +66,16 @@ def test_faulted_metrics_identical_with_fastpath_disabled(plan, seed):
     their general paths, so this pins the remaining live fast case —
     the engine run queue — against the heap under heavy same-cycle
     traffic from retries and stalls."""
-    spec = faulted_spec(num_nodes=3, messages=4, seed=seed,
-                        faults=plan.describe(), retries=True)
+    spec = bind_spec("faulted", num_nodes=3, messages=4, seed=seed,
+                     faults=plan.describe(), retries=True)
     assert run_metrics(spec, False) == run_metrics(spec, True)
 
 
 def test_multiprog_fast_scale_identical_with_fastpath_disabled():
     """One real multiprogrammed workload (timeslicing, kernel traps,
     buffered-mode transitions) — fast vs forced-general, bit-identical."""
-    from repro.experiments.multiprog import multiprog_spec
-
-    spec = multiprog_spec("barrier", 0.1, seed=1, num_nodes=4,
-                          scale="fast")
+    spec = bind_spec("multiprog", name="barrier", skew=0.1, seed=1,
+                     num_nodes=4, scale="fast")
     assert run_metrics(spec, False) == run_metrics(spec, True)
 
 

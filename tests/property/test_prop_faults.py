@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import faulted_spec, run_faulted
 from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
+from repro.runner import bind_spec
 
-from tests.conftest import ScriptedApplication, collect_deliveries
+from tests.conftest import (
+    ScriptedApplication, collect_deliveries, run_faulted,
+)
 
 #: Random-but-survivable fault plans: probabilities stay moderate so
 #: the retry budget always suffices and runs stay short.
@@ -130,9 +132,10 @@ def test_faulted_and_fault_free_specs_never_collide(plan):
     """A plan in the spec always moves the cache key."""
     from repro.runner.spec import spec_key
 
-    base = faulted_spec(num_nodes=4, messages=8, seed=7, faults="")
-    faulty = faulted_spec(num_nodes=4, messages=8, seed=7,
-                          faults=plan.describe())
+    base = bind_spec("faulted", num_nodes=4, messages=8, seed=7,
+                     faults="")
+    faulty = bind_spec("faulted", num_nodes=4, messages=8, seed=7,
+                       faults=plan.describe())
     if plan.describe() == "":
         assert spec_key(faulty) == spec_key(base)
     else:
@@ -141,19 +144,20 @@ def test_faulted_and_fault_free_specs_never_collide(plan):
 
 def test_fault_free_experiment_specs_keep_historical_keys():
     """faults="" adds no param: pre-existing cache entries stay valid."""
-    from repro.experiments.multiprog import multiprog_spec
-    from repro.experiments.standalone import standalone_spec
     from repro.runner.spec import spec_key
 
-    for spec in (multiprog_spec("barrier", 0.05, faults=""),
-                 standalone_spec("barrier", faults="")):
+    def multiprog(faults):
+        return bind_spec("multiprog", name="barrier", skew=0.05,
+                         faults=faults)
+
+    def standalone(faults):
+        return bind_spec("standalone", name="barrier", faults=faults)
+
+    for spec in (multiprog(""), standalone("")):
         assert "faults" not in spec.as_dict()
-    for spec in (multiprog_spec("barrier", 0.05, faults="drop=0.01"),
-                 standalone_spec("barrier", faults="drop=0.01")):
+    for spec in (multiprog("drop=0.01"), standalone("drop=0.01")):
         assert spec.as_dict()["faults"] == "drop=0.01"
-    assert (spec_key(multiprog_spec("barrier", 0.05, faults=""))
-            != spec_key(multiprog_spec("barrier", 0.05,
-                                       faults="drop=0.01")))
+    assert spec_key(multiprog("")) != spec_key(multiprog("drop=0.01"))
 
 
 #: (destination, pre-send delay) per message, per node.

@@ -16,9 +16,9 @@ import os
 import pytest
 
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import faulted_spec, run_faulted
-from repro.runner import ResultCache, run_specs
+from repro.runner import ResultCache, bind_spec, run_specs
 from repro.sim.random import DeterministicRng
+from tests.conftest import run_faulted
 
 #: Schedules in the slow sweep; the fast subset takes the first few.
 SOAK_SCHEDULES = 24
@@ -82,7 +82,7 @@ def test_serial_parallel_cache_bit_identical(tmp_path):
     parallel workers, and replayed from the persistent cache."""
     jobs = int(os.environ.get("SOAK_JOBS", "2"))
     specs = [
-        faulted_spec(num_nodes=4, messages=6, seed=index + 1,
+        bind_spec("faulted", num_nodes=4, messages=6, seed=index + 1,
                      faults=soak_plan(index).describe())
         for index in range(3)
     ]

@@ -28,6 +28,11 @@ def _record_results(monkeypatch):
     return batches
 
 
+#: Each artifact's command, in registry order.
+COMMANDS = {spec.command: artifact_id
+            for artifact_id, spec in ARTIFACTS.items()}
+
+
 def _fake_results(monkeypatch, *results):
     monkeypatch.setattr(cli, "_run_specs", lambda args, specs: list(results))
 
@@ -53,12 +58,18 @@ class TestParser:
         assert args.messages == 500
 
     @pytest.mark.parametrize("argv", [["--help"]] + [
-        [command, "--help"] for command in cli._ARTIFACT_COMMANDS])
+        [command, "--help"] for command in COMMANDS])
     def test_help_renders(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 0
         assert "usage: repro" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("artifact_id", list(ARTIFACTS))
+    def test_artifact_command_prints_its_own_artifact(self, artifact_id):
+        args = build_parser().parse_args([ARTIFACTS[artifact_id].command])
+        assert args.fn is cli._cmd_artifact
+        assert args.artifact == artifact_id
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -84,7 +95,7 @@ class TestCommands:
 
 
 class TestArtifactCommands:
-    @pytest.mark.parametrize("command", list(cli._ARTIFACT_COMMANDS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_no_flag_plan_is_the_reports(self, command, monkeypatch):
         """A command without plan flags is a replay of the report's
         runs, so a warm cache serves it without simulating."""
@@ -97,7 +108,7 @@ class TestArtifactCommands:
         monkeypatch.setattr(cli, "_run_specs", capture)
         with pytest.raises(_Planned):
             main([command])
-        artifact_id = cli._ARTIFACT_COMMANDS[command]
+        artifact_id = COMMANDS[command]
         assert [spec_key(s) for s in planned] == \
             [spec_key(s) for s in ARTIFACTS[artifact_id].runs()]
 
@@ -117,7 +128,7 @@ class TestArtifactCommands:
             self, argv, plan_line, capsys, monkeypatch):
         batches = _record_results(monkeypatch)
         assert main(argv) == 0
-        artifact_id = cli._ARTIFACT_COMMANDS[argv[0]]
+        artifact_id = COMMANDS[argv[0]]
         (results,) = batches
         doc = ARTIFACTS[artifact_id].fold(results).doc
         assert capsys.readouterr().out == \

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.metrics import RunMetrics
 from repro.runner import (
     ResultCache, RunnerError, RunResult, RunSpec, UnknownRunKind,
-    execute_spec, run_specs, spec_key, trial_means,
+    bind_spec, execute_spec, run_specs, spec_key, trial_means,
 )
 
 
@@ -45,6 +45,31 @@ class TestRunSpec:
     def test_unknown_kind_raises(self):
         with pytest.raises(UnknownRunKind):
             execute_spec(RunSpec.make("definitely_not_registered"))
+
+
+class TestBindSpec:
+    """The executor's signature is the kind's schema."""
+
+    def test_unknown_parameter_raises_at_plan_time(self):
+        with pytest.raises(TypeError, match="t_betwe"):
+            bind_spec("synth", group_size=10, t_betwe=275)
+
+    def test_missing_parameter_raises_at_plan_time(self):
+        with pytest.raises(TypeError, match="group_size"):
+            bind_spec("synth", t_betw=275)
+
+    def test_defaults_join_and_keyword_only_defaults_do_not(self):
+        spec = bind_spec("synth", group_size=10, t_betw=275,
+                         delivery="twocase", shards=1)
+        assert spec.as_dict() == dict(
+            group_size=10, t_betw=275, seed=1, buffer_cost_extra=0,
+            messages_per_node=2000, timeslice=500_000)
+        assert bind_spec("synth", group_size=10, t_betw=275,
+                         shards=2)["shards"] == 2
+
+    def test_side_channels_cannot_join_a_spec(self):
+        with pytest.raises(TypeError, match="info"):
+            bind_spec("synth", group_size=10, t_betw=275, info={})
 
 
 def _metrics(**overrides) -> RunMetrics:
@@ -254,37 +279,21 @@ class TestTrialMeans:
             return RunResult(spec=spec, error=error)
         return RunResult(spec=spec, metrics=_metrics(**metrics))
 
-    def test_failed_trial_is_dropped_from_the_average(self):
+    def test_failed_trial_raises_its_runner_error(self):
         results = [
-            self._trial(0.0, 1, elapsed_cycles=100, buffered_fraction=0.1),
+            self._trial(0.0, 1, elapsed_cycles=100),
             self._trial(0.0, 2, error="Traceback: trial 2 crashed"),
-            self._trial(0.0, 3, elapsed_cycles=300, buffered_fraction=0.3),
-            self._trial(0.2, 1, elapsed_cycles=50),
+            self._trial(0.0, 3, elapsed_cycles=300),
         ]
-        points = trial_means(results)
-        assert [spec for spec, _m in points] == \
-            [results[0].spec, results[3].spec]
-        (_spec, mean0), (_spec2, mean2) = points
-        assert mean0.elapsed_cycles == 200
-        assert mean0.buffered_fraction == pytest.approx(0.2)
-        assert mean2.elapsed_cycles == 50
+        with pytest.raises(RunnerError, match="trial 2 crashed") as caught:
+            trial_means(results)
+        assert "seed=2" in str(caught.value)
 
     def test_repeated_configuration_is_a_new_point(self):
         results = [self._trial(0.0, seed, elapsed_cycles=100 * seed)
                    for seed in (1, 2, 1, 2)]
         points = trial_means(results)
         assert [m.elapsed_cycles for _s, m in points] == [150, 150]
-
-    def test_all_failed_point_raises_its_first_failure(self):
-        results = [
-            self._trial(0.0, 1, elapsed_cycles=100),
-            self._trial(0.2, 1, error="Traceback: first failure"),
-            self._trial(0.2, 2, error="Traceback: second failure"),
-        ]
-        with pytest.raises(RunnerError, match="first failure") as caught:
-            trial_means(results)
-        assert "seed=1" in str(caught.value)
-        assert "second failure" not in str(caught.value)
 
     def test_grid_fold_keeps_a_repeated_x_as_its_own_point(self):
         from repro.experiments.synth_sweeps import (
