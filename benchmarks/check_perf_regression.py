@@ -36,13 +36,21 @@ Either leg is neutral while a side lacks its figure (a baseline that
 predates it): a skipped gate must never masquerade as a green one,
 and a figure measured without real parallelism is not a baseline.
 
+The third gate is exact: ``fastpath.calls``, cProfile's total call
+count for one whole-machine run, does not depend on the host, so any
+difference from the committed count fails, in either direction. A
+change that moves it re-stamps ``BENCH_runner.json`` and states the
+delta. Counts differ between Python minors (``fastpath.calls_python``),
+so a fresh count taken under another minor than the committed one is
+"not comparable": neutral, never a pass.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
     python benchmarks/check_perf_regression.py [--fresh PATH] \
         [--threshold 0.2] [--threshold-up 0.2]
 
-Exit status: 0 pass, 1 a ratchet failed, 2 no committed baseline.
+Exit status: 0 pass, 1 a gate failed, 2 no committed baseline.
 """
 
 from __future__ import annotations
@@ -136,10 +144,35 @@ def main(argv=None) -> int:
                              min(args.threshold, A2A_THRESHOLD),
                              args.threshold_up) or failed
 
+    failed = calls_gate(fresh.get("fastpath", {}),
+                        baseline.get("fastpath", {})) or failed
+
     if failed:
         return 1
     print("OK")
     return 0
+
+
+def calls_gate(fresh: dict, base: dict) -> bool:
+    """Exact call-count check; True when the gate fails."""
+    label = "machine calls per run"
+    if absent(label, fresh.get("calls"), base.get("calls")):
+        return False
+    fresh_python = fresh.get("calls_python")
+    base_python = base.get("calls_python")
+    if fresh_python != base_python:
+        print(f"{label}: fresh under Python {fresh_python}, committed "
+              f"under {base_python}: not comparable; neutral")
+        return False
+    delta = fresh["calls"] - base["calls"]
+    print(f"{label}: fresh {fresh['calls']:,} vs committed "
+          f"{base['calls']:,} ({delta:+,}; Python {fresh_python}, exact)")
+    if delta:
+        print(f"FAIL: {label} moved; if the change means it, re-stamp "
+              "the baseline (run perf_smoke.py and commit the refreshed "
+              "BENCH_runner.json) and state the per-function delta")
+        return True
+    return False
 
 
 def absent(label: str, fresh_value, base_value) -> bool:

@@ -22,7 +22,11 @@ Times six things and writes ``BENCH_runner.json`` plus
   Each unshimmed run is bracketed by runs of the e2e benchmark's host
   calibration kernel; the median calibrated events/second over them
   (``fastpath.calibrated_events_per_second``) is the engine figure
-  ``check_perf_regression.py`` ratchets;
+  ``check_perf_regression.py`` ratchets. One more run, after a warm-up
+  run, is profiled: cProfile's total call count for it
+  (``fastpath.calls``, with ``calls_per_event`` and the Python minor
+  ``calls_python``) does not depend on the host, so the ratchet checks
+  it exactly;
 * **sharded execution** — two synth workloads, each run
   single-process and through :func:`repro.shard.run_sharded` (one
   worker process per node group): a ``rack_local`` leg whose traffic
@@ -55,9 +59,12 @@ Run it from the repo root::
 from __future__ import annotations
 
 import argparse
+import cProfile
+import gc
 import json
 import multiprocessing
 import os
+import pstats
 import random
 import statistics
 import sys
@@ -225,12 +232,14 @@ def _attach_closure_counter(engine) -> dict:
 
 
 def _machine_run(force_general: bool = False,
-                 count_closures: bool = False):
+                 count_closures: bool = False,
+                 profiler: cProfile.Profile | None = None):
     """One quiescent multiprogrammed barrier-vs-null run, timed.
 
     Returns ``(machine, metrics, closure_counts, wall_seconds)``.
     ``force_general`` sets ``REPRO_NO_FASTPATH`` for the machine's
     construction, pushing every layer down the general path.
+    ``profiler``, when given, is enabled for the run alone.
     """
     saved = os.environ.pop("REPRO_NO_FASTPATH", None)
     if force_general:
@@ -246,15 +255,41 @@ def _machine_run(force_general: bool = False,
         if count_closures:
             counts = _attach_closure_counter(machine.engine)
         machine.start()
+        if profiler is not None:
+            profiler.enable()
         start = time.perf_counter()
         machine.run_until_job_done(job, limit=50_000_000_000)
         wall = time.perf_counter() - start
+        if profiler is not None:
+            profiler.disable()
         return machine, collect_metrics(machine, job), counts, wall
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
         else:
             os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+def count_calls() -> tuple:
+    """``(calls, events)`` of one whole-machine run: cProfile's total
+    call count and the engine's events.
+
+    A warm-up run goes first, since the first run in a process also
+    pays one-off warm-up calls (``dataclasses.fields``). The cyclic
+    collector is off for the counted run, so a collection that happens
+    to fall inside it (and finalizes suspended generators there) cannot
+    move the count with the process's allocation history.
+    """
+    _machine_run()
+    profiler = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        machine, _metrics, _counts, _wall = _machine_run(profiler=profiler)
+    finally:
+        gc.enable()
+    return (pstats.Stats(profiler).total_calls,
+            machine.engine.events_executed)
 
 
 def _kernel_into(queue) -> None:
@@ -333,6 +368,7 @@ def bench_fastpath(runs: int = CALIBRATED_RUNS) -> dict:
                                                               one_run)
     general_machine, general_metrics, _, _ = _machine_run(
         force_general=True)
+    calls, counted_events = count_calls()
 
     engine = machine.engine
     fabric = machine.fabric.stats
@@ -352,6 +388,9 @@ def bench_fastpath(runs: int = CALIBRATED_RUNS) -> dict:
         "nominal_calib_seconds": NOMINAL_CALIB_S,
         "calibrated_samples": calibrated,
         "calibrated_events_per_second": statistics.median(calibrated),
+        "calls": calls,
+        "calls_per_event": calls / counted_events,
+        "calls_python": python_minor(),
         "closures_scheduled": counts["closures"],
         "callbacks_scheduled": counts["scheduled"],
         "runq_events": engine.runq_events,
@@ -667,6 +706,12 @@ def bench_obs(repeats: int = OBS_PAIRS) -> dict:
     }
 
 
+def python_minor() -> str:
+    """This interpreter's ``major.minor``: call counts are comparable
+    only under the same one."""
+    return "%d.%d" % sys.version_info[:2]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=None,
@@ -732,6 +777,9 @@ def main(argv=None) -> int:
     print(f"machine: {fastpath['calibrated_events_per_second']:,.0f} "
           f"calibrated events/s (median of {fastpath['runs']}; "
           f"raw best {fastpath['events_per_second']:,.0f})")
+    print(f"machine: {fastpath['calls']:,} calls "
+          f"({fastpath['calls_per_event']:.2f} per event, Python "
+          f"{fastpath['calls_python']})")
     for leg in (shard["rack_local"], shard["all_to_all"]):
         required = ("required" if leg["speedup_required"] else
                     f"skipped: {leg['speedup_skip_reason']}")

@@ -14,7 +14,6 @@ Run:  python examples/crl_sharing.py
 from repro import Machine, SimulationConfig
 from repro.apps.base import Application, CollectiveOps
 from repro.crl.api import Crl
-from repro.machine.processor import Compute
 from repro.sim.random import DeterministicRng
 
 NODES = 4
@@ -36,7 +35,8 @@ class SharedHistogram(Application):
         crl = self.crl
         rng = DeterministicRng(42, f"hist/{node_index}")
         for _ in range(SAMPLES_PER_NODE):
-            yield Compute(rng.uniform_int(50, 200))  # produce a sample
+            # Frames yield an int of cycles: 50-200 to produce a sample.
+            yield rng.uniform_int(50, 200)
             value = rng.uniform_int(0, NODES * BINS_PER_NODE - 1)
             owner, bin_index = divmod(value, BINS_PER_NODE)
             # start_write acquires the region exclusively: a local hit

@@ -12,7 +12,6 @@ Run:  python examples/message_timeline.py
 
 from repro import Machine, SimulationConfig
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 
 
 class TimelineDemo(Application):
@@ -24,30 +23,30 @@ class TimelineDemo(Application):
 
     def _h_record(self, rt, msg):
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4  # frames yield an int of cycles: 4 cycles of work
         self.handled.append(msg.msg_id)
 
     def main(self, rt, node_index):
         if node_index == 1:
             # Phase 2 flips the receiver into buffered mode.
             while len(self.handled) < 1:
-                yield Compute(200)
+                yield 200
             yield from rt.force_buffered_mode()
             while len(self.handled) < 3:
-                yield Compute(200)
+                yield 200
             return
         # Node 0: one fast message, one buffered one, one bulk one.
         yield from rt.inject(1, self._h_record, ("fast",))
         while len(self.handled) < 1:
-            yield Compute(200)
-        yield Compute(2_000)  # give node 1 time to enter buffered mode
+            yield 200
+        yield 2_000  # give node 1 time to enter buffered mode
         yield from rt.inject(1, self._h_record, ("buffered",))
         while len(self.handled) < 2:
-            yield Compute(200)
+            yield 200
         yield from rt.bulk_inject(1, self._h_record,
                                   tuple(range(600)))
         while len(self.handled) < 3:
-            yield Compute(200)
+            yield 200
 
 
 def main():

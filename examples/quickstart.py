@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro import Machine, SimulationConfig
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 
 
 class PingPong(Application):
@@ -42,9 +41,10 @@ class PingPong(Application):
         if node_index == 0:
             print(f"[{rt.engine.now:>6}] node 0 serves the token")
             yield from rt.inject(1, self.handle_token, (1,))
-        # Compute while handlers do the real work via interrupts.
+        # Compute while handlers do the real work via interrupts: a
+        # frame yields an int of cycles to spend them.
         while len(self.trace) < self.ROUNDS:
-            yield Compute(1_000)
+            yield 1_000
 
 
 def main():

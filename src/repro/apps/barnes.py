@@ -25,7 +25,6 @@ import math
 from typing import Generator, List, Optional, Tuple
 
 from repro.apps.base import Application, CollectiveOps
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.crl.api import Crl
 from repro.sim.random import DeterministicRng
@@ -294,7 +293,7 @@ class BarnesApplication(Application):
                         gathered.append((snapshot[i], snapshot[i + 1],
                                          snapshot[i + 4]))
                 words = self.build_tree(gathered)
-                yield Compute(self.cycles_per_insert * len(gathered))
+                yield self.cycles_per_insert * len(gathered)
                 yield from self._publish_tree(rt, words)
             yield from self.collectives.barrier(rt)
 
@@ -315,7 +314,7 @@ class BarnesApplication(Application):
                 data[base + 0] += data[base + 2] * self.dt
                 data[base + 1] += data[base + 3] * self.dt
             yield from crl.end_write(rt, node_index)
-            yield Compute(self.cycles_per_visit * visits)
+            yield self.cycles_per_visit * visits
             yield from self.collectives.barrier(rt)
 
     # ------------------------------------------------------------------

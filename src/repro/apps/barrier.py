@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.apps.base import Application, CollectiveOps
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 
 
@@ -36,7 +35,7 @@ class BarrierApplication(Application):
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         for iteration in range(self.iterations):
-            yield Compute(self.work_between)
+            yield self.work_between
             total = yield from self.collectives.barrier(rt, contribute=1)
             if total != self.num_nodes:
                 raise AssertionError(

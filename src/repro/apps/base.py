@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Generator
 
-from repro.machine.processor import Compute, Spin
+from repro.machine.processor import Spin
 from repro.core.udm import UdmRuntime
 
 
@@ -77,7 +77,7 @@ class CollectiveOps:
     def _h_arrive(self, rt: UdmRuntime, msg) -> Generator:
         epoch, value = msg.payload
         yield from rt.dispose_current()
-        yield Compute(40)
+        yield 40
         self._arrived[epoch] = self._arrived.get(epoch, 0) + 1
         acc = self._reduce_acc.get(epoch, 0)
         self._reduce_acc[epoch] = acc + value
@@ -90,7 +90,7 @@ class CollectiveOps:
     def _h_release(self, rt: UdmRuntime, msg) -> Generator:
         epoch, total = msg.payload
         yield from rt.dispose_current()
-        yield Compute(25)
+        yield 25
         node = rt.node_index
         self._released[node] = max(self._released[node], epoch + 1)
         self._reduce_result[node][epoch] = total

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps.base import Application, CollectiveOps
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 
 Position = Tuple[int, int]
@@ -101,7 +100,7 @@ class EnumApplication(Application):
     def _h_stat_update(self, rt: UdmRuntime, msg) -> Generator:
         count = msg.payload[0]
         yield from rt.dispose_current()
-        yield Compute(150)
+        yield 150
         self.stat_counters[rt.node_index] += count
 
     # ------------------------------------------------------------------
@@ -153,7 +152,7 @@ class EnumApplication(Application):
                     solutions += 1
             else:
                 stack.extend(apply_move(board, m) for m in moves)
-            yield Compute(self.expansion_cycles)
+            yield self.expansion_cycles
             if pending_updates >= self.updates_per_batch:
                 # Fire-and-forget update to a position-hashed node.
                 target = hash(board) % self.num_nodes

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.apps.base import Application, CollectiveOps
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.crl.api import Crl
 from repro.sim.random import DeterministicRng
@@ -149,7 +148,7 @@ class LuApplication(Application):
                 yield from crl.start_write(rt, kk)
                 self._factor_diag(crl.data(rt, kk))
                 yield from crl.end_write(rt, kk)
-                yield Compute(flop * (2 * b ** 3) // 3)
+                yield flop * (2 * b ** 3) // 3
             yield from self.collectives.barrier(rt)
 
             # Perimeter row and column solves against the diagonal block.
@@ -162,7 +161,7 @@ class LuApplication(Application):
                     self._solve_row(diag, crl.data(rt, rid))
                     yield from crl.end_write(rt, rid)
                     yield from crl.end_read(rt, kk)
-                    yield Compute(flop * b ** 3)
+                    yield flop * b ** 3
             for i in range(k + 1, grid):
                 if self.owner(i, k) == node_index:
                     rid = _block_rid(i, k, grid)
@@ -172,7 +171,7 @@ class LuApplication(Application):
                     self._solve_col(diag, crl.data(rt, rid))
                     yield from crl.end_write(rt, rid)
                     yield from crl.end_read(rt, kk)
-                    yield Compute(flop * b ** 3)
+                    yield flop * b ** 3
             yield from self.collectives.barrier(rt)
 
             # Interior update.
@@ -191,7 +190,7 @@ class LuApplication(Application):
                     yield from crl.end_write(rt, rid)
                     yield from crl.end_read(rt, up)
                     yield from crl.end_read(rt, left)
-                    yield Compute(flop * 2 * b ** 3)
+                    yield flop * 2 * b ** 3
             yield from self.collectives.barrier(rt)
 
     # ------------------------------------------------------------------

@@ -41,7 +41,6 @@ from typing import (
 )
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.protocols.reliable import ReliableTransport
 from repro.sim.random import DeterministicRng
@@ -433,7 +432,7 @@ class MailboxApplication(Application):
     def _on_submit(self, rt: UdmRuntime,
                    payload: Tuple[Any, ...]) -> Generator:
         _, client, recipient, seq = payload
-        yield Compute(self.handler_cycles)
+        yield self.handler_cycles
         self.stats.absorbed += 1
         self._g_absorbed[self._node_group(rt.node_index)] += 1
         self.service.accept(rt.node_index, client, recipient, seq,
@@ -442,7 +441,7 @@ class MailboxApplication(Application):
     def _on_retrieve(self, rt: UdmRuntime,
                      payload: Tuple[Any, ...]) -> Generator:
         _, requester, recipient = payload
-        yield Compute(40)
+        yield 40
         node = rt.node_index
         group = self._node_group(node)
         transport = self._transports[group]
@@ -535,7 +534,7 @@ class MailboxApplication(Application):
         # locality group has drained. Not a Spin: other nodes' frames
         # bump _drained, so the count changes while this node parks.
         while self._drained[group] < self._gateways_per_group:
-            yield Compute(2_000)
+            yield 2_000
 
     def _gateway_main(self, rt: UdmRuntime,
                       node_index: int) -> Generator:
@@ -581,7 +580,7 @@ class MailboxApplication(Application):
                     ("retrieve", node_index, recipient))
             gap = self._gap(rng, rt.machine.engine.now)
             if gap:
-                yield Compute(gap)
+                yield gap
             client = (heavy_tail_rank(rng, clients_per_gw)
                       * self.num_gateways + gw)
             if self.locality_groups:
@@ -662,7 +661,7 @@ class MailboxApplication(Application):
                     yield from transport.send(
                         rt, self.service.home(recipient),
                         ("retrieve", node_index, recipient))
-            yield Compute(round_cycles)
+            yield round_cycles
         self._drained[group] += 1
 
     def describe(self) -> str:

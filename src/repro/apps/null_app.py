@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 
 
@@ -28,7 +27,7 @@ class NullApplication(Application):
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         while True:
-            yield Compute(self.chunk_cycles)
+            yield self.chunk_cycles
 
     def describe(self) -> str:
         return "null application (infinite compute loop)"

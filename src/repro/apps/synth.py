@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute, Spin
+from repro.machine.processor import Spin
 from repro.core.udm import UdmRuntime
 from repro.sim.random import DeterministicRng
 
@@ -93,12 +93,12 @@ class SynthApplication(Application):
     def _h_request(self, rt: UdmRuntime, msg) -> Generator:
         producer = msg.payload[0]
         yield from rt.dispose_current()
-        yield Compute(self._handler_body_cycles(rt))
+        yield self._handler_body_cycles(rt)
         yield from rt.inject(producer, self._h_reply, (rt.node_index,))
 
     def _h_reply(self, rt: UdmRuntime, msg) -> Generator:
         yield from rt.dispose_current()
-        yield Compute(5)
+        yield 5
         self._acks[rt.node_index] += 1
         self.replies_received[rt.node_index] += 1
 
@@ -115,7 +115,7 @@ class SynthApplication(Application):
             for _ in range(group):
                 interval = rng.uniform_interval(self.t_betw)
                 if interval:
-                    yield Compute(interval)
+                    yield interval
                 dst = rng.choice(others)
                 yield from rt.inject(dst, self._h_request, (node_index,))
                 sent += 1

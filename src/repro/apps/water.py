@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Generator, List, Tuple
 
 from repro.apps.base import Application, CollectiveOps
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.crl.api import Crl
 from repro.sim.random import DeterministicRng
@@ -128,8 +127,8 @@ class WaterApplication(Application):
                         fz += dfz
                         pair_count += 1
                     forces[i] = (fx, fy, fz)
-                yield Compute(self.cycles_per_pair * self.per_node
-                              * len(others_pos))
+                yield (self.cycles_per_pair * self.per_node
+                       * len(others_pos))
             yield from self.collectives.barrier(rt)
 
             # Phase 2: integrate own molecules.
@@ -149,7 +148,7 @@ class WaterApplication(Application):
                 data[base + 2] = (data[base + 2] + data[base + 5] * dt) \
                     % self.box
             yield from crl.end_write(rt, node_index)
-            yield Compute(30 * self.per_node)
+            yield 30 * self.per_node
             yield from self.collectives.barrier(rt)
 
     # ------------------------------------------------------------------

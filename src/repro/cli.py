@@ -26,6 +26,8 @@ from repro.analysis.report import render_table
 
 _FAULTS_HELP = ("fault plan, e.g. 'drop=0.05,seed=7' "
                 "(see docs/FAULTS.md; empty disables injection)")
+_LOSSLESS_FAULTS_HELP = ("lossless fault plan, e.g. 'stall=0.05,seed=7' "
+                         "(see docs/FAULTS.md; empty disables injection)")
 
 
 def _cache(args):
@@ -49,6 +51,15 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
+
+
+def _lossless_faults(text: str) -> str:
+    from repro.faults.plan import require_lossless
+
+    try:
+        return require_lossless(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +87,8 @@ def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
 _PLAN_FLAGS: Dict[str, Dict[str, Any]] = {
     "rounds": dict(type=int, help="measurement rounds"),
     "scale": dict(choices=("fast", "bench"), help="application scale"),
-    "faults": dict(metavar="PLAN", help=_FAULTS_HELP),
+    "faults": dict(metavar="PLAN", type=_lossless_faults,
+                   help=_LOSSLESS_FAULTS_HELP),
     "skews": dict(type=float, nargs="+", help="schedule skews"),
     "trials": dict(type=int, help="seeded trials per point"),
     "messages": dict(type=int, help="requests per node"),
@@ -495,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="timeline sample interval, cycles")
     ps.add_argument("--export", metavar="FILE", default=None,
                     help="also write the payload as JSONL")
-    _add_faults_flag(ps)
+    ps.add_argument("--faults", default="", metavar="PLAN",
+                    type=_lossless_faults, help=_LOSSLESS_FAULTS_HELP)
     _add_runner_flags(ps)
     ps.set_defaults(fn=_cmd_stats)
 

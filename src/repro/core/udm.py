@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
 from repro.core.two_case import DeliveryMode
-from repro.machine.processor import Compute, Frame
+from repro.machine.processor import Frame
 from repro.network.message import Message
 from repro.sim.events import Event
 from repro.ni.traps import Trap, TrapSignal
@@ -72,7 +72,7 @@ class UdmRuntime:
         while True:
             while not fabric.has_credit(dst):
                 yield fabric.credit_event(dst)
-            yield Compute(self.costs.send_cost(len(payload)))
+            yield self.costs.send_cost(len(payload))
             if fabric.has_credit(dst):
                 break
         self._launch(dst, handler, payload)
@@ -83,9 +83,9 @@ class UdmRuntime:
         network cannot accept the message right now."""
         payload = tuple(payload)
         if not self.machine.fabric.has_credit(dst):
-            yield Compute(1)  # the space-available register read
+            yield 1  # the space-available register read
             return False
-        yield Compute(self.costs.send_cost(len(payload)))
+        yield self.costs.send_cost(len(payload))
         self._launch(dst, handler, payload)
         return True
 
@@ -102,7 +102,7 @@ class UdmRuntime:
         """
         payload = tuple(payload)
         fabric = self.machine.fabric
-        yield Compute(self.costs.bulk.setup)
+        yield self.costs.bulk.setup
         while True:
             while not fabric.has_credit(dst):
                 yield fabric.credit_event(dst)
@@ -161,7 +161,7 @@ class UdmRuntime:
             message = self.ni.dispose(privileged=False)
             self.job.two_case.fast_messages += 1
             self._trace_handled(message, "fast path")
-            yield Compute(1)
+            yield 1
         except TrapSignal as signal:
             if signal.trap is Trap.DISPOSE_EXTEND:
                 yield from self._emulated_dispose()
@@ -193,7 +193,7 @@ class UdmRuntime:
             cost = self.costs.buffered.extract_cost(message.payload_words)
         cost = max(1, cost - self.costs.fast.null_handler + 1)
         self._trace_handled(message, "buffered path")
-        yield Compute(cost)
+        yield cost
 
     def extract(self) -> Generator:
         """Atomic read-and-free of the next message (Section 3's
@@ -209,11 +209,11 @@ class UdmRuntime:
     # Atomicity
     # ------------------------------------------------------------------
     def beginatom(self, mask: int = INTERRUPT_DISABLE) -> Generator:
-        yield Compute(1)
+        yield 1
         self.ni.beginatom(mask)
 
     def endatom(self, mask: int = INTERRUPT_DISABLE) -> Generator:
-        yield Compute(1)
+        yield 1
         try:
             self.ni.endatom(mask)
         except TrapSignal as signal:
@@ -235,7 +235,7 @@ class UdmRuntime:
         are in the UDM discipline. Costs follow Table 4's polling rows
         in fast mode and Table 5's extraction in buffered mode.
         """
-        yield Compute(self.costs.fast.poll_check)
+        yield self.costs.fast.poll_check
         message = self.peek()
         if message is None:
             yield from self.maybe_exit_buffered()
@@ -249,7 +249,7 @@ class UdmRuntime:
             per_word = (self.costs.bulk.completion if message.bulk
                         else self.costs.receive_handler_extra(
                             message.payload_words))
-            yield Compute(self.costs.fast.poll_dispatch + per_word)
+            yield self.costs.fast.poll_dispatch + per_word
             yield from self.dispose_current()
         return message
 
@@ -262,11 +262,11 @@ class UdmRuntime:
         # Not a Spin: fabric callbacks fill the NI queue with no frame
         # running here, so the poll must wake every interval.
         while True:
-            yield Compute(self.costs.fast.poll_check)
+            yield self.costs.fast.poll_check
             message = self.peek()
             if message is not None:
                 return message
-            yield Compute(poll_interval)
+            yield poll_interval
 
     def maybe_exit_buffered(self) -> Generator:
         """Leave buffered mode if this job drained its buffer.
@@ -316,7 +316,7 @@ class UdmRuntime:
         start = self.engine.now
         ni.set_kernel_uac(dispose_pending=True)
         ni.beginatom(INTERRUPT_DISABLE)
-        yield Compute(costs.receive_entry_cost())
+        yield costs.receive_entry_cost()
         injector = self.machine.fault_injector
         if injector is not None and \
                 injector.handler_page_fault(self.node_index):
@@ -329,10 +329,9 @@ class UdmRuntime:
         if message is not None and ni.message_available:
             if message.bulk:
                 # DMA deposited the payload: fixed completion handling.
-                yield Compute(costs.bulk.completion)
+                yield costs.bulk.completion
             else:
-                yield Compute(
-                    costs.receive_handler_extra(message.payload_words))
+                yield costs.receive_handler_extra(message.payload_words)
             self._dispose_done = False
             yield from message.handler(self, message)
             handled = True
@@ -341,7 +340,7 @@ class UdmRuntime:
             # started; the drain thread will run it from the buffer.
             ni.set_kernel_uac(dispose_pending=False)
             self._dispose_done = True
-        yield Compute(costs.receive_exit_cost())
+        yield costs.receive_exit_cost()
         # The cleanup's endatom is already costed inside receive_exit
         # (the Table 4 "upcall cleanup"/"timer cleanup" categories), so
         # execute the operation without the user-level instruction charge.
@@ -418,13 +417,13 @@ class UdmRuntime:
         """
         from repro.core.two_case import TransitionReason
 
-        yield Compute(1)
+        yield 1
         self.kernel.enter_buffered_mode(self.state,
                                         TransitionReason.EXPLICIT)
 
     def compute(self, cycles: int) -> Generator:
         """Consume processor cycles (modelled application work)."""
-        yield Compute(cycles)
+        yield cycles
 
     def finish_main(self) -> None:
         """Mark this node's main thread complete (called by the machine

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.sim.events import Event
 from repro.crl.region import (
@@ -144,7 +143,7 @@ class CrlProtocol:
         node = rt.node_index
         region = self.regions[rid]
         ns = self.node_state(node, rid)
-        yield Compute(15)  # rgn_start_* bookkeeping
+        yield 15  # rgn_start_* bookkeeping
         if node == region.home:
             yield from self._start_home(rt, rid, kind, ns)
         else:
@@ -173,7 +172,7 @@ class CrlProtocol:
         if hit:
             self.local_hits += 1
             self._pin(ns, kind)
-            yield Compute(10)
+            yield 10
             return
         self.remote_misses += 1
         ns.fetch_done = Event(f"crl:home-fetch:{rid}")
@@ -192,7 +191,7 @@ class CrlProtocol:
         if hit and not ns.pending_invalidate and ns.pending_flush is None:
             self.local_hits += 1
             self._pin(ns, kind)
-            yield Compute(10)
+            yield 10
             return
         if ns.fetching:
             raise RuntimeError(
@@ -220,7 +219,7 @@ class CrlProtocol:
     def _end(self, rt: UdmRuntime, rid: int, kind: str) -> Generator:
         node = rt.node_index
         ns = self.node_state(node, rid)
-        yield Compute(10)
+        yield 10
         if kind is _READ:
             if ns.read_refs <= 0:
                 raise RuntimeError(f"end_read without start_read on {rid}")
@@ -296,7 +295,7 @@ class CrlProtocol:
         directory = self.directory[rid]
         directory.busy = True
         directory.current = (kind, requester)
-        yield Compute(20)  # directory lookup and state transition
+        yield 20  # directory lookup and state transition
         yield from self._home_continue(rt, rid)
 
     def _home_continue(self, rt: UdmRuntime, rid: int) -> Generator:
@@ -457,19 +456,19 @@ class CrlProtocol:
     def _h_read_req(self, rt: UdmRuntime, msg) -> Generator:
         rid, requester = msg.payload
         yield from rt.dispose_current()
-        yield Compute(100)
+        yield 100
         yield from self._home_submit(rt, rid, _READ, requester)
 
     def _h_write_req(self, rt: UdmRuntime, msg) -> Generator:
         rid, requester = msg.payload
         yield from rt.dispose_current()
-        yield Compute(100)
+        yield 100
         yield from self._home_submit(rt, rid, _WRITE, requester)
 
     def _h_inv(self, rt: UdmRuntime, msg) -> Generator:
         (rid,) = msg.payload
         yield from rt.dispose_current()
-        yield Compute(60)
+        yield 60
         node = rt.node_index
         ns = self.node_state(node, rid)
         region = self.regions[rid]
@@ -484,7 +483,7 @@ class CrlProtocol:
     def _h_inv_ack(self, rt: UdmRuntime, msg) -> Generator:
         rid, from_node = msg.payload
         yield from rt.dispose_current()
-        yield Compute(40)
+        yield 40
         directory = self.directory[rid]
         directory.sharers.discard(from_node)
         directory.inv_acks_needed -= 1
@@ -494,7 +493,7 @@ class CrlProtocol:
     def _h_flush_req(self, rt: UdmRuntime, msg) -> Generator:
         rid, mode = msg.payload
         yield from rt.dispose_current()
-        yield Compute(60)
+        yield 60
         node = rt.node_index
         ns = self.node_state(node, rid)
         region = self.regions[rid]
@@ -507,7 +506,7 @@ class CrlProtocol:
         rid, seq, nfrags, mode = msg.payload[:4]
         chunk = msg.payload[4:]
         yield from rt.dispose_current()
-        yield Compute(80)
+        yield 80
         data = self.home_data[rid]
         base = seq * FRAG_WORDS
         data[base:base + len(chunk)] = chunk
@@ -532,7 +531,7 @@ class CrlProtocol:
         rid, seq, nfrags, grant_flag = msg.payload[:4]
         chunk = msg.payload[4:]
         yield from rt.dispose_current()
-        yield Compute(80)
+        yield 80
         node = rt.node_index
         ns = self.node_state(node, rid)
         region = self.regions[rid]
@@ -557,7 +556,7 @@ class CrlProtocol:
     def _h_upgrade(self, rt: UdmRuntime, msg) -> Generator:
         (rid,) = msg.payload
         yield from rt.dispose_current()
-        yield Compute(40)
+        yield 40
         ns = self.node_state(rt.node_index, rid)
         ns.state = RegionState.EXCLUSIVE
         self._pin(ns, _WRITE)

@@ -168,8 +168,6 @@ class _BigRegionReaders:
         self.collectives = CollectiveOps(num_nodes)
 
     def main(self, rt, node_index):
-        from repro.machine.processor import Compute
-
         for round_no in range(self.rounds):
             if node_index == 0:
                 yield from self.crl.start_write(rt, 0)
@@ -179,7 +177,7 @@ class _BigRegionReaders:
             yield from self.collectives.barrier(rt)
             snapshot = yield from self.crl.read_region(rt, 0)
             assert snapshot[0] == round_no
-            yield Compute(500)
+            yield 500
             yield from self.collectives.barrier(rt)
 
 

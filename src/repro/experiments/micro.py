@@ -30,7 +30,6 @@ from repro.core.udm import UdmRuntime
 from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import run_jobs
-from repro.machine.processor import Compute
 from repro.runner import RunResult, RunSpec, bind_spec, require_all
 
 
@@ -56,7 +55,7 @@ class PingPongApplication(Application):
     def _h_ball(self, rt: UdmRuntime, msg) -> Generator:
         (count,) = msg.payload
         yield from rt.dispose_current()
-        yield Compute(4)  # the rest of the Table 4 null handler
+        yield 4  # the rest of the Table 4 null handler
         self.leg_times.append(rt.engine.now)
         if count >= self.rounds:
             self.completed = count
@@ -74,7 +73,7 @@ class PingPongApplication(Application):
         if node_index == 0:
             yield from rt.inject(1, self._h_ball, (1,))
         while self.completed == 0:
-            yield Compute(200)
+            yield 200
 
     def _main_poll(self, rt: UdmRuntime, node_index: int) -> Generator:
         peer = 1 - rt.node_index
@@ -86,7 +85,7 @@ class PingPongApplication(Application):
             if msg is None:
                 continue
             (count,) = msg.payload
-            yield Compute(1)  # Table 4 polling null handler
+            yield 1  # Table 4 polling null handler
             self.leg_times.append(rt.engine.now)
             if count >= self.rounds:
                 self.completed = count
@@ -171,16 +170,16 @@ class NullStreamApplication(Application):
 
     def _h_null(self, rt: UdmRuntime, msg) -> Generator:
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         self.received += 1
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         if node_index == 0:
             for _ in range(self.count):
-                yield Compute(self.gap)
+                yield self.gap
                 yield from rt.inject(1, self._h_null, ())
         while self.received < self.count:
-            yield Compute(self.gap)
+            yield self.gap
 
 
 def execute_fast_path(mode: str, rounds: int = 300):
@@ -237,7 +236,7 @@ class BufferedStreamApplication(Application):
     def _h_sink(self, rt: UdmRuntime, msg) -> Generator:
         start = rt.engine.now
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         self.received += 1
         self.handler_spans.append((start, rt.engine.now))
 
@@ -245,14 +244,14 @@ class BufferedStreamApplication(Application):
         if node_index == 1:
             yield from rt.force_buffered_mode()
             while self.received < self.count:
-                yield Compute(500)
+                yield 500
             return
         if node_index == 0:
             payload = tuple(range(self.payload_words))
             for _ in range(self.count):
                 yield from rt.inject(1, self._h_sink, payload)
             while self.received < self.count:
-                yield Compute(500)
+                yield 500
 
 
 @dataclass

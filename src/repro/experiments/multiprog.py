@@ -30,6 +30,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import (
     WORKLOAD_NAMES, make_workload, run_jobs,
 )
+from repro.faults.plan import require_lossless
 from repro.runner import RunResult, RunSpec, bind_spec, trial_means
 
 #: The skew sweep: worst pairwise clock offset as a fraction of the
@@ -92,7 +93,10 @@ def full_sweep_specs(skews: Sequence[float] = DEFAULT_SKEWS,
                      trials: int = 3, scale: str = "bench",
                      faults: str = "") -> List[RunSpec]:
     """The Figures 7/8 data set's runs: every workload across the
-    sweep, workload-major, trial-major within each skew."""
+    sweep, workload-major, trial-major within each skew (``faults``
+    must be lossless, see :func:`~repro.faults.plan.require_lossless`).
+    """
+    require_lossless(faults)
     return [
         bind_spec("multiprog", name=name, skew=skew, seed=seed + 1,
                   scale=scale, faults=faults)

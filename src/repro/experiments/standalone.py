@@ -16,6 +16,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.workloads import (
     MODELS, WORKLOAD_NAMES, make_workload, run_jobs,
 )
+from repro.faults.plan import require_lossless
 from repro.runner import RunResult, RunSpec, bind_spec
 
 
@@ -55,7 +56,9 @@ def execute_standalone(name: str, num_nodes: int = 8, seed: int = 1,
 
 
 def table6_specs(scale: str = "bench", faults: str = "") -> List[RunSpec]:
-    """Table 6's runs: every workload standalone."""
+    """Table 6's runs: every workload standalone (``faults`` must be
+    lossless, see :func:`~repro.faults.plan.require_lossless`)."""
+    require_lossless(faults)
     return [bind_spec("standalone", name=name, scale=scale, faults=faults)
             for name in WORKLOAD_NAMES]
 

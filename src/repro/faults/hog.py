@@ -36,7 +36,6 @@ from typing import Generator
 
 from repro.apps.base import Application
 from repro.core.udm import UdmRuntime
-from repro.machine.processor import Compute
 
 
 class HogApplication(Application):
@@ -71,14 +70,14 @@ class HogApplication(Application):
         # buffered message waits behind this handler indefinitely.
         yield from rt.dispose_current()
         self.received += 1
-        yield Compute(self.service_cycles)
+        yield self.service_cycles
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         if node_index == self.victim:
             # Hold the atomic section while the flood arrives; the
             # timer revokes it and flips this node to buffered mode.
             yield from rt.beginatom()
-            yield Compute(self.hold_cycles)
+            yield self.hold_cycles
             yield from rt.endatom()
             return
         payload = tuple(range(self.payload_words - 1))
@@ -92,7 +91,7 @@ class HogApplication(Application):
             else:
                 yield from rt.inject(self.victim, self._h_swallow,
                                      (i, *payload))
-            yield Compute(self.send_gap)
+            yield self.send_gap
 
     def describe(self) -> str:
         return (

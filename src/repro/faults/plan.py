@@ -194,4 +194,21 @@ class FaultPlan:
         return cls(**kwargs)
 
 
-__all__ = ["FaultPlan"]
+#: The fault classes the raw-UDM run kinds (standalone, multiprog)
+#: accept: their applications never resend a lost message.
+LOSSLESS_CLASSES = ("stall", "spike", "expiries", "page_fault_rate")
+
+
+def require_lossless(faults: str) -> str:
+    """``faults``, or ValueError if it drops, duplicates or reorders."""
+    plan = FaultPlan.parse(faults) or FaultPlan()
+    lossy = [n for n in ("drop", "duplicate", "reorder") if getattr(plan, n)]
+    if lossy:
+        raise ValueError(
+            f"fault plan {faults!r} sets {', '.join(lossy)}: standalone "
+            "and multiprog runs assume a reliable, ordered fabric; use "
+            f"the lossless classes ({', '.join(LOSSLESS_CLASSES)})")
+    return faults
+
+
+__all__ = ["FaultPlan", "LOSSLESS_CLASSES", "require_lossless"]

@@ -27,7 +27,6 @@ from repro.apps.base import Application
 from repro.core.udm import UdmRuntime
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
-from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
 
 
@@ -68,12 +67,12 @@ class ReliableAllPairs(Application):
         for i in range(self.messages):
             dst = peers[i % len(peers)]
             yield from self.transport.send(rt, dst, (node_index, i))
-            yield Compute(self.send_gap)
+            yield self.send_gap
         inbox = self.transport.inbox[node_index]
         for _ in range(self.max_polls):
             if len(inbox) >= self.expected[node_index]:
                 return
-            yield Compute(self.poll_gap)
+            yield self.poll_gap
 
     def describe(self) -> str:
         return (

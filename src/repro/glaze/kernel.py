@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
 from repro.core.two_case import DeliveryMode, TransitionReason
-from repro.machine.processor import Compute, Frame
+from repro.machine.processor import Frame
 from repro.network.message import KERNEL_GID, Message
 from repro.ni.traps import Trap, TrapSignal
 from repro.glaze.jobs import Job, JobNodeState
@@ -192,7 +192,7 @@ class NodeKernel:
     def _mismatch_service(self) -> Generator:
         """Drain mismatching messages into software buffers (Figure 5)."""
         self.stats.mismatch_services += 1
-        yield Compute(self.costs.kernel.mismatch_entry)
+        yield self.costs.kernel.mismatch_entry
         ni = self.ni
         # Discipline surcharge: zerocopy charges the protection-fault
         # trap that redirected delivery here, damq the eviction scan.
@@ -200,7 +200,7 @@ class NodeKernel:
         # the two-case path stays byte-identical.
         extra = ni.discipline.kernel_drain_cost(self.costs)
         if extra:
-            yield Compute(extra)
+            yield extra
         while ni.mismatch_pending:
             head = ni.head
             if not head.is_kernel:
@@ -250,7 +250,7 @@ class NodeKernel:
         if isinstance(state.buffer, PinnedQueue):
             # Memory-based baseline: the hardware demultiplexes into
             # the pinned queue; capacity was checked before dispose.
-            yield Compute(self.costs.kernel.hardware_demux)
+            yield self.costs.kernel.hardware_demux
             state.buffer.insert(message)
             self.node.dma.transfer(message.length_words)
             if self.machine.tracer is not None:
@@ -284,7 +284,7 @@ class NodeKernel:
         if obs is not None:
             obs.h_insert_pages.observe(pages)
         cost = self.costs.buffered.insert_cost_pages(pages)
-        yield Compute(cost)
+        yield cost
         self.stats.insert_cycles += cost
         self.stats.vmalloc_inserts += pages
         state.buffer.insert(message)
@@ -314,7 +314,7 @@ class NodeKernel:
             self.node.node_id, self.node.node_id, "page-out",
             {"gid": state.gid}, words=self.machine.config.page_size_words,
         )
-        yield Compute(self.costs.kernel.page_out)
+        yield self.costs.kernel.page_out
         self.node.frame_pool.loan_frame()
 
     def _dispatch_kernel_message(self, message: Message) -> Generator:
@@ -347,7 +347,7 @@ class NodeKernel:
         """
         from repro.core.atomicity import TimeoutPolicy
 
-        yield Compute(self.costs.kernel.mode_transition)
+        yield self.costs.kernel.mode_transition
         state = self.scheduled
         if state is None:
             return
@@ -392,7 +392,7 @@ class NodeKernel:
         the empty check and the divert clear happen without a yield in
         between, so no message can slip past the transition.
         """
-        yield Compute(self.costs.kernel.mode_transition)
+        yield self.costs.kernel.mode_transition
         if self._always_buffered:
             return False  # no fast case in this configuration
         if not state.buffer.empty or state.mode is not DeliveryMode.BUFFERED:
@@ -481,7 +481,7 @@ class NodeKernel:
                      endatom_mask: int = 0b11) -> Generator:
         """Handle a trap raised by an NI operation in user code."""
         trap = signal.trap
-        yield Compute(self.costs.kernel.trap_overhead)
+        yield self.costs.kernel.trap_overhead
         if trap is Trap.DISPOSE_EXTEND:
             yield from self._trap_dispose_extend(state)
         elif trap is Trap.ATOMICITY_EXTEND:
@@ -513,7 +513,7 @@ class NodeKernel:
             )
         state.buffer.pop()
         self.ni.set_kernel_uac(dispose_pending=False)
-        yield Compute(0)
+        yield 0
 
     def _trap_atomicity_extend(self, state: JobNodeState, mask: int) -> None:
         """The user's atomic section ended after a revocation: clear the
@@ -537,7 +537,7 @@ class NodeKernel:
         # by virtual buffering under its own overflow control.
         if state.space.pool.free_frames > 0:
             state.space.map_fresh_page()
-        yield Compute(self.costs.kernel.page_out // 10)
+        yield self.costs.kernel.page_out // 10
 
     # ------------------------------------------------------------------
     # Context switching (driven by the gang scheduler)
@@ -550,7 +550,7 @@ class NodeKernel:
 
     def _context_switch(self) -> Generator:
         self.stats.context_switches += 1
-        yield Compute(self.costs.kernel.context_switch)
+        yield self.costs.kernel.context_switch
         old = self.scheduled
         if old is not None:
             self._save_job(old)

@@ -5,12 +5,14 @@ Execution model
 
 A :class:`Frame` wraps a generator coroutine. Frames yield:
 
-* :class:`Compute` — consume N cycles of processor time. The delay is
-  *interruptible*: a frame pushed on top (an interrupt or upcall handler)
-  suspends the remaining cycles, which resume when the frame is again on
-  top of the stack.
+* an ``int`` of cycles — consume that much processor time (``0``
+  continues at once; a negative count raises ``ValueError``; ``bool``
+  and ``float`` are not cycle counts). The delay is *interruptible*: a
+  frame pushed on top (an interrupt or upcall handler) suspends the
+  remaining cycles, which resume when the frame is again on top of the
+  stack.
 * :class:`Spin` — poll a predicate every N cycles. ``Spin(n, done)``
-  means exactly ``while not done(): yield Compute(n)``, but the
+  means exactly ``while not done(): yield n``, but the
   processor *parks* the frame on one wake many chunks ahead instead of
   waking it every chunk (see "Parked spins" below).
 * :class:`~repro.sim.events.Event` — block until the event triggers. The
@@ -55,43 +57,14 @@ import enum
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from repro.sim.engine import (Deadline, Engine, SimulationError,
-                              flyweight_table)
+from repro.sim.engine import Deadline, Engine, SimulationError
 from repro.sim.events import Event
-
-
-class Compute:
-    """Yielded by a frame to consume ``cycles`` of processor time.
-
-    Interned through :func:`~repro.sim.engine.flyweight_table`:
-    ``Compute(c)`` for ``0 <= c < 1024`` returns a shared immutable
-    instance (most charges, the cost-model constants and poll intervals,
-    fall in this range, and every compute wake yields one). Subclasses are never interned. Never
-    mutate ``cycles``.
-    """
-
-    __slots__ = ("cycles",)
-
-    def __new__(cls, cycles: int) -> "Compute":
-        if cls is Compute and type(cycles) is int and 0 <= cycles < 1024:
-            return _COMPUTE_CACHE[cycles]
-        self = object.__new__(cls)
-        if cycles < 0:
-            raise ValueError(f"negative compute: {cycles}")
-        self.cycles = cycles if type(cycles) is int else int(cycles)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Compute({self.cycles})"
-
-
-_COMPUTE_CACHE = flyweight_table(Compute)
 
 
 class Spin:
     """Yielded by a frame to wait for ``done()`` in ``cycles`` chunks.
 
-    Equivalent to ``while not done(): yield Compute(cycles)`` (same exit
+    Equivalent to ``while not done(): yield cycles`` (same exit
     cycle, same charges once it ends, same order of every other event)
     provided ``done`` reads only state that frames running on *this*
     processor write: message handlers of this node, not other nodes or
@@ -118,8 +91,8 @@ _PARK_CHUNKS = 1024
 class FrameState(enum.Enum):
     READY = "ready"            # runnable, waiting to be on top
     RUNNING = "running"        # being advanced right now
-    DELAY = "delay"            # in a Compute/Spin with a scheduled wake
-    DELAY_SUSPENDED = "delay_suspended"  # preempted mid-Compute/Spin
+    DELAY = "delay"            # in a compute/Spin with a scheduled wake
+    DELAY_SUSPENDED = "delay_suspended"  # preempted mid-compute/Spin
     WAITING = "waiting"        # blocked on an Event
     DONE = "done"
 
@@ -196,7 +169,7 @@ class Processor:
         #: be in DELAY, so one re-armable deadline serves every frame.
         self._wake = Deadline(engine)
         # Bound once: every compute wake arms one of them.
-        self._bound_delay_done = self._delay_done
+        self._bound_advance = self._advance
         self._bound_spin_wake = self._spin_wake
 
     # ------------------------------------------------------------------
@@ -233,15 +206,16 @@ class Processor:
         Kernel-frame stacking invariant: a user frame may never be pushed
         on top of a kernel frame.
         """
-        top = self.current
-        if top is not None:
+        stack = self._stack
+        if stack:
+            top = stack[-1]
             if top.kernel and not frame.kernel:
                 raise SimulationError(
                     f"user frame {frame.name} pushed over kernel frame "
                     f"{top.name} on node {self.node_id}"
                 )
             self._suspend(top)
-        self._stack.append(frame)
+        stack.append(frame)
         self._kick(frame)
 
     def raise_kernel(self, frame_factory: Callable[[], Optional[Frame]]) -> None:
@@ -257,7 +231,8 @@ class Processor:
         self.engine.call_soon(self._deliver_kernel, frame_factory)
 
     def _deliver_kernel(self, factory: Callable[[], Optional[Frame]]) -> None:
-        if self.in_kernel:
+        stack = self._stack
+        if stack and stack[-1].kernel:
             self._pending_kernel.append(factory)
             return
         frame = factory()
@@ -275,7 +250,8 @@ class Processor:
         self.engine.call_soon(self._deliver_upcall, frame_factory)
 
     def _deliver_upcall(self, factory: Callable[[], Optional[Frame]]) -> None:
-        if self.in_kernel:
+        stack = self._stack
+        if stack and stack[-1].kernel:
             return
         frame = factory()
         if frame is not None:
@@ -293,7 +269,8 @@ class Processor:
         that no user frame is mid-``RUNNING``.
         """
         split = self.user_depth()
-        captured, self._stack = self._stack[:split], self._stack[split:]
+        captured = self._stack[:split]
+        del self._stack[:split]
         for frame in captured:
             # Top user frame may hold a live wake if capture happens
             # outside any kernel frame; suspend defensively.
@@ -325,26 +302,29 @@ class Processor:
     # ------------------------------------------------------------------
     def _kick(self, frame: Frame) -> None:
         """Schedule the first advance of a freshly (re)topped frame."""
-        self.engine.call_soon(self._kick_top, frame)
+        self.engine.call_soon(self._advance_if_top, frame)
 
-    def _kick_top(self, frame: Frame) -> None:
-        self._advance_if_top(frame, None)
-
-    def _advance_if_top(self, frame: Frame, value: Any) -> None:
-        if frame is not self.current or frame.state is _DONE:
+    def _advance_if_top(self, frame: Frame, value: Any = None) -> None:
+        stack = self._stack
+        if not stack or stack[-1] is not frame:
             return  # stale kick (frame was preempted or switched out)
-        if frame.state not in (_READY, _RUNNING):
+        if frame.state is not _READY and frame.state is not _RUNNING:
             return
         self._advance(frame, value)
 
-    def _advance(self, frame: Frame, value: Any) -> None:
+    def _advance(self, frame: Frame, value: Any = None) -> None:
         """Step ``frame`` until it computes, blocks or finishes.
 
-        The compute wake is the simulator's hottest shape, so this is
-        written lean: ``Compute`` is matched by exact type first (the
-        isinstance fallback keeps subclasses working) and the cycle
-        charge is inlined.
+        Also the compute wake's callback. The wake is cleared on
+        suspend, so a wake (like every other advance) finds its frame on
+        top; anything else is a broken stack and raises. The compute
+        wake is the simulator's hottest shape, so this is written lean:
+        an ``int`` is matched by exact class and the cycle charge is
+        inlined.
         """
+        stack = self._stack
+        if not stack or stack[-1] is not frame:
+            raise SimulationError(f"advance of non-top frame {frame.name}")
         send = frame.gen.send
         while True:
             frame.state = _RUNNING
@@ -353,19 +333,20 @@ class Processor:
             except StopIteration as stop:
                 self._finish(frame, stop.value)
                 return
-            if op.__class__ is Compute or isinstance(op, Compute):
-                cycles = op.cycles
-                if cycles == 0:
-                    value = None
-                    continue
-                frame.state = _DELAY
-                end = frame._delay_end = self.engine.now + cycles
-                self._wake.arm(end, self._bound_delay_done, frame)
-                if frame.kernel:
-                    self.kernel_cycles += cycles
-                else:
-                    self.user_cycles += cycles
-                return
+            if op.__class__ is int:
+                if op > 0:
+                    frame.state = _DELAY
+                    end = frame._delay_end = self.engine.now + op
+                    self._wake.arm(end, self._bound_advance, frame)
+                    if frame.kernel:
+                        self.kernel_cycles += op
+                    else:
+                        self.user_cycles += op
+                    return
+                if op < 0:
+                    raise ValueError(f"negative compute: {op}")
+                value = None
+                continue
             if op.__class__ is Spin:
                 if op.done():
                     value = None
@@ -384,16 +365,6 @@ class Processor:
             raise SimulationError(
                 f"frame {frame.name} yielded unsupported {op!r}"
             )
-
-    def _delay_done(self, frame: Frame) -> None:
-        # The wake is cleared on suspend, so arriving here means the
-        # frame is on top and its compute interval completed.
-        stack = self._stack
-        if not stack or stack[-1] is not frame:
-            raise SimulationError(
-                f"delay completed for non-top frame {frame.name}"
-            )
-        self._advance(frame, None)
 
     def _park(self, frame: Frame, cycles: int) -> None:
         """Sleep a spinning frame ``_PARK_CHUNKS`` chunks, charged now."""
@@ -430,23 +401,24 @@ class Processor:
         frame._wait_event = None
         if frame.state is _DONE:
             return
-        if frame is self.current and frame.state is _WAITING:
+        stack = self._stack
+        if stack and stack[-1] is frame and frame.state is _WAITING:
             frame.state = _READY
             # Serialize through the engine to avoid re-entrant advance
             # from inside another frame's step.
-            self.engine.call_soon(self._advance_ready_boxed, (frame, value))
+            self.engine.call_soon(self._advance_if_ready, (frame, value))
         else:
             frame._ready_value = value
             frame._has_ready_value = True
             frame.state = _READY
 
-    def _advance_ready_boxed(self, pair) -> None:
-        """Single-argument adapter so ready advances can be scheduled
-        closure-free (the engine passes one ``arg`` through)."""
-        self._advance_if_ready(pair[0], pair[1])
-
-    def _advance_if_ready(self, frame: Frame, value: Any) -> None:
-        if frame is not self.current or frame.state is not _READY:
+    def _advance_if_ready(self, pair) -> None:
+        """Advance a frame its event readied. ``pair`` is ``(frame,
+        value)``, the one ``arg`` the engine passes, so scheduling it
+        builds no closure."""
+        frame, value = pair
+        stack = self._stack
+        if not stack or stack[-1] is not frame or frame.state is not _READY:
             # Preempted between trigger and advance; value saved below.
             if frame.state is _READY:
                 frame._ready_value = value
@@ -478,16 +450,17 @@ class Processor:
         # READY / WAITING frames carry their state across suspension.
 
     def _resume_top(self) -> None:
-        frame = self.current
-        if frame is None:
+        stack = self._stack
+        if not stack:
             return
+        frame = stack[-1]
         if frame.state is _DELAY_SUSPENDED:
             frame.state = _DELAY
             frame._delay_end = self.engine.now + frame._remaining
             self._charge(frame, frame._remaining)
             self._wake.arm(
                 frame._delay_end,
-                self._bound_delay_done if frame._spin is None
+                self._bound_advance if frame._spin is None
                 else self._bound_spin_wake,
                 frame,
             )
@@ -495,19 +468,18 @@ class Processor:
             if frame._has_ready_value:
                 value, frame._ready_value = frame._ready_value, None
                 frame._has_ready_value = False
-                self.engine.call_soon(
-                    self._advance_ready_boxed, (frame, value)
-                )
+                self.engine.call_soon(self._advance_if_ready, (frame, value))
             else:
                 self._kick(frame)
         # WAITING frames stay blocked until their event fires.
 
     def _finish(self, frame: Frame, result: Any) -> None:
-        if frame is not self.current:
+        stack = self._stack
+        if not stack or stack[-1] is not frame:
             raise SimulationError(
                 f"frame {frame.name} finished while not on top"
             )
-        self._stack.pop()
+        stack.pop()
         frame.state = _DONE
         frame.result = result
         was_kernel = frame.kernel
@@ -517,14 +489,14 @@ class Processor:
         # handler chaining into another kernel service); only dispatch
         # queued interrupts if no kernel frame took over.
         if was_kernel:
-            while self._pending_kernel and not self.in_kernel:
+            while self._pending_kernel and not (stack and stack[-1].kernel):
                 factory = self._pending_kernel.popleft()
                 pending = factory()
                 if pending is not None:
                     self.push_frame(pending)
                     return
         self._resume_top()
-        if not self.in_kernel:
+        if not (stack and stack[-1].kernel):
             for hook in list(self.on_return_to_user):
                 hook()
 

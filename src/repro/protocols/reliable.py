@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core import costs
-from repro.machine.processor import Compute
 from repro.core.udm import UdmRuntime
 from repro.network.message import Message
 
@@ -60,8 +59,8 @@ class ReliableTransport:
     ``deliver`` is the upper layer's callback, invoked **in sequence
     order, exactly once** per message as ``deliver(rt, src, payload)``;
     it may be a plain function or a generator function (it runs inside
-    the receiving handler coroutine, so it may yield ``Compute`` or
-    perform nested sends). When no callback is bound, payloads land in
+    the receiving handler coroutine, so it may yield cycles or perform
+    nested sends). When no callback is bound, payloads land in
     ``inbox[node]`` as ``(src, payload)`` pairs.
 
     With ``retries=False`` the transport still stamps and logs sequence
@@ -190,7 +189,7 @@ class ReliableTransport:
         src, seq = msg.payload[:2]
         data = msg.payload[2:]
         yield from rt.dispose_current()
-        yield Compute(self.deliver_overhead)
+        yield self.deliver_overhead
         node = rt.node_index
         if self.retries:
             # Ack every copy — a duplicate usually means our previous
@@ -255,7 +254,7 @@ class ReliableTransport:
     def _h_ack(self, rt: UdmRuntime, msg) -> Generator:
         acker, seq = msg.payload
         yield from rt.dispose_current()
-        yield Compute(self.ack_overhead)
+        yield self.ack_overhead
         key = (rt.node_index, acker, seq)
         out = self._outstanding.pop(key, None)
         if out is None:

@@ -70,7 +70,10 @@ The loop pops a cycle's heap entries, then drains the run queue, with
 per-event budget and stop checks. It bumps ``events_executed`` per
 event (a timeline sampler reads it from inside a callback) but flushes
 the secondary counters (heap and run-queue events, cycle batches) once
-per drain, so a stepped heap event counts as one cycle batch.
+per drain, so a stepped heap event counts as one cycle batch. Between
+cycles it takes the next time straight off a live heap top; only a dead
+top (a cancelled handle, a stale carrier) goes through the settling
+``_next_live_heap_time``.
 
 Setting ``REPRO_NO_FASTPATH`` in the environment (read at construction
 time) disables the same-cycle run queue: same-cycle schedules then push
@@ -107,18 +110,6 @@ _NO_ARG = _Sentinel("no-arg")
 _ENTRY = _Sentinel("entry")
 #: Heap marker in slot 3: slot 2 holds a :class:`Deadline` (a carrier).
 _CARRIER = _Sentinel("carrier")
-
-
-def flyweight_table(cls: type) -> list:
-    """Shared instances of ``cls`` with ``cycles`` 0..1023, built
-    without running ``cls.__new__``: the intern table behind the
-    processor's ``Compute``."""
-    table = []
-    for cycles in range(1024):
-        obj = object.__new__(cls)
-        obj.cycles = cycles
-        table.append(obj)
-    return table
 
 
 class _ScheduledCall:
@@ -542,7 +533,15 @@ class Engine:
                     self.now = until
                     return until
                 return now
-            t = self._next_live_heap_time()
+            # The next time: straight off a live heap top; only a dead
+            # top (cancelled handle, stale carrier) needs settling.
+            if heap:
+                t, seq, x, marker = heap[0]
+                if (x.cancelled if marker is entry_mark else
+                        marker is carrier_mark and x._seq != seq):
+                    t = self._next_live_heap_time()
+            else:
+                t = None
             if t is None:
                 if until is not None and now < until:
                     self.now = until

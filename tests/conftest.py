@@ -10,7 +10,6 @@ from repro.apps.base import Application
 from repro.core.udm import UdmRuntime
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
-from repro.machine.processor import Compute
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -99,17 +98,17 @@ class SinkApplication(Application):
 
     def _h_sink(self, rt: UdmRuntime, msg) -> Generator:
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         self.received.append(msg.payload)
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
         if node_index == 0:
             for i in range(self.count):
-                yield Compute(self.gap)
+                yield self.gap
                 payload = (i,) + tuple(range(self.payload_words))
                 yield from rt.inject(1, self._h_sink, payload)
         while len(self.received) < self.count:
-            yield Compute(100)
+            yield 100
 
 
 def run_app(app: Application, num_nodes: int = 2, limit: int = 50_000_000,

@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps.base import Application
 from repro.crl.api import Crl
-from repro.machine.processor import Compute
 from repro.network.message import MAX_BULK_WORDS, Message
 
 from tests.conftest import ScriptedApplication, make_machine, run_app
@@ -30,7 +29,7 @@ class TestBulkInject:
             if idx == 0:
                 yield from rt.bulk_inject(1, handler, payload)
             while not got:
-                yield Compute(500)
+                yield 500
 
         run_app(ScriptedApplication(script), limit=10_000_000)
         assert got == [payload]
@@ -39,7 +38,7 @@ class TestBulkInject:
         def script(app, rt, idx):
             if idx == 0:
                 yield from rt.inject(1, "h", tuple(range(100)))
-            yield Compute(10)
+            yield 10
 
         with pytest.raises(ValueError):
             run_app(ScriptedApplication(script), limit=1_000_000)
@@ -61,7 +60,7 @@ class TestBulkInject:
             if idx == 0:
                 yield from rt.bulk_inject(1, handler, tuple(range(64)))
             while not seen:
-                yield Compute(500)
+                yield 500
 
         machine, job = run_app(ScriptedApplication(script),
                                limit=10_000_000)
@@ -83,7 +82,7 @@ class TestBulkInject:
                 yield from rt.bulk_inject(1, handler,
                                           (1,) + (0,) * 400)
             while len(arrivals) < 2:
-                yield Compute(500)
+                yield 500
 
         machine, job = run_app(ScriptedApplication(script),
                                limit=10_000_000)
@@ -108,12 +107,12 @@ class TestBulkBuffering:
             if idx == 1:
                 yield from rt.force_buffered_mode()
                 while not got:
-                    yield Compute(500)
+                    yield 500
             else:
-                yield Compute(100)
+                yield 100
                 yield from rt.bulk_inject(1, handler, payload)
                 while not got:
-                    yield Compute(500)
+                    yield 500
 
         machine, job = run_app(ScriptedApplication(script),
                                limit=20_000_000, page_size_words=400)
@@ -137,7 +136,7 @@ class TestCrlBulkMode:
                 snap = yield from crl.read_region(rt, 0)
                 result["data"] = snap
             else:
-                yield Compute(10)
+                yield 10
 
         machine, job = run_app(ScriptedApplication(script),
                                limit=20_000_000)

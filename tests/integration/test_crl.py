@@ -7,7 +7,6 @@ import pytest
 from repro.apps.base import Application, CollectiveOps
 from repro.crl.api import Crl
 from repro.crl.region import HomeState, RegionState
-from repro.machine.processor import Compute
 
 from tests.conftest import make_machine
 
@@ -25,7 +24,7 @@ class CrlScript(Application):
     def main(self, rt, idx):
         script = self.scripts.get(idx)
         if script is None:
-            yield Compute(1)
+            yield 1
             return
         result = yield from script(self.crl, rt)
         self.results[idx] = result
@@ -61,7 +60,7 @@ class TestBasicCoherence:
             return True
 
         def check_after(crl, rt):
-            yield Compute(50_000)  # let the writer go first
+            yield 50_000  # let the writer go first
             data = yield from crl.read_region(rt, 0)
             return data
 
@@ -90,13 +89,13 @@ class TestBasicCoherence:
         def reader(crl, rt):
             snap1 = yield from crl.read_region(rt, 0)
             order.append(("read1", snap1[0]))
-            yield Compute(80_000)
+            yield 80_000
             snap2 = yield from crl.read_region(rt, 0)
             order.append(("read2", snap2[0]))
             return snap2
 
         def writer(crl, rt):
-            yield Compute(20_000)  # after the reader's first read
+            yield 20_000  # after the reader's first read
             yield from crl.write_region(rt, 0, [42, 42])
             return True
 
@@ -114,11 +113,11 @@ class TestBasicCoherence:
             yield from crl.start_write(rt, 0)
             crl.data(rt, 0)[0] = 77
             yield from crl.end_write(rt, 0)
-            yield Compute(100_000)
+            yield 100_000
             return True
 
         def late_reader(crl, rt):
-            yield Compute(30_000)
+            yield 30_000
             snap = yield from crl.read_region(rt, 0)
             return snap
 
@@ -141,7 +140,7 @@ class TestContention:
                 data = crl.data(rt, 0)
                 data[0] = data[0] + 1
                 yield from crl.end_write(rt, 0)
-                yield Compute(100)
+                yield 100
             return True
 
         scripts = {n: incrementer for n in range(nodes)}
@@ -179,14 +178,14 @@ class TestContention:
         def holder(crl, rt):
             yield from crl.start_read(rt, 0)
             snap_before = list(crl.data(rt, 0))
-            yield Compute(60_000)  # writer tries to invalidate meanwhile
+            yield 60_000  # writer tries to invalidate meanwhile
             snap_after = list(crl.data(rt, 0))
             yield from crl.end_read(rt, 0)
             observed.append((snap_before, snap_after))
             return True
 
         def writer(crl, rt):
-            yield Compute(10_000)
+            yield 10_000
             yield from crl.write_region(rt, 0, [2, 2])
             return True
 
@@ -203,13 +202,13 @@ class TestContention:
 
         def home_reader(crl, rt):
             yield from crl.start_read(rt, 0)
-            yield Compute(50_000)
+            yield 50_000
             observed.append(list(crl.data(rt, 0)))
             yield from crl.end_read(rt, 0)
             return True
 
         def remote_writer(crl, rt):
-            yield Compute(5_000)
+            yield 5_000
             yield from crl.write_region(rt, 0, [4, 4])
             return True
 

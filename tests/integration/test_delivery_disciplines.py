@@ -24,7 +24,6 @@ from repro.core.two_case import TransitionReason
 from repro.core.udm import UdmRuntime
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
-from repro.machine.processor import Compute
 from repro.ni.delivery import DELIVERY_KINDS
 
 
@@ -45,7 +44,7 @@ class AllPairsApp(Application):
 
     def _h_recv(self, rt: UdmRuntime, msg) -> Generator:
         yield from rt.dispose_current()
-        yield Compute(10)
+        yield 10
         self.received[rt.node_index].append(tuple(msg.payload))
 
     def main(self, rt: UdmRuntime, node_index: int) -> Generator:
@@ -53,10 +52,10 @@ class AllPairsApp(Application):
         for tag in range(self.rounds):
             for dst in peers:
                 yield from rt.inject(dst, self._h_recv, (node_index, tag))
-            yield Compute(self.gap)
+            yield self.gap
         expected = self.rounds * len(peers)
         while len(self.received[node_index]) < expected:
-            yield Compute(50)
+            yield 50
 
 
 def _pairwise(app: AllPairsApp) -> Dict[Tuple[int, int], List[int]]:

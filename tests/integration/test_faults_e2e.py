@@ -84,7 +84,6 @@ class TestNonFabricFaults:
     def test_page_fault_storm_survives_frame_exhaustion(self):
         """A sustained storm drains the frame pool; further faults must
         degrade to soft faults (working-set reclaim), not crash."""
-        from repro.machine.processor import Compute
         from tests.conftest import ScriptedApplication
 
         config = SimulationConfig(num_nodes=2, seed=1, frames_per_node=4)
@@ -93,7 +92,7 @@ class TestNonFabricFaults:
         def script(app, rt, idx):
             for _ in range(12):  # 3x the pool, on both nodes
                 yield from rt.page_fault()
-                yield Compute(50)
+                yield 50
 
         job = machine.add_job(ScriptedApplication(script))
         machine.start()

@@ -6,7 +6,6 @@ import pytest
 from repro.core.two_case import DeliveryArchitecture, DeliveryMode
 from repro.glaze.buffering import BufferFull, PinnedQueue
 from repro.glaze.vm import AddressSpace, PageFramePool
-from repro.machine.processor import Compute
 from repro.network.message import Message
 
 from tests.conftest import ScriptedApplication, SinkApplication, run_app
@@ -93,20 +92,20 @@ class TestMemoryBasedDelivery:
 
         def handler(rt, msg):
             yield from rt.dispose_current()
-            yield Compute(5)
+            yield 5
             got.append(msg.payload[0])
 
         def script(app, rt, idx):
             if idx == 1:
-                yield Compute(80_000)  # sleep while the queue fills
+                yield 80_000  # sleep while the queue fills
                 while len(got) < 60:
-                    yield Compute(200)
+                    yield 200
             else:
                 for i in range(60):
-                    yield Compute(20)
+                    yield 20
                     yield from rt.inject(1, handler, (i,))
                 while len(got) < 60:
-                    yield Compute(1_000)
+                    yield 1_000
 
         machine, job = run_app(
             ScriptedApplication(script), limit=100_000_000,

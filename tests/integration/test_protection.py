@@ -5,7 +5,6 @@ from typing import Generator
 import pytest
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 from repro.ni.traps import Trap, TrapSignal
 
 from tests.conftest import make_machine
@@ -23,18 +22,18 @@ class ChattyApp(Application):
 
     def _h_recv(self, rt, msg):
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         self.seen.append((msg.gid, msg.payload[0]))
 
     def main(self, rt, idx):
         if idx != 0:
             for i in range(self.count):
-                yield Compute(self.gap)
+                yield self.gap
                 yield from rt.inject(0, self._h_recv, (self.name,))
         else:
             expected = (rt.num_nodes - 1) * self.count
             while len(self.seen) < expected:
-                yield Compute(1_000)
+                yield 1_000
 
 
 class TestGidIsolation:
@@ -90,7 +89,7 @@ class TestKernelRegisterProtection:
             name = "evil"
 
             def main(self, rt, idx):
-                yield Compute(10)
+                yield 10
                 rt.ni.describe(0, "kernel-service", (), kernel_bit=True)
                 try:
                     rt.ni.launch(privileged=False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.experiments.config import SimulationConfig
 from repro.machine.machine import Machine
-from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
 
 from tests.conftest import ScriptedApplication, collect_deliveries
@@ -40,7 +39,7 @@ def test_transport_exactly_once_over_lossy_fabric():
     def script(app, rt, idx):
         for seq in range(3):
             yield from transport.send(rt, (idx + 1) % 3, (idx, seq))
-            yield Compute(100)
+            yield 100
         if len(received[idx]) < 3:
             yield complete[idx]
 
@@ -79,7 +78,7 @@ def test_transport_gives_up_when_budget_exhausted():
             yield from transport.send(rt, 1, ("doomed",))
         # Bounded wait: past the full backoff schedule.
         for _ in range(40):
-            yield Compute(500)
+            yield 500
 
     job = machine.add_job(ScriptedApplication(script))
     machine.start()

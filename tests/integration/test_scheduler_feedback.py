@@ -3,7 +3,6 @@ clocks so buffering applications recover (Section 4.2)."""
 
 from repro.apps.base import Application
 from repro.glaze.overflow import OverflowPolicy
-from repro.machine.processor import Compute
 
 from tests.conftest import make_machine
 
@@ -22,17 +21,17 @@ class SpreadSender(Application):
 
     def _h_sink(self, rt, msg):
         yield from rt.dispose_current()
-        yield Compute(10)
+        yield 10
         self.received += 1
 
     def main(self, rt, idx):
         if idx != 0:
             for _ in range(self.count):
-                yield Compute(self.gap)
+                yield self.gap
                 yield from rt.inject(0, self._h_sink, (idx,))
         expected = (self.num_nodes - 1) * self.count
         while self.received < expected:
-            yield Compute(2_000)
+            yield 2_000
 
 
 class TestGangAdvisory:

@@ -1,7 +1,6 @@
 """Message tracing: Figure 2/5 timelines reconstructed from live runs."""
 
 from repro.analysis.trace import TraceEvent
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, make_machine
 
@@ -11,7 +10,7 @@ def _run_traced(flip_buffered: bool):
 
     def handler(rt, msg):
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         got.append(msg.msg_id)
 
     def script(app, rt, idx):
@@ -19,13 +18,13 @@ def _run_traced(flip_buffered: bool):
             if flip_buffered:
                 yield from rt.force_buffered_mode()
             while len(got) < 5:
-                yield Compute(500)
+                yield 500
         else:
             for i in range(5):
-                yield Compute(200)
+                yield 200
                 yield from rt.inject(1, handler, (i,))
             while len(got) < 5:
-                yield Compute(500)
+                yield 500
 
     machine = make_machine(num_nodes=2)
     tracer = machine.enable_tracing()
@@ -173,10 +172,10 @@ def _chatter_script(app, rt, idx):
 
     if idx == 0:
         for i in range(10):
-            yield Compute(100)
+            yield 100
             yield from rt.inject(1, handler, (i,))
         while len(done) < 10:
-            yield Compute(500)
+            yield 500
     else:
         while len(done) < 10:
-            yield Compute(500)
+            yield 500

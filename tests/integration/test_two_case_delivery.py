@@ -15,7 +15,6 @@ from repro.apps.base import Application
 from repro.apps.null_app import NullApplication
 from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.core.two_case import DeliveryMode, TransitionReason
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, make_machine, run_app
 
@@ -23,7 +22,7 @@ from tests.conftest import ScriptedApplication, make_machine, run_app
 def _recording_handler(log):
     def handler(rt, msg):
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         log.append((msg.payload[0], msg.buffered))
     return handler
 
@@ -37,13 +36,13 @@ class TestExplicitBuffering:
             if idx == 1:
                 yield from rt.force_buffered_mode()
                 while len(log) < 10:
-                    yield Compute(200)
+                    yield 200
                 # drain thread must have exited buffered mode by the end
                 while rt.state.mode is not DeliveryMode.FAST:
-                    yield Compute(200)
+                    yield 200
             else:
                 for i in range(10):
-                    yield Compute(50)
+                    yield 50
                     yield from rt.inject(1, handler, (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -61,14 +60,14 @@ class TestExplicitBuffering:
 
         def script(app, rt, idx):
             if idx == 1:
-                yield Compute(2_000)  # let a few arrive fast
+                yield 2_000  # let a few arrive fast
                 yield from rt.force_buffered_mode()
-                yield Compute(3_000)  # a few arrive buffered
+                yield 3_000  # a few arrive buffered
                 while len(log) < 30:
-                    yield Compute(500)
+                    yield 500
             else:
                 for i in range(30):
-                    yield Compute(150)
+                    yield 150
                     yield from rt.inject(1, handler, (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -91,15 +90,15 @@ class TestRevocation:
         def script(app, rt, idx):
             if idx == 1:
                 yield from rt.beginatom(INTERRUPT_DISABLE)
-                yield Compute(50_000)  # much longer than the timeout
+                yield 50_000  # much longer than the timeout
                 revoke_seen.append(rt.state.mode)
                 yield from rt.endatom(INTERRUPT_DISABLE)
                 while len(log) < 5:
-                    yield Compute(500)
+                    yield 500
             else:
-                yield Compute(1_000)
+                yield 1_000
                 for i in range(5):
-                    yield Compute(50)
+                    yield 50
                     yield from rt.inject(1, handler, (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -126,7 +125,7 @@ class TestRevocation:
                 yield from rt.endatom(INTERRUPT_DISABLE)
             else:
                 for i in range(20):
-                    yield Compute(300)
+                    yield 300
                     yield from rt.inject(1, "polled", (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -143,16 +142,16 @@ class TestRevocation:
         def script(app, rt, idx):
             if idx == 1:
                 yield from rt.beginatom(INTERRUPT_DISABLE)
-                yield Compute(30_000)  # stall -> revocation
+                yield 30_000  # stall -> revocation
                 while len(got) < 10:
                     msg = yield from rt.poll_extract()
                     if msg is not None:
                         got.append((msg.payload[0], msg.buffered))
                 yield from rt.endatom(INTERRUPT_DISABLE)
             else:
-                yield Compute(500)
+                yield 500
                 for i in range(10):
-                    yield Compute(100)
+                    yield 100
                     yield from rt.inject(1, "polled", (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -170,16 +169,16 @@ class TestPageFault:
         def faulting_handler(rt, msg):
             yield from rt.dispose_current()
             yield from rt.page_fault()
-            yield Compute(10)
+            yield 10
             log.append(msg.payload[0])
 
         def script(app, rt, idx):
             if idx == 1:
                 while len(log) < 4:
-                    yield Compute(500)
+                    yield 500
             else:
                 for i in range(4):
-                    yield Compute(50)
+                    yield 50
                     yield from rt.inject(1, faulting_handler, (i,))
 
         machine, job = run_app(ScriptedApplication(script),
@@ -204,10 +203,10 @@ class TestMultiprogrammedTransitions:
                 if idx == 0:
                     # Spread sends over several timeslices.
                     for i in range(40):
-                        yield Compute(5_000)
+                        yield 5_000
                         yield from rt.inject(1, handler, (i,))
                 while len(log) < 40:
-                    yield Compute(1_000)
+                    yield 1_000
 
         machine = make_machine(num_nodes=2, timeslice=50_000,
                                skew_fraction=0.3)
@@ -233,7 +232,7 @@ class TestMultiprogrammedTransitions:
 
             def main(self, rt, idx):
                 for _ in range(30):
-                    yield Compute(10_000)
+                    yield 10_000
                     progress[self.key] += 1
 
         machine = make_machine(num_nodes=1, timeslice=40_000)

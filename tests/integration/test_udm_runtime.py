@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.atomicity import INTERRUPT_DISABLE
 from repro.core.udm import UdmRuntime
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, SinkApplication, run_app
 
@@ -25,7 +24,7 @@ class TestInjectExtract:
             if idx == 0:
                 ok = yield from rt.injectc(1, _h_noop, (1,))
                 results.append(ok)
-            yield Compute(1000)
+            yield 1000
 
         app = ScriptedApplication(script)
         run_app(app, limit=1_000_000)
@@ -48,7 +47,7 @@ class TestInjectExtract:
                 results.append((sent, ok))
             else:
                 yield from rt.beginatom(INTERRUPT_DISABLE)
-                yield Compute(500_000)
+                yield 500_000
 
         app = ScriptedApplication(script)
         # ni queue small so the network genuinely fills
@@ -66,7 +65,7 @@ def _h_noop(rt: UdmRuntime, msg) -> Generator:
 
 def _h_record(rt: UdmRuntime, msg) -> Generator:
     yield from rt.dispose_current()
-    yield Compute(4)
+    yield 4
     msg_store = getattr(rt, "_test_store", None)
     if msg_store is not None:
         msg_store.append(msg.payload)
@@ -86,7 +85,7 @@ class TestPolling:
                 yield from rt.endatom(INTERRUPT_DISABLE)
             else:
                 for i in range(5):
-                    yield Compute(100)
+                    yield 100
                     yield from rt.inject(1, "polled", (i,))
 
         run_app(ScriptedApplication(script), limit=5_000_000)
@@ -103,7 +102,7 @@ class TestPolling:
                 yield from rt.dispose_current()
                 yield from rt.endatom(INTERRUPT_DISABLE)
             else:
-                yield Compute(2000)
+                yield 2000
                 yield from rt.inject(1, "w", ("hello",))
 
         run_app(ScriptedApplication(script), limit=5_000_000)
@@ -122,14 +121,14 @@ class TestAtomicity:
         def script(app, rt, idx):
             if idx == 1:
                 yield from rt.beginatom(INTERRUPT_DISABLE)
-                yield Compute(3000)
+                yield 3000
                 order.append(("atomic-end", rt.engine.now))
                 yield from rt.endatom(INTERRUPT_DISABLE)
-                yield Compute(500)
+                yield 500
             else:
-                yield Compute(100)
+                yield 100
                 yield from rt.inject(1, handler, ())
-                yield Compute(5000)
+                yield 5000
 
         run_app(ScriptedApplication(script), limit=5_000_000,
                 atomicity_timeout=1_000_000)
@@ -146,17 +145,17 @@ class TestAtomicity:
             if len(active) > 1:
                 overlaps.append(True)
             yield from rt.dispose_current()
-            yield Compute(300)
+            yield 300
             active.pop()
 
         def script(app, rt, idx):
             if idx == 0:
                 for _ in range(10):
-                    yield Compute(20)
+                    yield 20
                     yield from rt.inject(1, handler, ())
-                yield Compute(50_000)
+                yield 50_000
             else:
-                yield Compute(60_000)
+                yield 60_000
 
         run_app(ScriptedApplication(script), limit=10_000_000)
         assert not overlaps
@@ -166,12 +165,12 @@ class TestAtomicity:
         from repro.glaze.kernel import ApplicationProtocolError
 
         def bad_handler(rt, msg):
-            yield Compute(5)  # never disposes
+            yield 5  # never disposes
 
         def script(app, rt, idx):
             if idx == 0:
                 yield from rt.inject(1, bad_handler, ())
-            yield Compute(100_000)
+            yield 100_000
 
         with pytest.raises(ApplicationProtocolError):
             run_app(ScriptedApplication(script), limit=1_000_000)

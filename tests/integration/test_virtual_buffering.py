@@ -8,7 +8,6 @@ import pytest
 from repro.apps.base import Application
 from repro.core.two_case import DeliveryMode
 from repro.glaze.overflow import OverflowPolicy
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, make_machine, run_app
 
@@ -29,26 +28,26 @@ class StreamToBuffered(Application):
 
     def _h_sink(self, rt, msg):
         yield from rt.dispose_current()
-        yield Compute(4)
+        yield 4
         self.handled += 1
 
     def main(self, rt, idx):
         if idx == 0:
             payload = tuple(range(self.payload_words))
             for _ in range(self.count):
-                yield Compute(self.gap)
+                yield self.gap
                 yield from rt.inject(1, self._h_sink, payload)
             while self.handled < self.count:
-                yield Compute(1_000)
+                yield 1_000
         else:
             yield from rt.force_buffered_mode()
             # Hold atomicity so the drain thread cannot start, forcing
             # messages to pile up in the virtual buffer.
             yield from rt.beginatom()
-            yield Compute(self.hold_cycles)
+            yield self.hold_cycles
             yield from rt.endatom()
             while self.handled < self.count:
-                yield Compute(1_000)
+                yield 1_000
 
 
 class TestDemandPaging:

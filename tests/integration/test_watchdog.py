@@ -6,7 +6,6 @@ Watchdog model — instead of being diverted to the software buffer.
 """
 
 from repro.core.atomicity import INTERRUPT_DISABLE, TimeoutPolicy
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, make_machine
 
@@ -23,15 +22,15 @@ def _run_sluggish_poller(policy):
     def script(app, rt, idx):
         if idx == 1:
             yield from rt.beginatom(INTERRUPT_DISABLE)
-            yield Compute(40_000)  # way past the 2k timeout
+            yield 40_000  # way past the 2k timeout
             log.append(("stall-over", rt.engine.now))
             yield from rt.endatom(INTERRUPT_DISABLE)
             while not any(e[0] == "handler" for e in log):
-                yield Compute(500)
+                yield 500
         else:
-            yield Compute(1_000)
+            yield 1_000
             yield from rt.inject(1, handler, ())
-            yield Compute(60_000)
+            yield 60_000
 
     machine = make_machine(num_nodes=2, atomicity_timeout=2_000,
                            timeout_policy=policy)

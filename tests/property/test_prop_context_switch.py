@@ -9,7 +9,7 @@ when the frame is switched out.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.processor import Compute, Frame, Processor
+from repro.machine.processor import Frame, Processor
 from repro.sim.engine import Engine
 
 
@@ -30,13 +30,13 @@ def test_capture_install_conserves_user_work(chunks, switches):
 
     def user():
         for c in chunks:
-            yield Compute(c)
+            yield c
         finished.append(engine.now)
 
     cpu.push_frame(Frame(user(), "user"))
 
     def switcher(hold):
-        yield Compute(5)  # kernel switch cost
+        yield 5  # kernel switch cost
         frames = cpu.capture_user_frames()
         engine.call_after(hold, lambda: cpu.install_user_frames(frames))
 

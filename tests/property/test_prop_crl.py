@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.apps.base import Application
 from repro.crl.api import Crl
 from repro.crl.region import HomeState, RegionState
-from repro.machine.processor import Compute
 
 from tests.conftest import make_machine
 
@@ -45,21 +44,21 @@ class RandomCrlApp(Application):
         crl = self.crl
         for rid, is_write, pre, hold in self.schedules[idx]:
             if pre:
-                yield Compute(pre)
+                yield pre
             if is_write:
                 yield from crl.start_write(rt, rid)
                 data = crl.data(rt, rid)
                 data[0] = data[0] + 1
                 self.increments += 1
                 if hold:
-                    yield Compute(hold)
+                    yield hold
                 data[1] = data[0]  # must still be our value
                 yield from crl.end_write(rt, rid)
             else:
                 yield from crl.start_read(rt, rid)
                 snap = list(crl.data(rt, rid))
                 if hold:
-                    yield Compute(hold)
+                    yield hold
                 after = list(crl.data(rt, rid))
                 if snap != after:
                     self.read_violations.append((snap, after))

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.processor import Compute, Frame, Processor
+from repro.machine.processor import Frame, Processor
 from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRng
 
@@ -60,11 +60,11 @@ def test_preempted_compute_conserves_total_cycles(user_chunks, interrupts):
 
     def user():
         for c in user_chunks:
-            yield Compute(c)
+            yield c
         finished.append(engine.now)
 
     def kernel(length):
-        yield Compute(length)
+        yield length
 
     cpu.push_frame(Frame(user(), "user"))
     total_kernel_before_end = 0

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.machine.processor import Compute
 from repro.protocols.reliable import ReliableTransport
 from repro.runner import bind_spec
 
@@ -199,7 +198,7 @@ def test_transport_exactly_once_fifo_per_pair_over_lossy_fabric(
     def script(app, rt, idx):
         for seq, (dst, delay) in enumerate(plan[idx]):
             if delay:
-                yield Compute(delay)
+                yield delay
             yield from transport.send(rt, dst, (seq,))
         if len(received[idx]) < len(expected[idx]):
             yield complete[idx]

@@ -97,12 +97,12 @@ def _fields(decoded):
 @given(outbox=st.lists(_wire, max_size=16),
        origin=st.integers(min_value=0, max_value=7))
 @settings(max_examples=60, deadline=None)
-def test_struct_codec_equals_pickle_codec(outbox, origin):
+def test_pickled_barrier_batch_round_trips_and_decodes_alike(outbox,
+                                                             origin):
     """The pickled pipe is transparent: a barrier report of
     ``(wire, origin)`` entries comes back in order, and each entry
     decodes to exactly what the unpickled wire decodes to (or is
-    unresolvable on both sides). The struct records that once carried
-    the int-only shapes are gone; pickle now carries them all."""
+    unresolvable on both sides)."""
     batch = [(wire, origin) for wire in outbox]
     carried = pickle.loads(pickle.dumps(batch))
     assert carried == batch

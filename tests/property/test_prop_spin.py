@@ -1,7 +1,7 @@
-"""Property: a parked ``Spin`` is the explicit ``Compute`` loop, exactly.
+"""Property: a parked ``Spin`` is the explicit compute loop, exactly.
 
 ``Spin(c, done)`` promises the behaviour of ``while not done(): yield
-Compute(c)`` whenever ``done`` reads only state that frames on the same
+c`` whenever ``done`` reads only state that frames on the same
 processor write. Each example runs one random preemption schedule
 twice, once per form, and requires:
 
@@ -21,7 +21,7 @@ spin's chunk boundaries and the cycles either side of them.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.processor import Compute, Frame, Processor, Spin
+from repro.machine.processor import Frame, Processor, Spin
 from repro.sim.engine import Engine
 
 #: Cycles the flag-setting upcall waits before retrying delivery while
@@ -41,22 +41,22 @@ def simulate(use_spin: bool, chunk: int, pre: int, post: int, plan):
         trace.append((engine.now,) + what)
 
     def main():
-        yield Compute(pre)
+        yield pre
         note("spin")
         if use_spin:
             yield Spin(chunk, lambda: flag[0])
         else:
             while not flag[0]:
-                yield Compute(chunk)
+                yield chunk
         note("exit", cpu.user_cycles, cpu.kernel_cycles)
-        yield Compute(post)
+        yield post
         note("main done")
 
     main_frame = Frame(main(), "main")
 
     def user_handler(label, length, sets):
         note(label)
-        yield Compute(length)
+        yield length
         if sets:
             flag[0] = True
         note(label, "end")
@@ -90,18 +90,18 @@ def simulate(use_spin: bool, chunk: int, pre: int, post: int, plan):
         note(label)
         if push:
             engine.call_soon(try_push, label + ":push")
-        yield Compute(length)
+        yield length
         note(label, "end")
 
     def installer(label, frames):
         note(label)
-        yield Compute(3)
+        yield 3
         cpu.install_user_frames(frames)
         note(label, "end")
 
     def switcher(label, hold):
         note(label)
-        yield Compute(5)
+        yield 5
         frames = cpu.capture_user_frames()
         note(label, "captured", len(frames))
         engine.call_after(hold, lambda: cpu.raise_kernel(

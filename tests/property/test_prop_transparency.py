@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import Application
-from repro.machine.processor import Compute
 
 from tests.conftest import make_machine
 
@@ -27,26 +26,26 @@ class FlippingReceiver(Application):
 
     def _h_record(self, rt, msg):
         yield from rt.dispose_current()
-        yield Compute(3)
+        yield 3
         self.seen.append((msg.payload[0], msg.buffered))
 
     def main(self, rt, idx):
         if idx == 0:
             for i, gap in enumerate(self.gaps):
-                yield Compute(gap)
+                yield gap
                 yield from rt.inject(1, self._h_record, (i,))
             while len(self.seen) < len(self.gaps):
-                yield Compute(500)
+                yield 500
         else:
             last = 0
             for point in sorted(self.flip_points):
                 delta = point - last
                 if delta > 0:
-                    yield Compute(delta)
+                    yield delta
                 last = point
                 yield from rt.force_buffered_mode()
             while len(self.seen) < len(self.gaps):
-                yield Compute(500)
+                yield 500
 
 
 @given(

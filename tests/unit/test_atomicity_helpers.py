@@ -5,7 +5,6 @@ import pytest
 from repro.core.atomicity import (
     INTERRUPT_DISABLE, TIMER_FORCE, TimeoutPolicy, atomically,
 )
-from repro.machine.processor import Compute
 
 from tests.conftest import ScriptedApplication, run_app
 
@@ -17,7 +16,7 @@ class TestAtomically:
         def body(rt):
             def inner():
                 states.append(("inside", rt.in_atomic_section))
-                yield Compute(10)
+                yield 10
                 return "value"
             return inner
 
@@ -39,7 +38,7 @@ class TestAtomically:
 
         def script(app, rt, idx):
             def failing():
-                yield Compute(1)
+                yield 1
                 raise RuntimeError("body blew up")
 
             try:
@@ -57,7 +56,7 @@ class TestAtomically:
         def script(app, rt, idx):
             def body():
                 seen.append(rt.ni.uac.timer_force)
-                yield Compute(1)
+                yield 1
 
             yield from atomically(rt, body, mask=TIMER_FORCE)
             seen.append(rt.ni.uac.timer_force)

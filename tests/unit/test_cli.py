@@ -75,6 +75,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    @pytest.mark.parametrize("command", [
+        ["table6"], ["fig7"], ["fig8"], ["stats", "standalone"],
+        ["stats", "multiprog"]])
+    @pytest.mark.parametrize("plan", [
+        "drop=0.01,seed=3", "duplicate=0.1", "reorder=50,stall=0.1"])
+    def test_raw_udm_commands_reject_lossy_plans(self, command, plan,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--faults", plan])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "stall, spike, expiries, page_fault_rate" in err
+
+    def test_raw_udm_commands_accept_lossless_plans(self):
+        args = build_parser().parse_args(
+            ["table6", "--faults", "stall=0.05,seed=7"])
+        assert args.faults == "stall=0.05,seed=7"
+
 
 class TestCommands:
     def test_table4_runs_and_prints(self, capsys):

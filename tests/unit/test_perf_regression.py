@@ -158,3 +158,44 @@ def test_obs_gate_fails_only_on_a_confident_overhead():
     # Seeded resampling: the bound is a function of the ratios alone.
     assert (perf_smoke.overhead_lower_bound(noisy)
             == perf_smoke.overhead_lower_bound(list(noisy)))
+
+
+def _with_calls(calls, python="3.12"):
+    report = _report(1_000_000)
+    report["fastpath"].update(calls=calls, calls_python=python)
+    return report
+
+
+def test_calls_gate_is_exact_in_both_directions(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(gate, "committed_baseline",
+                        lambda path=None: _with_calls(600_000))
+    same = _write(tmp_path / "same.json", _with_calls(600_000))
+    assert gate.main(["--fresh", same]) == 0
+    assert "machine calls per run: fresh 600,000 vs committed 600,000" \
+        in capsys.readouterr().out
+    for moved in (600_001, 599_999):
+        fresh = _write(tmp_path / "moved.json", _with_calls(moved))
+        assert gate.main(["--fresh", fresh]) == 1
+        assert "FAIL: machine calls per run moved" in \
+            capsys.readouterr().out
+
+
+def test_calls_gate_is_neutral_across_python_minors(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(gate, "committed_baseline",
+                        lambda path=None: _with_calls(600_000))
+    other = _write(tmp_path / "other.json", _with_calls(600_002, "3.11"))
+    assert gate.main(["--fresh", other]) == 0
+    out = capsys.readouterr().out
+    assert ("fresh under Python 3.11, committed under 3.12: not "
+            "comparable; neutral") in out
+    assert "exact" not in out
+
+
+def test_call_count_repeats_in_one_process():
+    from benchmarks import perf_smoke
+
+    calls, events = perf_smoke.count_calls()
+    assert calls > events > 0
+    assert perf_smoke.count_calls() == (calls, events)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.processor import (
-    Compute, Frame, FrameState, Processor, Spin,
+    Frame, FrameState, Processor, Spin,
 )
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event
@@ -17,42 +17,65 @@ def cpu():
 
 def spin(trace, engine, label, chunks, size=10):
     for _ in range(chunks):
-        yield Compute(size)
+        yield size
         trace.append((label, engine.now))
 
 
-class TestComputeInterning:
-    def test_small_computes_are_shared(self):
-        assert Compute(40) is Compute(40)
-        assert Compute(0).cycles == 0 and Compute(1023).cycles == 1023
+class TestIntCompute:
+    """A frame's compute is a plain ``int`` of cycles."""
 
-    def test_negative_compute_rejected(self):
-        with pytest.raises(ValueError):
-            Compute(-1)
-
-    def test_large_and_subclass_computes_are_fresh(self):
-        assert Compute(5000) is not Compute(5000)
-        assert Compute(5000).cycles == 5000
-
-        class Tagged(Compute):
-            __slots__ = ()
-
-        tagged = Tagged(40)
-        assert tagged is not Tagged(40) and tagged is not Compute(40)
-        assert type(tagged) is Tagged and tagged.cycles == 40
-
-    def test_subclass_compute_still_runs(self, cpu):
+    def test_zero_compute_schedules_no_event(self, cpu):
         engine, proc = cpu
 
-        class Tagged(Compute):
-            __slots__ = ()
+        def gen():
+            yield 0
+            yield 0
+            return "done"
+
+        frame = Frame(gen(), "z")
+        proc.push_frame(frame)
+        engine.run()
+        # The kick is the only event: each zero continued in place.
+        assert engine.events_executed == 1
+        assert engine.now == 0 and proc.busy_cycles == 0
+        assert frame.result == "done"
+
+    def test_negative_compute_rejected(self, cpu):
+        engine, proc = cpu
 
         def gen():
-            yield Tagged(25)
+            yield -1
+
+        proc.push_frame(Frame(gen(), "n"))
+        with pytest.raises(ValueError, match="negative compute"):
+            engine.run()
+
+    @pytest.mark.parametrize("op", [True, 2.5])
+    def test_bool_and_float_are_not_cycle_counts(self, cpu, op):
+        engine, proc = cpu
+
+        def gen():
+            yield op
 
         proc.push_frame(Frame(gen(), "t"))
-        engine.run()
-        assert engine.now == 25 and proc.user_cycles == 25
+        with pytest.raises(SimulationError, match="unsupported"):
+            engine.run()
+
+    def test_wake_for_non_top_frame_raises(self, cpu):
+        engine, proc = cpu
+
+        def gen():
+            yield 100
+
+        low = Frame(gen(), "low")
+        proc.push_frame(low)
+        engine.run(until=10)
+        proc.push_frame(Frame(gen(), "high"))
+        engine.run(until=20)
+        # A wake that outlived its frame's suspension must not step it.
+        proc._wake.arm(engine.now + 1, proc._advance, low)
+        with pytest.raises(SimulationError, match="non-top frame low"):
+            engine.run()
 
 
 class TestBasicExecution:
@@ -69,7 +92,7 @@ class TestBasicExecution:
         results = []
 
         def gen():
-            yield Compute(5)
+            yield 5
             return "finished"
 
         proc.push_frame(Frame(gen(), "g", on_done=results.append))
@@ -95,7 +118,7 @@ class TestBasicExecution:
         trace = []
 
         def gen():
-            yield Compute(0)
+            yield 0
             trace.append(engine.now)
 
         proc.push_frame(Frame(gen(), "z"))
@@ -109,11 +132,11 @@ class TestPreemption:
         trace = []
 
         def user():
-            yield Compute(100)
+            yield 100
             trace.append(("user-done", engine.now))
 
         def kernel():
-            yield Compute(20)
+            yield 20
             trace.append(("kernel-done", engine.now))
 
         proc.push_frame(Frame(user(), "user"))
@@ -130,11 +153,11 @@ class TestPreemption:
         trace = []
 
         def user():
-            yield Compute(1000)
+            yield 1000
             trace.append("user")
 
         def kernel(tag, length):
-            yield Compute(length)
+            yield length
             trace.append(tag)
 
         proc.push_frame(Frame(user(), "user"))
@@ -154,7 +177,7 @@ class TestPreemption:
         trace = []
 
         def user():
-            yield Compute(50)
+            yield 50
             trace.append("user")
 
         proc.push_frame(Frame(user(), "user"))
@@ -167,11 +190,11 @@ class TestPreemption:
         trace = []
 
         def base():
-            yield Compute(100)
+            yield 100
             trace.append(("base", engine.now))
 
         def upcall():
-            yield Compute(10)
+            yield 10
             trace.append(("upcall", engine.now))
 
         proc.push_frame(Frame(base(), "base"))
@@ -187,7 +210,7 @@ class TestPreemption:
         trace = []
 
         def kernel():
-            yield Compute(100)
+            yield 100
             trace.append("kernel")
 
         proc.push_frame(Frame(kernel(), "k", kernel=True))
@@ -208,7 +231,7 @@ class TestPreemption:
             trace.append((value, engine.now))
 
         def kernel():
-            yield Compute(50)
+            yield 50
 
         proc.push_frame(Frame(base(), "base"))
         engine.call_after(5, lambda: proc.raise_kernel(
@@ -224,11 +247,11 @@ class TestContextSwitch:
         trace = []
 
         def user():
-            yield Compute(100)
+            yield 100
             trace.append(("user", engine.now))
 
         def switcher():
-            yield Compute(10)
+            yield 10
             frames = proc.capture_user_frames()
             assert len(frames) == 1
             # Hold the frames out for 200 cycles, then reinstall.
@@ -247,7 +270,7 @@ class TestContextSwitch:
         engine, proc = cpu
 
         def user():
-            yield Compute(1000)
+            yield 1000
 
         proc.push_frame(Frame(user(), "user"))
         engine.run(until=10)
@@ -258,7 +281,7 @@ class TestContextSwitch:
         engine, proc = cpu
 
         def forever():
-            yield Compute(10_000)
+            yield 10_000
 
         proc.push_frame(Frame(forever(), "u1"))
         engine.run(until=5)
@@ -271,7 +294,7 @@ class TestContextSwitch:
         engine, proc = cpu
 
         def forever():
-            yield Compute(10_000)
+            yield 10_000
 
         proc.push_frame(Frame(forever(), "k", kernel=True))
         with pytest.raises(SimulationError):
@@ -283,10 +306,10 @@ class TestAccounting:
         engine, proc = cpu
 
         def user():
-            yield Compute(70)
+            yield 70
 
         def kernel():
-            yield Compute(30)
+            yield 30
 
         proc.push_frame(Frame(user(), "u"))
         engine.call_after(10, lambda: proc.raise_kernel(
@@ -306,12 +329,12 @@ class TestRepeatedPreemption:
         trace = []
 
         def user():
-            yield Compute(100)
+            yield 100
             trace.append(("user", engine.now))
 
         def kernel(length):
             if length:
-                yield Compute(length)
+                yield length
 
         def preempt(length):
             proc.raise_kernel(
@@ -342,7 +365,7 @@ class TestRepeatedPreemption:
 
 
 class TestSpin:
-    """``Spin(c, done)`` behaves as ``while not done(): yield Compute(c)``
+    """``Spin(c, done)`` behaves as ``while not done(): yield c``
     while parking the frame on one wake per many chunks."""
 
     @staticmethod
@@ -353,20 +376,20 @@ class TestSpin:
         trace = []
 
         def main():
-            yield Compute(3)
+            yield 3
             if use_spin:
                 yield Spin(10, lambda: flag[0])
             else:
                 while not flag[0]:
-                    yield Compute(10)
+                    yield 10
             trace.append(("exit", engine.now, proc.user_cycles,
                           proc.kernel_cycles))
 
         def kernel():
-            yield Compute(7)
+            yield 7
 
         def setter():
-            yield Compute(4)
+            yield 4
             flag[0] = True
 
         proc.push_frame(Frame(main(), "main"))

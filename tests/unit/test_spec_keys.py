@@ -11,6 +11,7 @@ import pytest
 import repro.cli as cli
 from repro.runner import EXECUTORS
 from repro.runner.spec import spec_key
+from repro.validate.artifacts import ARTIFACTS
 
 
 class _Planned(Exception):
@@ -38,11 +39,11 @@ PINNED = [
     (["table4"], 0, "fast_path", "cb6f14e4d47faef525cd9c72aebc1b6f"),
     (["table5"], 0, "buffered_path", "17e741c51805e3fec8bf5a2d97bdf9a0"),
     (["table6"], 0, "standalone", "fb245a8e4c5e102319c00cd2447b877f"),
-    (["table6", "--faults", "drop=0.01"], 0, "standalone",
-     "45236cffa296982df1d34689e038e2bf"),
+    (["table6", "--faults", "stall=0.01"], 0, "standalone",
+     "e3ff3992ee90eeaf3e49674b92dbacad"),
     (["fig7"], 0, "multiprog", "4be242af3f27ca7956e0bdabb8d56f27"),
-    (["fig7", "--faults", "drop=0.01"], 0, "multiprog",
-     "b021a1aa9494bac3c9e399a3a8c15470"),
+    (["fig7", "--faults", "stall=0.01"], 0, "multiprog",
+     "175aef23749f7602eeb1e6cb4ca23513"),
     (["fig9"], 0, "synth", "438faa6274add62e4ed41b212bc9df8a"),
     (["fig9", "--shards", "2"], 0, "synth",
      "5761b8411e422fb02ec2c25415a3768e"),
@@ -75,3 +76,13 @@ def test_planned_key_is_pinned(argv, index, kind, key, monkeypatch):
 
 def test_every_registered_kind_is_pinned():
     assert {kind for _argv, _index, kind, _key in PINNED} == set(EXECUTORS)
+
+
+@pytest.mark.parametrize("artifact_id", ["table6", "fig7", "fig8"])
+@pytest.mark.parametrize("plan", ["drop=0.01,seed=3", "duplicate=0.1",
+                                  "reorder=50"])
+def test_raw_udm_plans_reject_lossy_faults(artifact_id, plan):
+    """A raw-UDM app waits forever for a lost message (``lu`` ran to its
+    20G-cycle limit under ``drop=0.01``): the plan raises instead."""
+    with pytest.raises(ValueError, match="lossless classes"):
+        ARTIFACTS[artifact_id].runs(faults=plan)
