@@ -193,8 +193,9 @@ def bench_sweep(jobs: int) -> dict:
 
 
 def _attach_closure_counter(engine) -> dict:
-    """Shadow call_at/schedule and each deadline's arm, counting
-    lambda/closure callbacks.
+    """Shadow call_at/schedule/call_soon and each deadline's arm,
+    counting lambda/closure callbacks (``call_soon`` appends to the
+    run queue itself, so it needs its own shadow).
 
     Bound methods pass; only plain functions carrying a closure cell
     (or named ``<lambda>``) count — exactly the per-message allocation
@@ -203,6 +204,7 @@ def _attach_closure_counter(engine) -> dict:
     counts = {"closures": 0, "scheduled": 0}
     orig_call_at = engine.call_at
     orig_schedule = engine.schedule
+    orig_call_soon = engine.call_soon
 
     def check(fn) -> None:
         counts["scheduled"] += 1
@@ -218,6 +220,11 @@ def _attach_closure_counter(engine) -> dict:
         check(fn)
         return orig_schedule(when, fn, arg)
 
+    def call_soon(fn, arg=_NO_ARG):
+        if engine.fastpath:  # else it goes through schedule, counted
+            check(fn)
+        orig_call_soon(fn, arg)
+
     def counted_arm(orig_arm):
         def arm(when, fn, arg=_NO_ARG):
             check(fn)
@@ -226,6 +233,7 @@ def _attach_closure_counter(engine) -> dict:
 
     engine.call_at = call_at
     engine.schedule = schedule
+    engine.call_soon = call_soon
     for deadline in engine._deadlines:
         deadline.arm = counted_arm(deadline.arm)
     return counts

@@ -151,7 +151,7 @@ class EnumApplication(Application):
                 if len(board) == 1:
                     solutions += 1
             else:
-                stack.extend(apply_move(board, m) for m in moves)
+                stack.extend([apply_move(board, m) for m in moves])
             yield self.expansion_cycles
             if pending_updates >= self.updates_per_batch:
                 # Fire-and-forget update to a position-hashed node.

@@ -333,6 +333,8 @@ class MailboxApplication(Application):
         # Per-gateway flow tables (client -> sends), bounded LRU.
         self._flow_tables: Dict[int, "OrderedDict[int, int]"] = {}
         self._flow_cap = max(1, max_active_flows // self.num_gateways)
+        #: Flows across all tables, kept as they change.
+        self._active_flows = 0
         # Per-gateway bounded replay logs: (home, client, recipient, seq).
         self._replay_logs: Dict[int, Deque[Tuple[int, int, int, int]]] = {}
         # (gateway node, mailbox node) -> last epoch acknowledged.
@@ -506,12 +508,13 @@ class MailboxApplication(Application):
         else:
             table[client] = 1
             self.stats.flows_created += 1
+            self._active_flows += 1
             while len(table) > self._flow_cap:
                 table.popitem(last=False)
                 self.stats.flows_evicted += 1
-        active = sum(len(t) for t in self._flow_tables.values())
-        if active > self.stats.active_flows_peak:
-            self.stats.active_flows_peak = active
+                self._active_flows -= 1
+            if self._active_flows > self.stats.active_flows_peak:
+                self.stats.active_flows_peak = self._active_flows
 
     # ------------------------------------------------------------------
     # Mains

@@ -268,11 +268,5 @@ class CostModel:
             + self.fast.send_per_payload_word * payload_words
         )
 
-    def receive_entry_cost(self) -> int:
-        return self.fast.receive_entry
-
-    def receive_exit_cost(self) -> int:
-        return self.fast.receive_exit
-
     def receive_handler_extra(self, payload_words: int) -> int:
         return self.fast.receive_per_payload_word * payload_words

@@ -50,6 +50,12 @@ class UdmRuntime:
         self.node_index = node.node_id
         self.num_nodes = machine.config.num_nodes
         self._upcall_name = f"upcall:{job.name}@{node.node_id}"
+        # The upcall's fixed costs, bound once (the cost model is
+        # frozen): entry, exit and the per-payload-word handler extra.
+        fast = self.costs.fast
+        self._entry_cycles = fast.receive_entry
+        self._exit_cycles = fast.receive_exit
+        self._word_cycles = fast.receive_per_payload_word
         # Handler bookkeeping.
         self._dispose_done = True
         self.sends = 0
@@ -160,7 +166,8 @@ class UdmRuntime:
         try:
             message = self.ni.dispose(privileged=False)
             self.job.two_case.fast_messages += 1
-            self._trace_handled(message, "fast path")
+            if self.machine.tracer is not None:
+                self._trace_handled(message, "fast path")
             yield 1
         except TrapSignal as signal:
             if signal.trap is Trap.DISPOSE_EXTEND:
@@ -310,13 +317,12 @@ class UdmRuntime:
     def _upcall_gen(self) -> Generator:
         """The message-available user interrupt sequence (Figure 2)."""
         ni = self.ni
-        costs = self.costs
         # The OS stub marks the pending dispose and enters the handler's
         # atomic section before user code runs.
         start = self.engine.now
         ni.set_kernel_uac(dispose_pending=True)
         ni.beginatom(INTERRUPT_DISABLE)
-        yield costs.receive_entry_cost()
+        yield self._entry_cycles
         injector = self.machine.fault_injector
         if injector is not None and \
                 injector.handler_page_fault(self.node_index):
@@ -329,9 +335,9 @@ class UdmRuntime:
         if message is not None and ni.message_available:
             if message.bulk:
                 # DMA deposited the payload: fixed completion handling.
-                yield costs.bulk.completion
+                yield self.costs.bulk.completion
             else:
-                yield costs.receive_handler_extra(message.payload_words)
+                yield self._word_cycles * len(message.payload)
             self._dispose_done = False
             yield from message.handler(self, message)
             handled = True
@@ -340,7 +346,7 @@ class UdmRuntime:
             # started; the drain thread will run it from the buffer.
             ni.set_kernel_uac(dispose_pending=False)
             self._dispose_done = True
-        yield costs.receive_exit_cost()
+        yield self._exit_cycles
         # The cleanup's endatom is already costed inside receive_exit
         # (the Table 4 "upcall cleanup"/"timer cleanup" categories), so
         # execute the operation without the user-level instruction charge.
@@ -425,9 +431,9 @@ class UdmRuntime:
         """Consume processor cycles (modelled application work)."""
         yield cycles
 
-    def finish_main(self) -> None:
-        """Mark this node's main thread complete (called by the machine
-        when the application generator returns)."""
+    def finish_main(self, _result: Any = None) -> None:
+        """Mark this node's main thread complete: the main frame's
+        ``on_done``, called when the application generator returns."""
         self.job.note_node_main_finished(self.node.node_id, self.engine.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

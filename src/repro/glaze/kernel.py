@@ -82,7 +82,7 @@ class NodeKernel:
         ni.deliver_mismatch_available = self._raise_mismatch
         ni.deliver_atomicity_timeout = self._raise_timeout
         ni.deliver_message_available = self._raise_message_available
-        ni.user_level_ready = lambda: not node.processor.in_kernel
+        ni.user_level_ready = node.processor.at_user_level
         node.processor.on_return_to_user.append(ni.reevaluate)
         machine.second_network.attach(node.node_id, self._second_net_service)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (Any, Callable, Dict, Generator, List, Optional,
+from typing import (Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from repro.sim.engine import Engine
@@ -239,22 +239,16 @@ class Machine:
             state = job.node_states[node.node_id]
             runtime = UdmRuntime(self, job, node)
             state.runtime = runtime
-            main = self._main_wrapper(runtime, app.main(runtime,
-                                                        node.node_id))
             state.frames = [Frame(
-                main, name=f"{app.name}@{node.node_id}", kernel=False,
-                job_gid=gid,
+                app.main(runtime, node.node_id),
+                name=f"{app.name}@{node.node_id}", kernel=False,
+                on_done=runtime.finish_main, job_gid=gid,
             )]
         self.jobs.append(job)
         self._jobs_by_gid[gid] = job
         self.apps_by_gid[gid] = app
         self.scheduler.add_job(job)
         return job
-
-    @staticmethod
-    def _main_wrapper(runtime, main_gen) -> Generator:
-        yield from main_gen
-        runtime.finish_main()
 
     def job_by_gid(self, gid: int) -> Optional[Job]:
         return self._jobs_by_gid.get(gid)

@@ -28,6 +28,13 @@ user-level notifications are deferred (the NI re-evaluates its interrupt
 conditions when control returns to user level, via the
 ``on_return_to_user`` hook).
 
+A pushed frame's first step is *kicked*: scheduled with ``call_soon``.
+The interrupt deliveries (``_deliver_kernel``, ``_deliver_upcall``) run
+from the run queue and do nothing after their push, so when
+:meth:`~repro.sim.engine.Engine.claim_next_soon` says the kick would be
+the very next event they run the step inline instead, counted as that
+event. Every other push still kicks.
+
 Context switching is expressed with :meth:`Processor.capture_user_frames`
 / :meth:`Processor.install_user_frames`: the gang scheduler's kernel
 handler lifts the whole user portion of the stack out (suspending any
@@ -188,6 +195,12 @@ class Processor:
     def idle(self) -> bool:
         return not self._stack
 
+    def at_user_level(self) -> bool:
+        """True when no kernel frame is on top (the NI's
+        ``user_level_ready`` predicate)."""
+        stack = self._stack
+        return not stack or not stack[-1].kernel
+
     def user_depth(self) -> int:
         """Number of user frames at the bottom of the stack."""
         count = 0
@@ -200,11 +213,16 @@ class Processor:
     # ------------------------------------------------------------------
     # Frame entry points
     # ------------------------------------------------------------------
-    def push_frame(self, frame: Frame) -> None:
+    def push_frame(self, frame: Frame, step_inline: bool = False) -> None:
         """Preempt the current top (if any) and run ``frame``.
 
         Kernel-frame stacking invariant: a user frame may never be pushed
         on top of a kernel frame.
+
+        The first step is kicked through the run queue. With
+        ``step_inline`` (the interrupt deliveries, whose callback does
+        nothing after the push) it runs at once instead when the engine
+        says the kick would be the very next event.
         """
         stack = self._stack
         if stack:
@@ -216,7 +234,10 @@ class Processor:
                 )
             self._suspend(top)
         stack.append(frame)
-        self._kick(frame)
+        if step_inline and self.engine.claim_next_soon():
+            self._advance(frame, None)
+        else:
+            self._kick(frame)
 
     def raise_kernel(self, frame_factory: Callable[[], Optional[Frame]]) -> None:
         """Deliver a kernel interrupt.
@@ -237,7 +258,7 @@ class Processor:
             return
         frame = factory()
         if frame is not None:
-            self.push_frame(frame)
+            self.push_frame(frame, step_inline=True)
 
     def raise_user_upcall(self, frame_factory: Callable[[], Optional[Frame]]) -> None:
         """Deliver a user-level interrupt (message-available upcall).
@@ -255,7 +276,7 @@ class Processor:
             return
         frame = factory()
         if frame is not None:
-            self.push_frame(frame)
+            self.push_frame(frame, step_inline=True)
 
     # ------------------------------------------------------------------
     # Context switch support (used by the gang scheduler)
@@ -375,7 +396,10 @@ class Processor:
         frame._park_origin = now
         frame._delay_end = now + span
         self._wake.arm(now + span, self._bound_spin_wake, frame)
-        self._charge(frame, span)
+        if frame.kernel:
+            self.kernel_cycles += span
+        else:
+            self.user_cycles += span
 
     def _spin_wake(self, frame: Frame) -> None:
         """A spin's chunk boundary: exit if ``done()``, else park again."""
@@ -432,7 +456,10 @@ class Processor:
             now = self.engine.now
             # Uncharge everything charged ahead of now; the remainder
             # is re-charged on resume.
-            self._charge(frame, now - frame._delay_end)
+            if frame.kernel:
+                self.kernel_cycles -= frame._delay_end - now
+            else:
+                self.user_cycles -= frame._delay_end - now
             origin = frame._park_origin
             if origin is None:
                 frame._remaining = frame._delay_end - now
@@ -456,8 +483,12 @@ class Processor:
         frame = stack[-1]
         if frame.state is _DELAY_SUSPENDED:
             frame.state = _DELAY
-            frame._delay_end = self.engine.now + frame._remaining
-            self._charge(frame, frame._remaining)
+            remaining = frame._remaining
+            frame._delay_end = self.engine.now + remaining
+            if frame.kernel:
+                self.kernel_cycles += remaining
+            else:
+                self.user_cycles += remaining
             self._wake.arm(
                 frame._delay_end,
                 self._bound_advance if frame._spin is None
@@ -503,12 +534,6 @@ class Processor:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _charge(self, frame: Frame, cycles: int) -> None:
-        if frame.kernel:
-            self.kernel_cycles += cycles
-        else:
-            self.user_cycles += cycles
-
     @property
     def busy_cycles(self) -> int:
         return self.user_cycles + self.kernel_cycles

@@ -50,7 +50,7 @@ class Message:
     #: processor cost at either end.
     bulk: bool = False
     #: Simulation bookkeeping, not architectural state.
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     inject_time: int = -1
     deliver_time: int = -1
     #: True if this message was delivered via the software-buffered path.

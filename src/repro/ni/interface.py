@@ -21,6 +21,12 @@ Interrupt conditions (evaluated in :meth:`_update`):
 * **atomicity-timeout** (kernel): the timer expired; the timer runs
   while the user holds *interrupt-disable* with a matching message
   pending (or *timer-force*), and ``dispose`` restarts it.
+
+``_update`` and ``dispose`` drive the timer's engine
+:class:`~repro.sim.engine.Deadline` themselves, from the one pass's
+locals: they arm a full preset when the countdown should start, clear
+only an armed deadline, and re-arm a running one on dispose, exactly
+as ``AtomicityTimer.update``/``restart`` would.
 """
 
 from __future__ import annotations
@@ -96,6 +102,9 @@ class NetworkInterface:
         self.timer = AtomicityTimer(
             engine, self.config.atomicity_timeout, self._timeout_fired
         )
+        #: The timer's deadline, which ``_update`` and ``dispose``
+        #: drive in place of ``AtomicityTimer.update``/``restart``.
+        self._timer_wake = self.timer._wake
         self.stats = NiStats()
         self._input: Deque[Message] = deque()
         #: Delivery discipline governing the input structure. The default
@@ -350,8 +359,13 @@ class NetworkInterface:
             self.stats.delivered_to_kernel += 1
         else:
             self.stats.delivered_to_user += 1
-        # Forward progress: dispose presets (briefly disables) the timer.
-        self.timer.restart()
+        # Forward progress: dispose presets (briefly disables) the
+        # timer, then resumes the countdown if it was running (the
+        # timer's restart, on its deadline directly).
+        wake = self._timer_wake
+        if wake._seq or wake._soon is not None:
+            timer = self.timer
+            wake.arm(self.engine.now + timer.preset, timer._fire)
         self.uac.dispose_pending = False
         # A slot opened: let blocked network traffic in, then re-evaluate.
         self.fabric.input_space_freed(self.node_id)
@@ -443,8 +457,16 @@ class NetworkInterface:
         else:
             available = False
         # Table 3: interrupt-disable with a message pending, or
-        # timer-force, enables the atomicity timer.
-        self.timer.update(force or (disable and available))
+        # timer-force, enables the atomicity timer: start a countdown
+        # if none runs, else stop it (the timer's update, on its
+        # deadline directly; an idle deadline is left alone).
+        wake = self._timer_wake
+        if force or (disable and available):
+            if not wake._seq and wake._soon is None:
+                timer = self.timer
+                wake.arm(self.engine.now + timer.preset, timer._fire)
+        elif wake._seq or wake._soon is not None:
+            wake.clear()
         if not queue:
             return
         if not available:

@@ -17,6 +17,9 @@ a full countdown; the event-driven model is therefore one re-armable
 engine :class:`~repro.sim.engine.Deadline` rather than a per-cycle
 decrement. Enable, restart and disable re-arm or clear it in place,
 allocating nothing, as presetting the hardware register costs nothing.
+The network interface drives that deadline itself on its hot path
+(see :mod:`repro.ni.interface`), with the same rules as
+:meth:`AtomicityTimer.update` and :meth:`AtomicityTimer.restart`.
 """
 
 from __future__ import annotations

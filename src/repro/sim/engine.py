@@ -21,7 +21,16 @@ none of the machinery the uncommon case needs.
   common case, yet dispatch exactly like cancel + ``call_at``.
 * Callbacks for the current cycle bypass timed storage: they go on a
   same-cycle **run queue** (a plain FIFO) drained after the cycle's
-  timed entries.
+  timed entries. :meth:`Engine.call_soon` appends there directly.
+* :meth:`Engine.claim_next_soon` lets a callback whose last act would
+  be a ``call_soon`` run that follow-up inline instead, when it is
+  provably the next event: the drain is unbudgeted (``run()`` without
+  ``max_events``), the fast path is on, no ``stop()`` is pending, the
+  run queue is empty and no heap entry is due this cycle. The claim
+  counts the event as the run-queue event it replaces, so order,
+  ``seq`` and every counter stay those of the ``call_soon``. The
+  processor's interrupt deliveries use it for a pushed frame's first
+  step.
 
 Event heap
 ----------
@@ -153,7 +162,8 @@ class Deadline:
     arg)`` and cancelling it before each re-arm (see the module
     docstring for the carrier scheme that makes this exact). Arming
     for the current cycle takes a plain ``call_at`` handle, since that
-    entry belongs on the run queue.
+    entry belongs on the run queue. ``armed`` is ``_seq or _soon is
+    not None``; the NI's per-evaluation timer drive tests that inline.
     """
 
     __slots__ = ("_engine", "_time", "_seq", "_fn", "_arg", "_stack",
@@ -286,6 +296,9 @@ class Engine:
         #: False sends same-cycle schedules to the heap (set from the
         #: REPRO_NO_FASTPATH environment variable).
         self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
+        #: True only while an unbudgeted fast-path drain runs: the
+        #: standing terms of :meth:`claim_next_soon`.
+        self._inline_ok: bool = False
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -366,7 +379,30 @@ class Engine:
     def call_soon(self, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn`` this cycle, after already-pending same-cycle
         events (handle-free)."""
-        self.schedule(self.now, fn, arg)
+        if self.fastpath:
+            self._runq.append(fn if arg is _NO_ARG else (fn, arg))
+        else:
+            self.schedule(self.now, fn, arg)
+
+    def claim_next_soon(self) -> bool:
+        """Authorise running inline, in the current callback, what
+        ``call_soon`` would make the very next event, and count it as
+        that run-queue event.
+
+        True only inside an unbudgeted drain with the fast path on and
+        no ``stop()`` pending, when the run queue is empty and no heap
+        entry is due this cycle: then the entry ``call_soon`` would
+        append is next, and running it before the current callback
+        returns (with nothing else done after it there) changes no
+        order, ``seq`` or counter.
+        """
+        if self._inline_ok and not self._stop and not self._runq:
+            heap = self._heap
+            if not heap or heap[0][0] != self.now:
+                self._events_executed += 1
+                self._runq_executed += 1
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Queue maintenance
@@ -434,7 +470,12 @@ class Engine:
         clears it, so it cannot swallow the step."""
         self._stop = False
         executed = self._events_executed
-        self._run_bounded(None, 1)
+        outer = self._inline_ok
+        self._inline_ok = False
+        try:
+            self._run_bounded(None, 1)
+        finally:
+            self._inline_ok = outer
         return self._events_executed != executed
 
     def run(self, until: Optional[int] = None,
@@ -443,7 +484,12 @@ class Engine:
         ``max_events`` events have executed, or :meth:`stop` is called.
         Returns the final time."""
         self._stop = False
-        return self._run_bounded(until, max_events)
+        outer = self._inline_ok
+        self._inline_ok = max_events is None and self.fastpath
+        try:
+            return self._run_bounded(until, max_events)
+        finally:
+            self._inline_ok = outer
 
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:

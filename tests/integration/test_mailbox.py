@@ -93,6 +93,28 @@ class TestBoundedAggregation:
         assert app.stats.flows_evicted > 0  # the LRU actually cycled
         assert app.stats.delivered == app.stats.enqueued
 
+    def test_flow_counters_match_a_recount_of_the_tables(self,
+                                                         monkeypatch):
+        """The running flow total behind ``active_flows_peak`` agrees
+        with summing every gateway's table after each submission."""
+        recount = {"peak": 0, "created": 0}
+
+        def note_flow(self, gateway_node, client):
+            table = self._flow_tables[gateway_node]
+            recount["created"] += client not in table
+            original(self, gateway_node, client)
+            active = sum(len(t) for t in self._flow_tables.values())
+            recount["peak"] = max(recount["peak"], active)
+
+        original = MailboxApplication._note_flow
+        monkeypatch.setattr(MailboxApplication, "_note_flow", note_flow)
+        _, app = _run(clients=1_000_000, max_active_flows=8)
+        resident = sum(len(t) for t in app._flow_tables.values())
+        assert app.stats.flows_evicted > 0  # the LRU actually cycled
+        assert app.stats.active_flows_peak == recount["peak"]
+        assert app.stats.flows_created == recount["created"]
+        assert app.stats.flows_evicted == recount["created"] - resident
+
     def test_runtime_tracks_messages_not_population(self):
         cycles = {}
         for clients in (1_000, 1_000_000):

@@ -199,3 +199,23 @@ def test_call_count_repeats_in_one_process():
     calls, events = perf_smoke.count_calls()
     assert calls > events > 0
     assert perf_smoke.count_calls() == (calls, events)
+
+
+def test_closure_counter_sees_closures_passed_to_call_soon(monkeypatch):
+    from benchmarks import perf_smoke
+    from repro.sim.engine import Engine
+
+    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    engine = Engine()
+    counts = perf_smoke._attach_closure_counter(engine)
+    hits = []
+    engine.call_soon(lambda: hits.append(1))
+    assert counts == {"closures": 1, "scheduled": 1}
+
+    # call_soon does not route through schedule: without its own
+    # shadow the same closure goes uncounted.
+    del engine.call_soon
+    engine.call_soon(lambda: hits.append(2))
+    assert counts == {"closures": 1, "scheduled": 1}
+    engine.run()
+    assert hits == [1, 2]
