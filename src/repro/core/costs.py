@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 #: Version stamp of the cycle-cost model. Bump whenever any constant in
 #: this module (or cost-charging behaviour anywhere in the simulator)
@@ -91,12 +92,14 @@ class FastPathCosts:
     poll_dispatch: int = 5
     poll_null_handler: int = 1
 
-    @property
+    # The subtotals the runtime charges per message are computed once
+    # per (frozen) cost table.
+    @cached_property
     def send_total(self) -> int:
         """Null-message send cost (7 in every mode)."""
         return self.descriptor_construction + self.launch
 
-    @property
+    @cached_property
     def receive_entry(self) -> int:
         """Interrupt receive cost up to handler start (Table 4 subtotal)."""
         return (
@@ -108,7 +111,7 @@ class FastPathCosts:
             + self.dispatch
         )
 
-    @property
+    @cached_property
     def receive_exit(self) -> int:
         """Interrupt receive cost after the handler returns."""
         return (

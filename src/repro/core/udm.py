@@ -50,12 +50,6 @@ class UdmRuntime:
         self.node_index = node.node_id
         self.num_nodes = machine.config.num_nodes
         self._upcall_name = f"upcall:{job.name}@{node.node_id}"
-        # The upcall's fixed costs, bound once (the cost model is
-        # frozen): entry, exit and the per-payload-word handler extra.
-        fast = self.costs.fast
-        self._entry_cycles = fast.receive_entry
-        self._exit_cycles = fast.receive_exit
-        self._word_cycles = fast.receive_per_payload_word
         # Handler bookkeeping.
         self._dispose_done = True
         self.sends = 0
@@ -317,12 +311,13 @@ class UdmRuntime:
     def _upcall_gen(self) -> Generator:
         """The message-available user interrupt sequence (Figure 2)."""
         ni = self.ni
+        costs = self.costs
         # The OS stub marks the pending dispose and enters the handler's
         # atomic section before user code runs.
         start = self.engine.now
         ni.set_kernel_uac(dispose_pending=True)
         ni.beginatom(INTERRUPT_DISABLE)
-        yield self._entry_cycles
+        yield costs.fast.receive_entry
         injector = self.machine.fault_injector
         if injector is not None and \
                 injector.handler_page_fault(self.node_index):
@@ -335,9 +330,9 @@ class UdmRuntime:
         if message is not None and ni.message_available:
             if message.bulk:
                 # DMA deposited the payload: fixed completion handling.
-                yield self.costs.bulk.completion
+                yield costs.bulk.completion
             else:
-                yield self._word_cycles * len(message.payload)
+                yield costs.receive_handler_extra(len(message.payload))
             self._dispose_done = False
             yield from message.handler(self, message)
             handled = True
@@ -346,7 +341,7 @@ class UdmRuntime:
             # started; the drain thread will run it from the buffer.
             ni.set_kernel_uac(dispose_pending=False)
             self._dispose_done = True
-        yield self._exit_cycles
+        yield costs.fast.receive_exit
         # The cleanup's endatom is already costed inside receive_exit
         # (the Table 4 "upcall cleanup"/"timer cleanup" categories), so
         # execute the operation without the user-level instruction charge.

@@ -28,13 +28,6 @@ user-level notifications are deferred (the NI re-evaluates its interrupt
 conditions when control returns to user level, via the
 ``on_return_to_user`` hook).
 
-A pushed frame's first step is *kicked*: scheduled with ``call_soon``.
-The interrupt deliveries (``_deliver_kernel``, ``_deliver_upcall``) run
-from the run queue and do nothing after their push, so when
-:meth:`~repro.sim.engine.Engine.claim_next_soon` says the kick would be
-the very next event they run the step inline instead, counted as that
-event. Every other push still kicks.
-
 Context switching is expressed with :meth:`Processor.capture_user_frames`
 / :meth:`Processor.install_user_frames`: the gang scheduler's kernel
 handler lifts the whole user portion of the stack out (suspending any
@@ -188,8 +181,7 @@ class Processor:
 
     @property
     def in_kernel(self) -> bool:
-        top = self.current
-        return top is not None and top.kernel
+        return not self.at_user_level()
 
     @property
     def idle(self) -> bool:
@@ -213,16 +205,11 @@ class Processor:
     # ------------------------------------------------------------------
     # Frame entry points
     # ------------------------------------------------------------------
-    def push_frame(self, frame: Frame, step_inline: bool = False) -> None:
+    def push_frame(self, frame: Frame) -> None:
         """Preempt the current top (if any) and run ``frame``.
 
         Kernel-frame stacking invariant: a user frame may never be pushed
         on top of a kernel frame.
-
-        The first step is kicked through the run queue. With
-        ``step_inline`` (the interrupt deliveries, whose callback does
-        nothing after the push) it runs at once instead when the engine
-        says the kick would be the very next event.
         """
         stack = self._stack
         if stack:
@@ -234,10 +221,7 @@ class Processor:
                 )
             self._suspend(top)
         stack.append(frame)
-        if step_inline and self.engine.claim_next_soon():
-            self._advance(frame, None)
-        else:
-            self._kick(frame)
+        self._kick(frame)
 
     def raise_kernel(self, frame_factory: Callable[[], Optional[Frame]]) -> None:
         """Deliver a kernel interrupt.
@@ -258,7 +242,7 @@ class Processor:
             return
         frame = factory()
         if frame is not None:
-            self.push_frame(frame, step_inline=True)
+            self.push_frame(frame)
 
     def raise_user_upcall(self, frame_factory: Callable[[], Optional[Frame]]) -> None:
         """Deliver a user-level interrupt (message-available upcall).
@@ -276,7 +260,7 @@ class Processor:
             return
         frame = factory()
         if frame is not None:
-            self.push_frame(frame, step_inline=True)
+            self.push_frame(frame)
 
     # ------------------------------------------------------------------
     # Context switch support (used by the gang scheduler)

@@ -259,7 +259,7 @@ class NetworkFabric:
         to the per-(src, dst) FIFO floor (which it then becomes)."""
         now = self.engine.now
         message.inject_time = now
-        words = 2 + len(message.payload)  # Message.length_words
+        words = message.length_words
         stats = self.stats
         stats.messages_sent += 1
         stats.fast_path_sends += 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -46,24 +45,16 @@ class MeshTopology:
         return (abs(src % width - dst % width)
                 + abs(src // width - dst // width))
 
-    @cached_property
-    def _pair_base(self) -> List[List[int]]:
-        """``base + per_hop * hops(src, dst)`` per pair, built once."""
-        nodes = range(self.num_nodes)
-        return [[self.base_latency + self.per_hop_latency * self.hops(s, d)
-                 for d in nodes] for s in nodes]
-
     def latency(self, src: int, dst: int, length_words: int) -> int:
         """End-to-end network transit latency in cycles."""
         if src == dst:
             # Loopback through the NI still pays the base pipeline cost.
             return self.base_latency
-        num_nodes = self.num_nodes
-        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-            self._check(src)
-            self._check(dst)
-        return (self._pair_base[src][dst]
-                + self.per_word_latency * length_words)
+        return (
+            self.base_latency
+            + self.per_hop_latency * self.hops(src, dst)
+            + self.per_word_latency * length_words
+        )
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

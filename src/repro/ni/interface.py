@@ -22,11 +22,11 @@ Interrupt conditions (evaluated in :meth:`_update`):
   while the user holds *interrupt-disable* with a matching message
   pending (or *timer-force*), and ``dispose`` restarts it.
 
-``_update`` and ``dispose`` drive the timer's engine
-:class:`~repro.sim.engine.Deadline` themselves, from the one pass's
-locals: they arm a full preset when the countdown should start, clear
-only an armed deadline, and re-arm a running one on dispose, exactly
-as ``AtomicityTimer.update``/``restart`` would.
+``_update`` and ``dispose`` are the timer's only drivers, on its engine
+:class:`~repro.sim.engine.Deadline`: ``_update`` starts a full
+countdown when the enable condition holds and none runs, and stops a
+running one when it does not; ``dispose`` re-arms a running countdown
+with the full preset. An idle deadline is left alone.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ class NetworkInterface:
         self.timer = AtomicityTimer(
             engine, self.config.atomicity_timeout, self._timeout_fired
         )
-        #: The timer's deadline, which ``_update`` and ``dispose``
-        #: drive in place of ``AtomicityTimer.update``/``restart``.
+        #: The timer's deadline, driven by ``_update`` and ``dispose``.
         self._timer_wake = self.timer._wake
         self.stats = NiStats()
         self._input: Deque[Message] = deque()
@@ -360,8 +359,7 @@ class NetworkInterface:
         else:
             self.stats.delivered_to_user += 1
         # Forward progress: dispose presets (briefly disables) the
-        # timer, then resumes the countdown if it was running (the
-        # timer's restart, on its deadline directly).
+        # timer, then resumes the countdown if it was running.
         wake = self._timer_wake
         if wake._seq or wake._soon is not None:
             timer = self.timer
@@ -414,10 +412,6 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Interrupt machinery
     # ------------------------------------------------------------------
-    def reevaluate(self) -> None:
-        """Re-check interrupt conditions (kernel-exit / endatom hook)."""
-        self._update()
-
     def mismatch_serviced(self) -> None:
         """Kernel mismatch handler completed; re-arm the line."""
         self._mismatch_in_service = False
@@ -458,8 +452,7 @@ class NetworkInterface:
             available = False
         # Table 3: interrupt-disable with a message pending, or
         # timer-force, enables the atomicity timer: start a countdown
-        # if none runs, else stop it (the timer's update, on its
-        # deadline directly; an idle deadline is left alone).
+        # if none runs, else stop a running one.
         wake = self._timer_wake
         if force or (disable and available):
             if not wake._seq and wake._soon is None:
@@ -485,6 +478,10 @@ class NetworkInterface:
             self._upcall_in_service = True
             self.stats.message_available_upcalls += 1
             deliver_upcall()
+
+    #: Re-check interrupt conditions (the kernel-exit / return-to-user
+    #: hook): the same one-pass evaluation, with no wrapper call.
+    reevaluate = _update
 
     def _timeout_fired(self) -> None:
         self.stats.atomicity_timeouts += 1

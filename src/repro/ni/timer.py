@@ -17,9 +17,11 @@ a full countdown; the event-driven model is therefore one re-armable
 engine :class:`~repro.sim.engine.Deadline` rather than a per-cycle
 decrement. Enable, restart and disable re-arm or clear it in place,
 allocating nothing, as presetting the hardware register costs nothing.
-The network interface drives that deadline itself on its hot path
-(see :mod:`repro.ni.interface`), with the same rules as
-:meth:`AtomicityTimer.update` and :meth:`AtomicityTimer.restart`.
+The enable condition and the dispose restart are the network
+interface's, so it drives the deadline itself, from the same pass that
+evaluates its interrupt lines (``NetworkInterface._update`` and
+``NetworkInterface.dispose``); this class holds the preset, the
+deadline and the expiry count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.sim.engine import Deadline, Engine
 
 
 class AtomicityTimer:
-    """Restartable countdown raising ``on_timeout`` after ``preset``."""
+    """Restartable countdown raising ``on_timeout`` after ``preset``;
+    the network interface starts, restarts and stops it."""
 
     def __init__(self, engine: Engine, preset: int,
                  on_timeout: Callable[[], None]) -> None:
@@ -59,21 +62,6 @@ class AtomicityTimer:
         if preset <= 0:
             raise ValueError("atomicity timeout preset must be positive")
         self.preset = preset
-
-    def restart(self) -> None:
-        """Dispose semantics: preset, then resume counting if enabled."""
-        wake = self._wake
-        if wake.armed:
-            wake.arm(self.engine.now + self.preset, self._fire)
-
-    def update(self, should_enable: bool) -> None:
-        """Drive the enable condition from NI state: start the countdown
-        if it is not running, or stop it and preset the counter."""
-        wake = self._wake
-        if not should_enable:
-            wake.clear()
-        elif not wake.armed:
-            wake.arm(self.engine.now + self.preset, self._fire)
 
     def _fire(self) -> None:
         self.timeouts += 1

@@ -22,15 +22,6 @@ none of the machinery the uncommon case needs.
 * Callbacks for the current cycle bypass timed storage: they go on a
   same-cycle **run queue** (a plain FIFO) drained after the cycle's
   timed entries. :meth:`Engine.call_soon` appends there directly.
-* :meth:`Engine.claim_next_soon` lets a callback whose last act would
-  be a ``call_soon`` run that follow-up inline instead, when it is
-  provably the next event: the drain is unbudgeted (``run()`` without
-  ``max_events``), the fast path is on, no ``stop()`` is pending, the
-  run queue is empty and no heap entry is due this cycle. The claim
-  counts the event as the run-queue event it replaces, so order,
-  ``seq`` and every counter stay those of the ``call_soon``. The
-  processor's interrupt deliveries use it for a pushed frame's first
-  step.
 
 Event heap
 ----------
@@ -296,9 +287,6 @@ class Engine:
         #: False sends same-cycle schedules to the heap (set from the
         #: REPRO_NO_FASTPATH environment variable).
         self.fastpath: bool = not os.environ.get("REPRO_NO_FASTPATH")
-        #: True only while an unbudgeted fast-path drain runs: the
-        #: standing terms of :meth:`claim_next_soon`.
-        self._inline_ok: bool = False
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -384,26 +372,6 @@ class Engine:
         else:
             self.schedule(self.now, fn, arg)
 
-    def claim_next_soon(self) -> bool:
-        """Authorise running inline, in the current callback, what
-        ``call_soon`` would make the very next event, and count it as
-        that run-queue event.
-
-        True only inside an unbudgeted drain with the fast path on and
-        no ``stop()`` pending, when the run queue is empty and no heap
-        entry is due this cycle: then the entry ``call_soon`` would
-        append is next, and running it before the current callback
-        returns (with nothing else done after it there) changes no
-        order, ``seq`` or counter.
-        """
-        if self._inline_ok and not self._stop and not self._runq:
-            heap = self._heap
-            if not heap or heap[0][0] != self.now:
-                self._events_executed += 1
-                self._runq_executed += 1
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Queue maintenance
     # ------------------------------------------------------------------
@@ -470,12 +438,7 @@ class Engine:
         clears it, so it cannot swallow the step."""
         self._stop = False
         executed = self._events_executed
-        outer = self._inline_ok
-        self._inline_ok = False
-        try:
-            self._run_bounded(None, 1)
-        finally:
-            self._inline_ok = outer
+        self._run_bounded(None, 1)
         return self._events_executed != executed
 
     def run(self, until: Optional[int] = None,
@@ -484,12 +447,7 @@ class Engine:
         ``max_events`` events have executed, or :meth:`stop` is called.
         Returns the final time."""
         self._stop = False
-        outer = self._inline_ok
-        self._inline_ok = max_events is None and self.fastpath
-        try:
-            return self._run_bounded(until, max_events)
-        finally:
-            self._inline_ok = outer
+        return self._run_bounded(until, max_events)
 
     def _run_bounded(self, until: Optional[int],
                      max_events: Optional[int]) -> int:

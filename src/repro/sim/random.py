@@ -30,9 +30,12 @@ class DeterministicRng:
         mixed = (seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFF
         self._rng = random.Random(mixed)
 
+    # ``randrange(n)`` takes ``_randbelow(n)`` from the stream, as
+    # ``randint`` does for an n-value range, so these draws (and every
+    # golden built on them) are ``randint``'s.
     def uniform_int(self, low: int, high: int) -> int:
         """Inclusive uniform integer in [low, high]."""
-        return self._rng.randint(low, high)
+        return low + self._rng.randrange(high - low + 1)
 
     def uniform_interval(self, mean: int) -> int:
         """Uniformly distributed integer interval with the given mean.
@@ -41,7 +44,7 @@ class DeterministicRng:
         ... with an average of T_betw cycles"; we use U[0, 2*mean] which
         has exactly that mean.
         """
-        return self._rng.randint(0, 2 * mean)
+        return self._rng.randrange(2 * mean + 1)
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)

@@ -350,75 +350,3 @@ class TestCancelAfterFiring:
         assert engine.compactions == 0
         live.cancel()
         assert engine.pending == 0
-
-
-class TestClaimNextSoon:
-    """``claim_next_soon`` says yes, and counts a run-queue event, only
-    when what ``call_soon`` would append now is provably the next
-    event of an unbudgeted fast-path drain."""
-
-    def _claims(self, engine, drive, setup=None):
-        """Ask for a claim from a callback at cycle 5 (after ``setup``,
-        in the same callback); return the answers and the counters."""
-        answers = []
-
-        def ask():
-            if setup is not None:
-                setup()
-            answers.append(engine.claim_next_soon())
-
-        engine.call_at(5, ask)
-        drive(engine)
-        return answers, (engine.events_executed, engine.runq_events,
-                         engine.ring_events)
-
-    def test_claim_counts_one_run_queue_event(self, mode_engine):
-        answers, counts = self._claims(mode_engine, lambda e: e.run())
-        if mode_engine.fastpath:
-            assert answers == [True]
-            assert counts == (2, 1, 1)
-        else:
-            assert answers == [False]
-            assert counts == (1, 0, 1)
-
-    def test_no_claim_outside_a_drain(self, mode_engine):
-        assert mode_engine.claim_next_soon() is False
-        assert mode_engine.events_executed == 0
-
-    @pytest.mark.parametrize("drive", [
-        lambda e: [e.step() for _ in range(3)],
-        lambda e: e.run(max_events=5),
-    ], ids=["step", "max_events"])
-    def test_no_claim_in_a_budgeted_drain(self, mode_engine, drive):
-        answers, counts = self._claims(mode_engine, drive)
-        assert answers == [False]
-        assert counts == (1, 0, 1)
-
-    def test_no_claim_after_stop(self, mode_engine):
-        answers, _ = self._claims(mode_engine, lambda e: e.run(),
-                                  setup=mode_engine.stop)
-        assert answers == [False]
-
-    def test_no_claim_with_a_run_queue_item_pending(self, mode_engine):
-        engine = mode_engine
-        answers, _ = self._claims(
-            engine, lambda e: e.run(),
-            setup=lambda: engine.call_soon(lambda: None))
-        assert answers == [False]
-
-    def test_no_claim_with_a_heap_entry_due_this_cycle(self, mode_engine):
-        engine = mode_engine
-        answers = []
-        engine.call_at(5, lambda: answers.append(engine.claim_next_soon()))
-        engine.call_at(5, lambda: answers.append(engine.claim_next_soon()))
-        engine.run()
-        # The first sees the second due this cycle; the last may claim.
-        assert answers == [False, engine.fastpath]
-
-    def test_no_claim_in_a_step_nested_in_a_run(self, mode_engine):
-        engine = mode_engine
-        answers = []
-        engine.call_at(3, engine.step)
-        engine.call_at(5, lambda: answers.append(engine.claim_next_soon()))
-        engine.run()
-        assert answers == [False]

@@ -54,31 +54,37 @@ class TestUac:
         assert other.snapshot() == snap
 
 
+def timer_ni(preset=100):
+    """One NI whose atomicity timer the tests drive as the hardware
+    does: *timer-force* enables it, clearing the bit disables it, and a
+    dispose restarts a running countdown. Returns the expiry times."""
+    engine, fabric, nis = build_ni(atomicity_timeout=preset)
+    ni = nis[1]
+    fired = []
+    ni.deliver_atomicity_timeout = lambda: fired.append(engine.now)
+    return engine, fabric, ni, fired
+
+
 class TestAtomicityTimer:
     def test_fires_after_preset(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.update(True)
+        engine, _, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
         engine.run()
         assert fired == [100]
 
     def test_disable_cancels(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(1))
-        timer.update(True)
-        timer.update(False)
+        engine, _, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
+        ni.endatom(TIMER_FORCE)
         engine.run()
         assert fired == []
 
     def test_restart_presets_countdown(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.update(True)
+        engine, fabric, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
+        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
         engine.run(until=60)
-        timer.restart()  # dispose-style preset
+        ni.dispose(privileged=True)  # dispose presets the countdown
         engine.run()
         assert fired == [160]
 
@@ -282,62 +288,58 @@ class TestTimerExpiryRearmRaces:
     fault hook that forces the timeout path from outside."""
 
     def test_enable_while_running_does_not_retime(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.update(True)
+        engine, _, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
         engine.run(until=60)
-        timer.update(True)  # already counting: must NOT restart
+        ni.reevaluate()  # already counting: must NOT restart
         engine.run()
         assert fired == [100]
 
     def test_set_preset_does_not_retime_running_countdown(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.update(True)
+        engine, _, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
         engine.run(until=10)
-        timer.set_preset(1_000)  # takes effect at the *next* enable
+        ni.timer.set_preset(1_000)  # takes effect at the *next* enable
         engine.run()
         assert fired == [100]
-        timer.update(True)
+        ni.reevaluate()  # timer-force still set: a fresh countdown
         engine.run()
         assert fired == [100, 1_100]
 
     def test_rearm_from_inside_the_timeout_callback(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: None)
-        timer.on_timeout = lambda: (
+        engine, _, ni, fired = timer_ni()
+        ni.deliver_atomicity_timeout = lambda: (
             fired.append(engine.now),
-            timer.update(True) if len(fired) < 3 else None,
+            ni.reevaluate() if len(fired) < 3 else None,
         )
-        timer.update(True)
+        ni.beginatom(TIMER_FORCE)
         engine.run()
         assert fired == [100, 200, 300]
-        assert timer.timeouts == 3
-        assert not timer.enabled
+        assert ni.timer.timeouts == 3
+        assert not ni.timer.enabled
 
     def test_restart_on_disabled_timer_stays_disabled(self):
-        engine = Engine()
-        timer = AtomicityTimer(engine, 100, lambda: None)
-        timer.restart()  # dispose with no countdown running: no-op
+        engine, fabric, ni, fired = timer_ni()
+        fabric.send(Message(dst=1, handler="h", src=0, gid=1))
         engine.run()
-        assert timer.timeouts == 0
-        assert not timer.enabled
+        assert not ni.timer.enabled
+        seq = engine._seq
+        ni.dispose(privileged=True)  # no countdown running: no restart
+        assert engine._seq == seq  # nothing armed, not even briefly
+        engine.run()
+        assert fired == [] and ni.timer.timeouts == 0
+        assert not ni.timer.enabled
 
     def test_disable_inside_callback_window_then_reenable(self):
-        engine = Engine()
-        fired = []
-        timer = AtomicityTimer(engine, 100, lambda: fired.append(engine.now))
-        timer.update(True)
+        engine, _, ni, fired = timer_ni()
+        ni.beginatom(TIMER_FORCE)
         engine.run(until=100)  # fires exactly at t=100
         assert fired == [100]
-        timer.update(False)        # already idle: must be a no-op
-        timer.update(True)         # full fresh countdown
+        ni.endatom(TIMER_FORCE)    # already idle: must be a no-op
+        ni.beginatom(TIMER_FORCE)  # full fresh countdown
         engine.run()
         assert fired == [100, 200]
-        assert timer.timeouts == 2
+        assert ni.timer.timeouts == 2
 
     def test_force_timeout_fires_path_without_arming_timer(self):
         engine, fabric, nis = build_ni()
@@ -359,7 +361,7 @@ class TestTimerExpiryRearmRaces:
         ni = nis[1]
         hits = []
         ni.deliver_atomicity_timeout = lambda: hits.append(engine.now)
-        ni.timer.update(True)
+        ni.beginatom(TIMER_FORCE)
         engine.run(until=30)
         ni.force_timeout()
         assert ni.timer.enabled  # countdown survives the forced fire

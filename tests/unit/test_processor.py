@@ -444,123 +444,3 @@ class TestSpin:
     def test_chunk_below_two_cycles_rejected(self):
         with pytest.raises(ValueError):
             Spin(1, lambda: True)
-
-
-def _spy_claims(engine):
-    """Record every ``claim_next_soon`` answer the engine gives."""
-    answers = []
-    claim = engine.claim_next_soon
-
-    def spy():
-        answers.append(claim())
-        return answers[-1]
-
-    engine.claim_next_soon = spy
-    return answers
-
-
-class TestInlineFirstStep:
-    """An interrupt delivery runs its frame's first step in the same
-    callback when the engine says the kick would be the very next
-    event. It must be the kick path exactly: same trace, same charges,
-    same counters, same final heap ``seq``."""
-
-    @staticmethod
-    def _run(inline, drive=None):
-        engine = Engine()
-        answers = _spy_claims(engine)
-        if not inline:
-            engine.claim_next_soon = lambda: False
-        cpus = [Processor(engine, node_id=n) for n in range(2)]
-        trace = []
-
-        def main(n):
-            for _ in range(6):
-                yield 40
-                trace.append((f"main{n}", engine.now))
-
-        def handler(tag, length):
-            trace.append((tag, "first", engine.now))
-            yield length
-            trace.append((tag, "done", engine.now))
-
-        def factory(tag, length, kernel=False):
-            def make():
-                trace.append((tag, "factory", engine.now))
-                return Frame(handler(tag, length), tag, kernel=kernel)
-            return make
-
-        for n, cpu in enumerate(cpus):
-            cpu.push_frame(Frame(main(n), f"main{n}"))
-        # A lone upcall, then a kernel interrupt over a user handler.
-        engine.call_at(15, lambda: cpus[0].raise_user_upcall(
-            factory("u0", 9)))
-        engine.call_at(61, lambda: cpus[1].raise_user_upcall(
-            factory("u1", 30)))
-        engine.call_at(70, lambda: cpus[1].raise_kernel(
-            factory("k1", 5, kernel=True)))
-        # Two upcalls in one cycle on different nodes.
-        engine.call_at(130, lambda: (
-            cpus[0].raise_user_upcall(factory("a", 12)),
-            cpus[1].raise_user_upcall(factory("b", 12))))
-        (drive or (lambda e: e.run()))(engine)
-        counts = (engine.events_executed, engine.runq_events,
-                  engine.ring_events, engine.cycle_batches, engine._seq,
-                  engine.now)
-        cycles = [(cpu.user_cycles, cpu.kernel_cycles) for cpu in cpus]
-        return trace, counts, cycles, answers
-
-    def test_inline_step_equals_the_kick_path(self):
-        inline = self._run(True)
-        kicked = self._run(False)
-        assert inline[:3] == kicked[:3]
-        # The lone upcall and the kernel interrupt went inline (under
-        # REPRO_NO_FASTPATH the engine never authorises it).
-        assert inline[3].count(True) == (3 if Engine().fastpath else 0)
-
-    def test_same_cycle_upcalls_on_two_nodes_keep_their_order(self):
-        trace, _, _, _ = self._run(True)
-        at_130 = [entry for entry in trace
-                  if entry[0] in ("a", "b") and entry[-1] == 130]
-        # Each delivery sees the other's work pending, so both kick:
-        # both factories run before either handler's first step.
-        assert at_130 == [("a", "factory", 130), ("b", "factory", 130),
-                          ("a", "first", 130), ("b", "first", 130)]
-
-    @pytest.mark.parametrize("budget", [None, 3], ids=["step", "max_events"])
-    def test_no_inline_step_in_a_budgeted_drain(self, budget):
-        def drive(engine):
-            while engine.peek_time() is not None:
-                if budget is None:
-                    engine.step()
-                else:
-                    engine.run(max_events=budget)
-
-        budgeted = self._run(True, drive)
-        assert True not in budgeted[3]
-        assert budgeted[0] == self._run(False)[0]
-
-    def test_no_inline_step_after_stop(self, cpu):
-        engine, proc = cpu
-        answers = _spy_claims(engine)
-        trace = []
-
-        def handler():
-            trace.append(("first", engine.now))
-            yield 5
-
-        def stopping_factory():
-            engine.stop()
-            return Frame(handler(), "h")
-
-        engine.call_at(10, lambda: proc.raise_user_upcall(stopping_factory))
-        engine.run()
-        assert answers == [False] and trace == []
-        engine.run()
-        assert trace == [("first", 10)] and engine.now == 15
-
-    def test_no_inline_step_without_the_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        trace, counts, _, answers = self._run(True)
-        assert True not in answers
-        assert counts[1] == 0  # no run-queue events at all
